@@ -21,7 +21,7 @@ from .workload import (Burst, PRESETS, PRESET_CLASS, Request, WorkloadSpec,
 from .device import Device, DeviceParams, ServiceEstimator
 from .metrics import (LatencyHistogram, MetricsHub, TenantMetrics,
                       quantile_from_counts, write_all)
-from .window_runtime import Window, calculate_cores, demand_for, new_window, temp_window
+from .window_runtime import Window, calculate_cores, new_window
 from .backend import Backend, Core, Tenant, BE_LABEL
 from .qwin_allocator import (PolicyParams, QwinAllocator, compute_budget,
                              select_policy, CONSERVATIVE, AGGRESSIVE, SLO_AWARE)
@@ -44,7 +44,7 @@ __all__ = [
     "Device", "DeviceParams", "ServiceEstimator",
     "LatencyHistogram", "MetricsHub", "TenantMetrics",
     "quantile_from_counts", "write_all",
-    "Window", "calculate_cores", "demand_for", "new_window", "temp_window",
+    "Window", "calculate_cores", "new_window",
     "Backend", "Core", "Tenant", "BE_LABEL",
     "PolicyParams", "QwinAllocator", "compute_budget", "select_policy",
     "CONSERVATIVE", "AGGRESSIVE", "SLO_AWARE",

@@ -151,7 +151,14 @@ class Backend:
             insort(tenant.idle, core.cid)
             tenant.num += 1
 
-    def start(self, tracked_start=True):
+    def assign_lc_cores(self):
+        """Give each LC tenant one core, in tenant order, before the run."""
+        if len(self.lc_tenants) > self.pool_total:
+            raise ValueError("more LC tenants than cores in the pool")
+        for core, t in zip(self.cores, self.lc_tenants):
+            self.assign_core(core, t)
+
+    def start(self):
         """Publish initial core counts and kick every core at t=0."""
         hub = self.hub
         if hub is not None:
@@ -233,13 +240,6 @@ class Backend:
         else:
             dev.fifo.append(req)
 
-    def plain_dequeue(self, tenant, now):
-        """FIFO dequeue with window bookkeeping skipped (baseline allocators)."""
-        queue = tenant.queue
-        if not queue:
-            return None
-        return queue.popleft()
-
     def _be_dequeue(self):
         # Strict-priority shared pool: LC queues first, round-robin among
         # tenants of each class.
@@ -275,7 +275,6 @@ class Backend:
             dev._start(dev.fifo.popleft(), now)
         core = req.core
         t = req.tenant
-        req.completed_at = now
         b = t.metrics.record(now - req.arrive_at, req.size, now)
         if t.lc:
             est = t.estimator

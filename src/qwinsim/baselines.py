@@ -81,9 +81,6 @@ class PriorityAllocator:
     name = "priority"
     per_tenant_cores = False
 
-    def __init__(self):
-        pass
-
     def setup(self, backend):
         backend.pool_serves_lc = True
 
@@ -115,10 +112,7 @@ class CongestionAllocator(_PlainLcStep):
 
     def setup(self, backend):
         self.backend = backend
-        for i, t in enumerate(backend.lc_tenants):
-            if i >= backend.pool_total:
-                raise ValueError("more LC tenants than cores in the pool")
-            backend.assign_core(backend.cores[i], t)
+        backend.assign_lc_cores()
         backend.engine.schedule(self.params.probe_interval_ns,
                                 EventKind.POLICY_PROBE, self._probe, None)
 
@@ -178,10 +172,7 @@ class FeedbackAllocator(_PlainLcStep):
 
     def setup(self, backend):
         self.backend = backend
-        for i, t in enumerate(backend.lc_tenants):
-            if i >= backend.pool_total:
-                raise ValueError("more LC tenants than cores in the pool")
-            backend.assign_core(backend.cores[i], t)
+        backend.assign_lc_cores()
         backend.engine.schedule(self.params.interval_ns,
                                 EventKind.POLICY_PROBE, self._tick, None)
 

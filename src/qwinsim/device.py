@@ -84,8 +84,9 @@ def sample_service_time(params: DeviceParams, is_read: bool, size: int, rng) -> 
 class Device:
     """Runtime device instance: capacity-bounded concurrency plus a FIFO.
 
-    The backend supplies the completion callback; the device only schedules
-    IO_COMPLETE events and keeps its occupancy/FIFO accounting.
+    The backend supplies the completion callback and keeps the slot
+    accounting (in_service, fifo) inline on its hot path; the device draws
+    service times and schedules IO_COMPLETE events.
 
     Variates are drawn from a numpy Generator in fixed-size blocks (one
     standard normal and one uniform per request) purely for speed; the
@@ -141,19 +142,6 @@ class Device:
         req.finish_at = fire_at
         self.engine.schedule(fire_at, EventKind.IO_COMPLETE,
                              self.on_complete_fn, req)
-
-    def submit(self, req, now):
-        """Begin service immediately if a slot is free, else queue internally."""
-        if self.in_service < self.capacity:
-            self._start(req, now)
-        else:
-            self.fifo.append(req)
-
-    def release_slot(self, now):
-        """Called by the backend once per completion, before reusing the slot."""
-        self.in_service -= 1
-        if self.fifo:
-            self._start(self.fifo.popleft(), now)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
         spec = tc.spec()
         lc = tc.tenant_class == "lc"
         source = WorkloadSource(spec, make_stream(seed, FIRST_TENANT_STREAM + i),
-                                tc.label, lc)
+                                tc.label)
         if lc:
             est = shared_est
             if est is None:
@@ -178,7 +178,7 @@ class RunResult:
     run_id: str
     report: dict
     paths: dict          # csv name -> path ({} when nothing was written)
-    sim: Simulation      # kept for in-memory inspection by tests/notebooks
+    sim: Simulation | None  # for in-memory inspection; None in sweep results
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
@@ -213,8 +213,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
 def sweep(cfg: ExperimentConfig, seeds, out_dir: str | None = None,
           write: bool = True) -> dict:
     """Run the same config across seeds; aggregate SLO verdicts and bandwidth."""
-    results = [run_experiment(cfg, seed=s, out_dir=out_dir, write=write)
-               for s in seeds]
+    results = []
+    for s in seeds:
+        r = run_experiment(cfg, seed=s, out_dir=out_dir, write=write)
+        # A Simulation is a reference cycle (the device calls back into the
+        # backend that owns it), so dropping it frees nothing until a
+        # collection runs; without one, memory grows with the seed count.
+        r.sim = None
+        gc.collect()
+        results.append(r)
     agg: dict = {"name": cfg.name, "allocator": cfg.allocator_id(),
                  "seeds": list(seeds), "runs": {}, "tenants": {}}
     for r in results:

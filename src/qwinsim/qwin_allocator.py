@@ -29,8 +29,6 @@ from .metrics import quantile_from_counts
 from .sim_core import US
 from .window_runtime import calculate_cores, new_window
 
-_ceil = math.ceil
-
 CONSERVATIVE = "conservative"
 AGGRESSIVE = "aggressive"
 SLO_AWARE = "slo_aware"
@@ -97,11 +95,9 @@ class QwinAllocator:
         self.backend = backend
         self.hub = backend.hub
         self.pool = backend.pool_total
+        backend.assign_lc_cores()
         pin = self.params.pin
-        for i, t in enumerate(backend.lc_tenants):
-            if i >= backend.pool_total:
-                raise ValueError("more LC tenants than cores in the pool")
-            backend.assign_core(backend.cores[i], t)
+        for t in backend.lc_tenants:
             t.policy = pin if pin is not None else t.policy
             t.budget = self._budget_for_policy(t, None)
 
@@ -145,7 +141,6 @@ class QwinAllocator:
             demand = calculate_cores(win.ql, win.tw, t.slo_ns,
                                      est.tail_ns, est.mean_ns, self.pool)
             self.adjust_cores(t, demand, now, "window_start")
-            win.granted = t.num
             self.hub.window_event(t.label, win.wid, win.ql, win.tw, t.num, t.policy)
         if queue:
             req = queue.popleft()
@@ -159,20 +154,14 @@ class QwinAllocator:
                 budget = t.budget
                 if budget and t.wcnt % budget == 0 and t.win is not None:
                     t.probes_attempted += 1
-                    # A probe only ever scales up, so with every pool core
+                    # A probe sizes the live queue as if it were a window
+                    # and only ever scales up, so with every pool core
                     # already owned there is nothing to compute.
                     if queue and t.num < self.pool:
-                        # Temp window over the live queue (the core-demand
-                        # formula, inlined: this runs per dequeue under a
-                        # budget-1 policy).
                         est = t.estimator
-                        slack = t.slo_ns - est.tail_ns - (now - queue[0].enqueued_at)
-                        if slack <= 0:
-                            tmp = self.pool
-                        else:
-                            tmp = _ceil(len(queue) * est.mean_ns / slack)
-                            if tmp > self.pool:
-                                tmp = self.pool
+                        tmp = calculate_cores(len(queue), now - queue[0].enqueued_at,
+                                              t.slo_ns, est.tail_ns, est.mean_ns,
+                                              self.pool)
                         if tmp > t.num:
                             self.adjust_cores(t, tmp, now, "probe")
             return req

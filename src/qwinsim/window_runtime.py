@@ -18,30 +18,24 @@ import math
 
 
 class Window:
-    __slots__ = ("wid", "ql", "tw", "established_at",
-                 "boundary_lo", "boundary_hi", "outstanding",
-                 "remaining_dequeues", "is_temp", "granted")
+    __slots__ = ("wid", "ql", "tw", "boundary_lo", "boundary_hi",
+                 "outstanding", "remaining_dequeues")
 
-    def __init__(self, wid, ql, tw, established_at, boundary_lo, boundary_hi,
-                 outstanding, is_temp=False):
+    def __init__(self, wid, ql, tw, boundary_lo, boundary_hi, outstanding):
         self.wid = wid
         self.ql = ql
         self.tw = tw
-        self.established_at = established_at
         self.boundary_lo = boundary_lo
         self.boundary_hi = boundary_hi
         self.outstanding = outstanding
         self.remaining_dequeues = ql
-        self.is_temp = is_temp
-        self.granted = 0
 
     @property
     def members(self) -> int:
         return self.boundary_hi - self.boundary_lo + 1
 
     def __repr__(self):
-        kind = "tmp" if self.is_temp else "win"
-        return (f"<{kind} {self.wid} ql={self.ql} tw={self.tw} "
+        return (f"<win {self.wid} ql={self.ql} tw={self.tw} "
                 f"range=[{self.boundary_lo},{self.boundary_hi}] out={self.outstanding}>")
 
 
@@ -67,23 +61,10 @@ def new_window(tenant, now) -> Window:
     outstanding = (hi - lo + 1) - tenant.completed_gap
     tenant.completed_gap = 0
     tenant.prev_boundary = hi
-    win = Window(tenant.wid, len(queue), now - queue[0].enqueued_at, now,
+    win = Window(tenant.wid, len(queue), now - queue[0].enqueued_at,
                  lo, hi, outstanding)
     tenant.win = win
     return win
-
-
-def temp_window(tenant, now) -> Window | None:
-    """Snapshot the current queue mid-window, for budget probes.
-
-    Returns None when the queue is empty.  Temp windows carry no membership
-    range and never touch the tenant's window bookkeeping.
-    """
-    queue = tenant.queue
-    if not queue:
-        return None
-    return Window(tenant.wid, len(queue), now - queue[0].enqueued_at, now,
-                  0, -1, 0, is_temp=True)
 
 
 def calculate_cores(ql: int, tw_ns: int, slo_ns: int,
@@ -104,7 +85,3 @@ def calculate_cores(ql: int, tw_ns: int, slo_ns: int,
         return pool_total
     return n
 
-
-def demand_for(win: Window, slo_ns: int, tail_io_ns: int,
-               t_io_avg_ns: float, pool_total: int) -> int:
-    return calculate_cores(win.ql, win.tw, slo_ns, tail_io_ns, t_io_avg_ns, pool_total)

@@ -26,22 +26,20 @@ class Request:
     """One I/O request.  Timestamps are integer ns; -1 means "not yet"."""
 
     __slots__ = (
-        "tenant", "lc", "is_read", "size",
-        "arrive_at", "enqueued_at", "dequeued_at", "completed_at",
+        "tenant", "is_read", "size",
+        "arrive_at", "enqueued_at", "dequeued_at",
         "seq", "slot", "core", "finish_at",
     )
 
     NOT_SCHEDULED = 1 << 62  # finish_at sentinel: not yet in service
 
-    def __init__(self, tenant, lc, is_read, size, arrive_at, slot=-1):
+    def __init__(self, tenant, is_read, size, arrive_at, slot=-1):
         self.tenant = tenant
-        self.lc = lc
         self.is_read = is_read
         self.size = size
         self.arrive_at = arrive_at
         self.enqueued_at = -1
         self.dequeued_at = -1
-        self.completed_at = -1
         self.seq = -1          # per-tenant arrival index, stamped at enqueue
         self.slot = slot       # closed-loop job slot, -1 for open loop
         self.core = None       # core currently serving this request
@@ -146,16 +144,14 @@ class WorkloadSource:
     only decides *what* arrives *when*.
     """
 
-    def __init__(self, spec: WorkloadSpec, rng, tenant_label: str, lc: bool):
+    def __init__(self, spec: WorkloadSpec, rng, tenant_label: str):
         spec.validate()
         self.spec = spec
         self.rng = rng
         self.tenant = tenant_label
-        self.lc = lc
         self._closed = spec.mode == CLOSED
         self.in_flight = 0
         self.generated = 0
-        self.recycle = True   # debug harnesses set False to keep request objects alive
         self._enqueue = None
         self._engine = None
         # Pre-computed op sampler: constant when the mix is pure.
@@ -192,7 +188,7 @@ class WorkloadSource:
     def make_request(self, arrive_at, slot=-1) -> Request:
         self.generated += 1
         self.in_flight += 1
-        return Request(self.tenant, self.lc, self._draw_op(), self._draw_size(),
+        return Request(self.tenant, self._draw_op(), self._draw_size(),
                        arrive_at, slot)
 
     # -- lifecycle ---------------------------------------------------------
@@ -260,7 +256,7 @@ class WorkloadSource:
     # -- completions ----------------------------------------------------------
 
     def on_completion(self, req, now):
-        """Closed loop: recycle the completed request as its slot's replacement.
+        """Closed loop: reuse the completed request as its slot's replacement.
 
         Reusing the object keeps the hot path allocation-free; nothing holds a
         reference to a completed request once its latency has been recorded.
@@ -269,8 +265,6 @@ class WorkloadSource:
         self.in_flight -= 1
         if not self._closed:
             return None
-        if not self.recycle:
-            return self.make_request(now, req.slot)
         self.generated += 1
         self.in_flight += 1
         # Only fields the enqueue/serve/start path does not overwrite need

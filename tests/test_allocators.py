@@ -7,7 +7,8 @@ from qwinsim import (AGGRESSIVE, CONSERVATIVE, SLO_AWARE,
                      DeviceParams, Engine, FeedbackAllocator, FeedbackParams,
                      MetricsHub, PolicyParams, QwinAllocator, StaticAllocator,
                      StaticParams, Tenant, WorkloadSpec, WorkloadSource,
-                     compute_budget, make_np_stream, make_stream, select_policy)
+                     calculate_cores, compute_budget, make_np_stream,
+                     make_stream, select_policy)
 from qwinsim import new_window
 from qwinsim.metrics import EDGES, bucket_of
 from qwinsim.sim_core import MS, SEC, US
@@ -17,7 +18,7 @@ from qwinsim.workload import Request
 def _fill(t, n, now=0):
     """Stamp n ready-to-dequeue requests straight into a tenant's queue."""
     for _ in range(n):
-        r = Request(t.label, t.lc, True, 4096, arrive_at=now)
+        r = Request(t.label, True, 4096, arrive_at=now)
         r.enqueued_at = now
         t.arrivals += 1
         r.seq = t.arrivals
@@ -75,7 +76,7 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
         spec = (workloads or {}).get(
             label, WorkloadSpec(iodepth=8, numjobs=1,
                                 sizes=((4096, 1.0),) if lc else ((65536, 1.0),)))
-        src = WorkloadSource(spec, make_stream(seed, 1 + i), label, lc)
+        src = WorkloadSource(spec, make_stream(seed, 1 + i), label)
         t = Tenant(label, lc, slo_ns=slo) if lc else Tenant(label, False)
         est = None
         if lc:
@@ -93,12 +94,28 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
     return eng, backend, hub, alloc
 
 
+# The allocators that start every LC tenant on one core and move cores later.
+ONE_CORE_START = {"qwin": QwinAllocator, "shenango": CongestionAllocator,
+                  "cake": FeedbackAllocator}
+
+
 def test_setup_gives_each_lc_tenant_one_core():
-    eng, backend, hub, alloc = _rig()
-    lc = backend.by_label["lc0"]
-    assert lc.num == 1
-    assert backend.be_count == 3
-    assert backend.cores[0].owner is lc
+    for make in ONE_CORE_START.values():
+        eng, backend, hub, alloc = _rig(
+            allocator=make(),
+            tenants=(("lc0", True, 4 * MS), ("lc1", True, 5 * MS), ("be0", False, 0)))
+        lc0, lc1 = backend.by_label["lc0"], backend.by_label["lc1"]
+        assert lc0.num == lc1.num == 1, alloc.name
+        assert backend.be_count == 2
+        assert backend.cores[0].owner is lc0 and backend.cores[1].owner is lc1
+        backend.check_invariants()
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_CORE_START))
+def test_setup_rejects_more_lc_tenants_than_cores(kind):
+    with pytest.raises(ValueError, match="more LC tenants than cores"):
+        _rig(pool=2, allocator=ONE_CORE_START[kind](),
+             tenants=tuple((f"lc{i}", True, 4 * MS) for i in range(3)))
 
 
 def test_adjust_grow_and_shrink_arithmetic():
@@ -194,6 +211,31 @@ def test_pinned_policy_never_refreshes():
     alloc._refresh_policy(lc, 0)
     assert lc.policy == AGGRESSIVE
     assert lc.probe_n == 5_000                   # untouched
+
+
+def test_budget_one_probe_grows_to_the_live_queue_demand():
+    # pool 8, so the BE pool has 7 parked cores a probe can take at once
+    eng, backend, hub, alloc = _rig(pool=8)
+    lc = backend.by_label["lc0"]
+    assert lc.policy == AGGRESSIVE and lc.budget == 1
+    _fill(lc, 1)
+    new_window(lc, 0)                 # a one-request window: demand 1
+    _fill(lc, 3, now=1_000)           # the next window's arrivals pile up
+    now = 3_641_000
+    est = lc.estimator
+    # The probe runs after the dequeue, over the 3 requests still queued,
+    # whose head has waited 3.64ms: slack = 4ms - 260us - 3.64ms = 100us,
+    # and ceil(3 * 106.6us / 100us) = 4 (2 or 4 queued would give 3 or 5).
+    want = calculate_cores(3, now - 1_000, lc.slo_ns, est.tail_ns, est.mean_ns, 8)
+    assert want == 4
+    req = alloc.lc_step(backend.cores[0], lc, now)
+    assert req.seq == 1
+    assert lc.num == want
+    # the granted cores dequeue and probe at once, over a shorter queue, so
+    # only the first probe grows
+    assert [r for r in hub.alloc_rows if r[4] == "probe"] == [
+        (now, "lc0", 1, want, "probe")]
+    backend.check_invariants()
 
 
 def test_tenants_start_aggressive():

@@ -6,14 +6,17 @@ import statistics
 
 import pytest
 
-from qwinsim import Device, DeviceParams, Engine, EventKind, ServiceEstimator, make_np_stream
+from qwinsim import (Backend, Device, DeviceParams, Engine, EventKind,
+                     MetricsHub, ServiceEstimator, Tenant, WorkloadSource,
+                     WorkloadSpec, make_np_stream, make_stream)
 from qwinsim.device import (_service_bucket, _service_bucket_edge,
                             sample_service_time)
-from qwinsim.workload import Request
+from qwinsim.sim_core import SEC
+from qwinsim.workload import OPEN, Request
 
 
 def _req(is_read=True, size=4096):
-    return Request("t", True, is_read, size, arrive_at=0)
+    return Request("t", is_read, size, arrive_at=0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,42 +90,54 @@ def test_sampler_spike_rate_matches_p_spike():
 # ---------------------------------------------------------------------------
 
 
-def _device(capacity=2, seed=5, **kw):
-    # The completion callback owns the slot: it must release before reuse,
-    # exactly as the backend's completion handler does.
+def _device(seed=5, **kw):
+    # Requests go straight to _start(), which draws a service time whatever
+    # the occupancy; the completion callback only records.
     eng = Engine()
-    p = DeviceParams(capacity=capacity, **kw)
-    dev = Device(p, make_np_stream(seed, 0), eng)
+    dev = Device(DeviceParams(**kw), make_np_stream(seed, 0), eng)
     done = []
-
-    def on_complete(req, now):
-        dev.release_slot(now)
-        done.append((req, now))
-
-    dev.on_complete_fn = on_complete
+    dev.on_complete_fn = lambda req, now: done.append((req, now))
     return eng, dev, done
 
 
 def test_capacity_bounds_concurrency_and_fifo_spills():
-    eng, dev, done = _device(capacity=2)
-    reqs = [_req() for _ in range(5)]
+    # The backend owns the slot accounting, so drive the device through it:
+    # five requests on five idle cores, a device with two slots.
+    eng = Engine()
+    dev = Device(DeviceParams(capacity=2), make_np_stream(5, 0), eng)
+    backend = Backend(eng, dev, 5, MetricsHub("dev", interval_ns=SEC, warmup_ns=0))
+    src = WorkloadSource(WorkloadSpec(mode=OPEN, rate_per_s=1.0),
+                         make_stream(5, 1), "be0")
+    t = backend.add_tenant(Tenant("be0", False), src)
+    started = []
+    start = dev._start
+
+    def spy(req, now):
+        start(req, now)
+        started.append((req, now, dev.in_service))
+
+    dev._start = spy
+    reqs = [src.make_request(0) for _ in range(5)]
     for r in reqs:
-        dev.submit(r, 0)
-    assert dev.in_service == 2 and len(dev.fifo) == 3
-    eng.run_until(10_000_000_000)
-    assert len(done) == 5 and dev.in_service == 0 and not dev.fifo
-    # every queued request eventually got a completion in nondecreasing time
-    times = [t for _, t in done]
-    assert times == sorted(times)
+        backend.enqueue(t, r, 0)
+    assert dev.in_service == 2 and list(dev.fifo) == reqs[2:]
+    eng.run_until(10 * SEC)
+    assert backend.completed == 5 and dev.in_service == 0 and not dev.fifo
+    # the spilled requests start in arrival order, each at the completion
+    # that freed its slot, and never more than two are in service
+    assert [r for r, _, _ in started] == reqs
+    finishes = {r.finish_at for r in reqs}
+    assert all(now in finishes for _, now, _ in started[2:])
+    assert max(n for _, _, n in started) == 2
 
 
 def test_device_empirical_median_within_three_percent():
     # drive one request at a time so completion - submit == pure service time
-    eng, dev, done = _device(capacity=1, seed=78)
+    eng, dev, done = _device(seed=78)
     subs = []
     at = 0
     for _ in range(20_000):
-        dev.submit(_req(), at)
+        dev._start(_req(), at)
         subs.append(at)
         eng.run_until(eng._heap[0][0])  # exactly the pending completion
         at = eng.now
@@ -134,18 +149,18 @@ def test_device_empirical_median_within_three_percent():
 def test_device_replay_is_bit_identical():
     out = []
     for _ in range(2):
-        eng, dev, done = _device(capacity=4, seed=11)
+        eng, dev, done = _device(seed=11)
         for i in range(1_000):
-            dev.submit(_req(is_read=i % 3 != 0, size=4096 if i % 2 else 65536), 0)
+            dev._start(_req(is_read=i % 3 != 0, size=4096 if i % 2 else 65536), 0)
         eng.run_until(1 << 60)
         out.append([t for _, t in done])
     assert out[0] == out[1]
 
 
 def test_service_times_are_positive_integers():
-    eng, dev, done = _device(capacity=8, seed=3, sigma=2.5)
+    eng, dev, done = _device(seed=3, sigma=2.5)
     for _ in range(2_000):
-        dev.submit(_req(), 0)
+        dev._start(_req(), 0)
     eng.run_until(1 << 60)
     for req, t in done:
         assert isinstance(t, int) and t >= 1

@@ -11,9 +11,7 @@ Every expected value below was computed by hand from the definitions:
 
 import math
 
-from qwinsim import calculate_cores, compute_budget, demand_for, temp_window
-from qwinsim.backend import Tenant
-from qwinsim.workload import Request
+from qwinsim import calculate_cores, compute_budget
 
 
 # (ql, tw_ns, slo_ns, tail_io_ns, t_io_avg_ns, pool, expected)
@@ -116,14 +114,3 @@ def test_demand_matches_manual_ceil_identity():
                 want = min(8, max(1, math.ceil(ql * avg / slack)))
                 assert calculate_cores(ql, tw, slo, tail, avg, 8) == want
 
-
-def test_demand_for_uses_window_fields():
-    t = Tenant("lc0", True, slo_ns=3_000_000)
-    now = 1_000_000
-    r = Request("lc0", True, True, 4096, arrive_at=0)
-    r.enqueued_at = 500_000
-    t.queue.append(r)
-    win = temp_window(t, now)
-    assert win.ql == 1 and win.tw == 500_000
-    got = demand_for(win, 3_000_000, 500_000, 100_000.0, 8)
-    assert got == calculate_cores(1, 500_000, 3_000_000, 500_000, 100_000.0, 8)

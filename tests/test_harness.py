@@ -151,6 +151,15 @@ def test_sweep_aggregates_across_seeds():
     assert all(r.paths == {} for r in agg["results"])
 
 
+def test_sweep_results_keep_no_simulation():
+    # Each Simulation is dropped (and collected) once its report is taken,
+    # so a sweep's memory does not grow with the seed count.
+    agg = sweep(_short_duo(duration_s=0.2), seeds=[1, 2, 3], write=False)
+    assert len(agg["results"]) == 3
+    assert all(r.sim is None for r in agg["results"])
+    assert run_experiment(_short_duo(duration_s=0.2), write=False).sim is not None
+
+
 def test_compare_allocators_runs_each_kind():
     base = scenario("duo")
     base.update({"duration_s": 0.3, "warmup_s": 0.05,

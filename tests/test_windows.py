@@ -2,14 +2,14 @@
 
 import pytest
 
-from qwinsim import new_window, temp_window
+from qwinsim import new_window
 from qwinsim.backend import Tenant
 from qwinsim.workload import Request
 
 
 def _enq(t, now, n=1):
     for _ in range(n):
-        r = Request(t.label, t.lc, True, 4096, arrive_at=now)
+        r = Request(t.label, True, 4096, arrive_at=now)
         r.enqueued_at = now
         t.arrivals += 1
         r.seq = t.arrivals
@@ -68,25 +68,6 @@ def test_completed_gap_reduces_next_window_outstanding():
     assert w2.members == 4
     assert w2.outstanding == 2
     assert t.completed_gap == 0  # consumed
-
-
-def test_temp_window_snapshots_without_bookkeeping():
-    t = Tenant("lc0", True)
-    _enq(t, 100, 2)
-    new_window(t, 100)
-    _enq(t, 300, 3)             # next-window arrivals pile up
-    before = (t.wid, t.prev_boundary, t.completed_gap)
-    tw = temp_window(t, 400)
-    assert tw.is_temp
-    assert tw.ql == len(t.queue) == 5
-    assert tw.tw == 300          # current head enqueued at 100
-    assert (t.wid, t.prev_boundary, t.completed_gap) == before
-    assert t.win is not tw
-
-
-def test_temp_window_on_empty_queue_is_none():
-    t = Tenant("lc0", True)
-    assert temp_window(t, 0) is None
 
 
 def test_window_establishment_resets_dequeue_counter():

@@ -61,9 +61,9 @@ def test_presets_cover_table_and_validate():
 # ---------------------------------------------------------------------------
 
 
-def _drive(spec, seed=1, label="t0", lc=True):
+def _drive(spec, seed=1, label="t0"):
     eng = Engine()
-    src = WorkloadSource(spec, make_stream(seed, 1), label, lc)
+    src = WorkloadSource(spec, make_stream(seed, 1), label)
     arrived = []
     src.start(eng, lambda req, now: arrived.append((req, now)))
     return eng, src, arrived
@@ -86,7 +86,6 @@ def test_closed_loop_recycles_on_completion():
     req, _ = arrived[0]
     req.dequeued_at = 5
     req.finish_at = 1_000
-    req.completed_at = 1_000
     repl = src.on_completion(req, 1_000)
     assert repl is req                      # the object is recycled
     assert repl.arrive_at == 1_000
@@ -156,7 +155,7 @@ def test_requests_carry_identity_fields():
     eng, src, arrived = _drive(spec, seed=5, label="lcX")
     eng.run_until(0)
     req = arrived[0][0]
-    assert req.tenant == "lcX" and req.lc is True
+    assert req.tenant == "lcX"
     assert req.size == 4096 and req.arrive_at == 0
 
 
