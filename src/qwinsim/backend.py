@@ -43,7 +43,7 @@ class Tenant:
     """Per-tenant state: queue, window bookkeeping, allocation fields."""
 
     __slots__ = ("label", "lc", "slo_q", "slo_ns", "queue", "source",
-                 "arrivals", "dequeues", "prev_boundary", "completed_gap",
+                 "arrivals", "prev_boundary", "completed_gap",
                  "win", "wid", "wcnt", "budget", "policy", "num",
                  "estimator", "metrics", "idle",
                  "probe_counts", "probe_n", "probes_attempted",
@@ -57,7 +57,6 @@ class Tenant:
         self.queue = deque()
         self.source = None
         self.arrivals = 0
-        self.dequeues = 0
         self.prev_boundary = 0
         self.completed_gap = 0
         self.win = None
@@ -216,21 +215,19 @@ class Backend:
         while True:
             owner = core.owner
             if owner is BE:
-                req, t = self._be_dequeue()
+                req = self._be_dequeue()
                 if req is None:
                     insort(self.be_idle, core.cid)
                     return
                 break
             req = self.allocator.lc_step(core, owner, now)
             if req is not None:
-                t = owner
                 break
             if core.owner is not owner:
                 continue  # the step yielded this core to the BE pool
             insort(owner.idle, core.cid)
             return
         # Serve: hand the dequeued request to the device (inline: hot path).
-        t.dequeues += 1
         core.busy = req
         req.core = core
         req.dequeued_at = now
@@ -252,7 +249,7 @@ class Backend:
                     t = lcs[(start + k) % n]
                     if t.queue:
                         self._lc_rr = (start + k + 1) % n
-                        return t.queue.popleft(), t
+                        return t.queue.popleft()
         bes = self.be_tenants
         n = len(bes)
         if n:
@@ -261,8 +258,8 @@ class Backend:
                 t = bes[(start + k) % n]
                 if t.queue:
                     self._be_rr = (start + k + 1) % n
-                    return t.queue.popleft(), t
-        return None, None
+                    return t.queue.popleft()
+        return None
 
     # -- completion side (hot) -------------------------------------------------
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from math import exp
 from statistics import NormalDist
 
-from .sim_core import EventKind, MS, US
+from .sim_core import IO_COMPLETE, MS, US
 
 _INV_CDF = NormalDist().inv_cdf
 
@@ -37,6 +38,10 @@ class DeviceParams:
     size_exponent: float = 0.5
 
     def validate(self):
+        for name in ("read_median_us", "write_median_us", "sigma", "p_spike",
+                     "m_spike", "size_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.read_median_us <= 0 or self.write_median_us <= 0:
             raise ValueError("device medians must be > 0")
         if self.sigma < 0:
@@ -107,41 +112,32 @@ class Device:
         self.fifo = deque()
         self.on_complete_fn = None   # set by the backend at wiring time
         self.started = 0
-        # Per-(op, size) mu cache so the hot path never recomputes log/pow.
-        self._mu = {}
         self._sigma = params.sigma
         self._p_spike = params.p_spike
         self._m_spike = params.m_spike
-        self._z = None               # block of N(0,1) draws
+        self._z = None               # block of sigma * N(0,1) draws
         self._u = None               # block of U[0,1) draws
         self._zi = Device.DRAW_BLOCK  # exhausted -> refill on first use
 
-    def _mu_for(self, is_read, size):
-        key = (is_read, size)
-        mu = self._mu.get(key)
-        if mu is None:
-            mu = math.log(self.params.median_ns(is_read, size))
-            self._mu[key] = mu
-        return mu
-
     def _start(self, req, now):
+        """Serve req: draw its service time around the log-median req.mu."""
         i = self._zi
         if i == Device.DRAW_BLOCK:
             # .tolist() hands back plain Python floats; scalar math on numpy
-            # float64 objects would cost more than the draws themselves.
-            self._z = self.rng.standard_normal(Device.DRAW_BLOCK).tolist()
+            # float64 objects would cost more than the draws themselves.  The
+            # sigma scaling is the same IEEE product numpy or Python makes.
+            self._z = (self.rng.standard_normal(Device.DRAW_BLOCK) * self._sigma).tolist()
             self._u = self.rng.random(Device.DRAW_BLOCK).tolist()
             i = 0
         self._zi = i + 1
-        t = math.exp(self._mu_for(req.is_read, req.size) + self._sigma * self._z[i])
+        t = exp(req.mu + self._z[i])
         if self._u[i] < self._p_spike:
             t *= self._m_spike
         self.in_service += 1
         self.started += 1
         fire_at = now + (st if (st := round(t)) > 0 else 1)
         req.finish_at = fire_at
-        self.engine.schedule(fire_at, EventKind.IO_COMPLETE,
-                             self.on_complete_fn, req)
+        self.engine.schedule(fire_at, IO_COMPLETE, self.on_complete_fn, req)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ class ServiceEstimator:
     """
 
     __slots__ = ("alpha", "window", "quantile", "mean", "samples",
-                 "_counts", "_ring", "_tail_idx", "_cum",
+                 "_counts", "_ring", "_pos", "_tail_idx", "_cum",
                  "nominal_mean", "nominal_tail")
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
@@ -200,7 +196,8 @@ class ServiceEstimator:
         self.mean = 0.0
         self.samples = 0
         self._counts = [0] * _N_BUCKETS
-        self._ring = deque()
+        self._ring = [0] * window    # bucket of each windowed sample
+        self._pos = 0                # next ring slot to overwrite
         self._tail_idx = 0
         self._cum = 0
         self.nominal_mean = float(nominal_mean_ns)
@@ -218,12 +215,15 @@ class ServiceEstimator:
         b = (service_ns // US) if service_ns < _LINEAR_LIMIT_NS else _service_bucket(service_ns)
         ring = self._ring
         counts = self._counts
-        if len(ring) >= self.window:
-            old = ring.popleft()
+        pos = self._pos
+        if self.samples > self.window:
+            old = ring[pos]
             counts[old] -= 1
             if old <= self._tail_idx:
                 self._cum -= 1
-        ring.append(b)
+        ring[pos] = b
+        pos += 1
+        self._pos = pos if pos < self.window else 0
         counts[b] += 1
         if b <= self._tail_idx:
             self._cum += 1
@@ -234,7 +234,7 @@ class ServiceEstimator:
 
     @property
     def tail_ns(self) -> int:
-        n = len(self._ring)
+        n = self.samples if self.samples < self.window else self.window
         if n == 0:
             return self.nominal_tail
         # ceil(q*n) with a guard against float dust on exact multiples.

@@ -95,7 +95,7 @@ def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
         spec = tc.spec()
         lc = tc.tenant_class == "lc"
         source = WorkloadSource(spec, make_stream(seed, FIRST_TENANT_STREAM + i),
-                                tc.label)
+                                tc.label, cfg.device)
         if lc:
             est = shared_est
             if est is None:

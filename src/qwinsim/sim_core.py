@@ -8,9 +8,9 @@ That single rule is what makes whole runs replayable bit-for-bit.
 
 from __future__ import annotations
 
-import heapq
 import random
 from enum import IntEnum
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,6 +31,13 @@ class EventKind(IntEnum):
     POLICY_PROBE = 4
 
 
+# Plain-int kinds for the schedulers on the hot path: looking up an IntEnum
+# member costs far more than a module global, and indexing by_kind with one
+# is slower than with an int.
+REQUEST_ARRIVAL = int(EventKind.REQUEST_ARRIVAL)
+IO_COMPLETE = int(EventKind.IO_COMPLETE)
+
+
 class Event(NamedTuple):
     fire_at: int
     seq: int
@@ -42,12 +49,16 @@ class Event(NamedTuple):
 class SimStats:
     """Bookkeeping for the no-event-loss invariant: scheduled == processed + pending."""
 
-    __slots__ = ("scheduled", "processed", "by_kind")
+    __slots__ = ("_engine", "processed", "by_kind")
 
-    def __init__(self):
-        self.scheduled = 0
+    def __init__(self, engine):
+        self._engine = engine
         self.processed = 0
         self.by_kind = [0] * len(EventKind)
+
+    @property
+    def scheduled(self) -> int:
+        return self._engine._seq  # one seq number per scheduled event
 
     def as_dict(self):
         return {
@@ -62,7 +73,7 @@ class Engine:
 
     def __init__(self, trace: bool = False):
         self.now: SimTime = 0
-        self.stats = SimStats()
+        self.stats = SimStats(self)
         self._heap: list[Event] = []
         self._seq = 0
         # Optional event trace: (fire_at, seq, kind, payload id).  Used by the
@@ -77,10 +88,9 @@ class Engine:
         """
         if fire_at < self.now:
             raise ValueError(f"cannot schedule event at {fire_at} ns; now is {self.now} ns")
-        self._seq += 1
-        ev = (fire_at, self._seq, kind, payload, fn)
-        heapq.heappush(self._heap, ev)
-        self.stats.scheduled += 1
+        self._seq = seq = self._seq + 1
+        ev = (fire_at, seq, kind, payload, fn)
+        heappush(self._heap, ev)
         return ev
 
     def pending(self) -> int:
@@ -89,7 +99,7 @@ class Engine:
     def run_until(self, end: SimTime) -> SimStats:
         """Process every event with fire_at <= end; leave later events queued."""
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         stats = self.stats
         by_kind = stats.by_kind
         trace = self.trace

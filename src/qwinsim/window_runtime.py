@@ -30,10 +30,6 @@ class Window:
         self.outstanding = outstanding
         self.remaining_dequeues = ql
 
-    @property
-    def members(self) -> int:
-        return self.boundary_hi - self.boundary_lo + 1
-
     def __repr__(self):
         return (f"<win {self.wid} ql={self.ql} tw={self.tw} "
                 f"range=[{self.boundary_lo},{self.boundary_hi}] out={self.outstanding}>")

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from .sim_core import SEC, EventKind
+from .sim_core import REQUEST_ARRIVAL, SEC
 
 READ = True
 WRITE = False
@@ -23,20 +24,25 @@ OPEN = "open_loop"
 
 
 class Request:
-    """One I/O request.  Timestamps are integer ns; -1 means "not yet"."""
+    """One I/O request.  Timestamps are integer ns; -1 means "not yet".
+
+    mu is the log of the device's median service time for this op and size;
+    the device draws the service time around it.
+    """
 
     __slots__ = (
-        "tenant", "is_read", "size",
+        "tenant", "is_read", "size", "mu",
         "arrive_at", "enqueued_at", "dequeued_at",
         "seq", "slot", "core", "finish_at",
     )
 
     NOT_SCHEDULED = 1 << 62  # finish_at sentinel: not yet in service
 
-    def __init__(self, tenant, is_read, size, arrive_at, slot=-1):
+    def __init__(self, tenant, is_read, size, arrive_at, slot=-1, mu=None):
         self.tenant = tenant
         self.is_read = is_read
         self.size = size
+        self.mu = mu
         self.arrive_at = arrive_at
         self.enqueued_at = -1
         self.dequeued_at = -1
@@ -141,10 +147,11 @@ class WorkloadSource:
     """Per-tenant request generator bound to one RNG stream.
 
     The enqueue callback is supplied by the backend at start(); the source
-    only decides *what* arrives *when*.
+    only decides *what* arrives *when*.  Each request carries the log median
+    of `device` (a DeviceParams) for its op and size.
     """
 
-    def __init__(self, spec: WorkloadSpec, rng, tenant_label: str):
+    def __init__(self, spec: WorkloadSpec, rng, tenant_label: str, device):
         spec.validate()
         self.spec = spec
         self.rng = rng
@@ -160,36 +167,31 @@ class WorkloadSource:
         self._op_const = READ if rr >= 1.0 else (WRITE if rr <= 0.0 else None)
         # Pre-computed size sampler: either a constant or cumulative weights.
         sizes = spec.sizes
+        self._size_vals = [s for s, _ in sizes]
         if len(sizes) == 1:
-            self._size_const = sizes[0][0]
             self._size_cum = None
-            self._size_vals = None
         else:
-            self._size_const = None
             total = sum(w for _, w in sizes)
             acc = list(itertools.accumulate(w / total for _, w in sizes))
             acc[-1] = 1.0
             self._size_cum = acc
-            self._size_vals = [s for s, _ in sizes]
+        # Log median per [is_read][size index], computed once per source.
+        self._mu = [[math.log(device.median_ns(op, s)) for s in self._size_vals]
+                    for op in (WRITE, READ)]
 
     # -- draws ------------------------------------------------------------
-
-    def _draw_size(self):
-        if self._size_const is not None:
-            return self._size_const
-        return self._size_vals[bisect.bisect_left(self._size_cum, self.rng.random())]
-
-    def _draw_op(self):
-        op = self._op_const
-        if op is not None:
-            return op
-        return self.rng.random() < self._rr
 
     def make_request(self, arrive_at, slot=-1) -> Request:
         self.generated += 1
         self.in_flight += 1
-        return Request(self.tenant, self._draw_op(), self._draw_size(),
-                       arrive_at, slot)
+        # The op is drawn before the size, as in on_completion.
+        op = self._op_const
+        if op is None:
+            op = self.rng.random() < self._rr
+        cum = self._size_cum
+        i = 0 if cum is None else bisect.bisect_left(cum, self.rng.random())
+        return Request(self.tenant, op, self._size_vals[i], arrive_at, slot,
+                       self._mu[op][i])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -202,7 +204,7 @@ class WorkloadSource:
             # per request so arrival order is well defined.
             for slot in range(self.spec.in_flight_cap):
                 req = self.make_request(0, slot)
-                engine.schedule(0, EventKind.REQUEST_ARRIVAL, self._arrive, req)
+                engine.schedule(0, REQUEST_ARRIVAL, self._arrive, req)
         else:
             self._schedule_next_arrival(0)
 
@@ -247,7 +249,7 @@ class WorkloadSource:
                 t = end
         t = max(t, now)
         req = self.make_request(t)
-        self._engine.schedule(t, EventKind.REQUEST_ARRIVAL, self._open_arrive, req)
+        self._engine.schedule(t, REQUEST_ARRIVAL, self._open_arrive, req)
 
     def _open_arrive(self, req, now):
         self._enqueue(req, now)
@@ -271,12 +273,13 @@ class WorkloadSource:
         # refreshing; the stale timestamps are dead the moment this returns.
         # The op/size draws are inlined -- this runs once per completion.
         op = self._op_const
-        req.is_read = op if op is not None else (self.rng.random() < self._rr)
-        size = self._size_const
-        if size is None:
-            size = self._size_vals[bisect.bisect_left(self._size_cum,
-                                                      self.rng.random())]
-        req.size = size
+        if op is None:
+            op = self.rng.random() < self._rr
+        cum = self._size_cum
+        i = 0 if cum is None else bisect.bisect_left(cum, self.rng.random())
+        req.is_read = op
+        req.size = self._size_vals[i]
+        req.mu = self._mu[op][i]
         req.arrive_at = now
         req.finish_at = Request.NOT_SCHEDULED
         return req

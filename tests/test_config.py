@@ -157,6 +157,24 @@ def test_estimator_bounds_checked():
         parse_config(_minimal(estimators={"scope": "galaxy"}))
 
 
+@pytest.mark.parametrize("key", ["read_median_us", "write_median_us", "sigma",
+                                 "p_spike", "m_spike", "size_exponent"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_device_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"device: {key} must be finite"):
+        parse_config(_minimal(device={key: value}))
+
+
+def test_nan_sigma_from_yaml_rejected():
+    text = (
+        "tenants:\n"
+        "  - {label: lc0, class: lc, workload: C, slo: {latency_ms: 4.0}}\n"
+        "device:\n"
+        "  sigma: .nan\n")
+    with pytest.raises(ConfigError, match="sigma must be finite"):
+        loads_config(text)
+
+
 def test_bad_slo_quantile_and_latency_reported():
     d = {"tenants": [{"label": "lc0", "class": "lc", "workload": "C",
                       "slo": {"quantile": 1.5, "latency_ms": 0}}]}

@@ -3,20 +3,24 @@
 import math
 import random
 import statistics
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwinsim import (Backend, Device, DeviceParams, Engine, EventKind,
                      MetricsHub, ServiceEstimator, Tenant, WorkloadSource,
                      WorkloadSpec, make_np_stream, make_stream)
-from qwinsim.device import (_service_bucket, _service_bucket_edge,
-                            sample_service_time)
-from qwinsim.sim_core import SEC
+from qwinsim.device import (_LINEAR_LIMIT_NS, _N_BUCKETS, _service_bucket,
+                            _service_bucket_edge, sample_service_time)
+from qwinsim.sim_core import SEC, US
 from qwinsim.workload import OPEN, Request
 
 
-def _req(is_read=True, size=4096):
-    return Request("t", is_read, size, arrive_at=0)
+def _req(is_read=True, size=4096, params=DeviceParams()):
+    mu = math.log(params.median_ns(is_read, size))
+    return Request("t", is_read, size, arrive_at=0, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +111,7 @@ def test_capacity_bounds_concurrency_and_fifo_spills():
     dev = Device(DeviceParams(capacity=2), make_np_stream(5, 0), eng)
     backend = Backend(eng, dev, 5, MetricsHub("dev", interval_ns=SEC, warmup_ns=0))
     src = WorkloadSource(WorkloadSpec(mode=OPEN, rate_per_s=1.0),
-                         make_stream(5, 1), "be0")
+                         make_stream(5, 1), "be0", dev.params)
     t = backend.add_tenant(Tenant("be0", False), src)
     started = []
     start = dev._start
@@ -144,6 +148,29 @@ def test_device_empirical_median_within_three_percent():
     svc = sorted(t - s for (_, t), s in zip(done, subs))
     med = svc[len(svc) // 2]
     assert abs(med - 100_000) / 100_000 < 0.03
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 2.5])
+def test_service_times_equal_the_scalar_draw(sigma):
+    # Reference: the unscaled normal block, scaled by sigma one draw at a
+    # time in Python.  Scaling the block in numpy must give the same ints.
+    params = DeviceParams(sigma=sigma, p_spike=0.01)
+    eng, dev, done = _device(seed=17, sigma=sigma, p_spike=0.01)
+    ref = make_np_stream(17, 0)
+    got, want = [], []
+    for i in range(Device.DRAW_BLOCK + 500):   # crosses a block refill
+        if i % Device.DRAW_BLOCK == 0:
+            z = ref.standard_normal(Device.DRAW_BLOCK).tolist()
+            u = ref.random(Device.DRAW_BLOCK).tolist()
+        req = _req(is_read=i % 3 != 0, size=4096 if i % 2 else 65536)
+        dev._start(req, 0)
+        got.append(req.finish_at)
+        t = math.exp(math.log(params.median_ns(req.is_read, req.size))
+                     + sigma * z[i % Device.DRAW_BLOCK])
+        if u[i % Device.DRAW_BLOCK] < params.p_spike:
+            t *= params.m_spike
+        want.append(max(1, round(t)))
+    assert got == want
 
 
 def test_device_replay_is_bit_identical():
@@ -271,7 +298,77 @@ def test_estimator_window_slides():
     for _ in range(100):
         e.update(900_000)
     assert e.tail_ns == _service_bucket_edge(_service_bucket(900_000))
-    assert len(e._ring) == 100
+    assert sum(e._counts) == 100
+
+
+class _DequeEstimator:
+    """Oracle: the sliding window kept in a deque, popped from the left once
+    full, with the same EWMA and incremental tail pointer."""
+
+    def __init__(self, alpha, window, quantile):
+        self.alpha, self.window, self.quantile = alpha, window, quantile
+        self.mean = 0.0
+        self.samples = 0
+        self.counts = [0] * _N_BUCKETS
+        self.ring = deque()
+        self.tail_idx = 0
+        self.cum = 0
+
+    def update(self, service_ns):
+        if self.samples == 0:
+            self.mean = float(service_ns)
+        else:
+            self.mean += self.alpha * (service_ns - self.mean)
+        self.samples += 1
+        b = (service_ns // US) if service_ns < _LINEAR_LIMIT_NS else _service_bucket(service_ns)
+        if len(self.ring) >= self.window:
+            old = self.ring.popleft()
+            self.counts[old] -= 1
+            if old <= self.tail_idx:
+                self.cum -= 1
+        self.ring.append(b)
+        self.counts[b] += 1
+        if b <= self.tail_idx:
+            self.cum += 1
+
+    def tail_ns(self, nominal):
+        n = len(self.ring)
+        if n == 0:
+            return nominal
+        need = max(1, math.ceil(self.quantile * n - 1e-9))
+        idx, cum = self.tail_idx, self.cum
+        while cum < need:
+            idx += 1
+            cum += self.counts[idx]
+        while idx > 0 and cum - self.counts[idx] >= need:
+            cum -= self.counts[idx]
+            idx -= 1
+        self.tail_idx, self.cum = idx, cum
+        return _service_bucket_edge(idx)
+
+
+_SERVICE_NS = st.one_of(st.integers(1, 2_000_000),                   # linear
+                        st.integers(_LINEAR_LIMIT_NS - 1_000, 20 * SEC))  # geometric
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=st.one_of(st.just(1), st.integers(2, 40)),
+       quantile=st.sampled_from([0.01, 0.5, 0.9, 0.99, 0.999, 1.0]),
+       steps=st.lists(st.lists(_SERVICE_NS, min_size=0, max_size=25),
+                      min_size=1, max_size=60))
+def test_ring_estimator_matches_deque_reference(window, quantile, steps):
+    # Each step is a run of updates followed by a read, so tail reads fall
+    # between updates at every spacing, and short windows wrap many times.
+    e = ServiceEstimator(alpha=0.05, window=window, quantile=quantile,
+                         nominal_mean_ns=7.0, nominal_tail_ns=9)
+    ref = _DequeEstimator(0.05, window, quantile)
+    for step in steps:
+        for x in step:
+            e.update(x)
+            ref.update(x)
+            assert e.mean_ns == ref.mean
+        assert e.tail_ns == ref.tail_ns(9)
+        assert e.mean_ns == (ref.mean if ref.samples else 7.0)
 
 
 def test_estimator_validation():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -32,6 +33,25 @@ def test_bucket_of_respects_edges():
         assert v <= bucket_edge(b) or b == N_BUCKETS - 1
         if b > 0:
             assert v > bucket_edge(b - 1) or b == N_BUCKETS - 1
+
+
+def test_record_bucket_equals_bisect_at_every_transition():
+    # The direct-index lookup changes course only at cell starts, at edges
+    # and at the table limit; checking each of them and its neighbours
+    # covers every transition without an exhaustive loop.
+    from qwinsim.metrics import _CELL_LIMIT, _CELL_SHIFT
+    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
+    points = {0, _CELL_LIMIT - 1, _CELL_LIMIT, _CELL_LIMIT + 1}
+    for k in range(_CELL_LIMIT >> _CELL_SHIFT):
+        c = k << _CELL_SHIFT
+        points.update((c - 1, c, c + 1))
+    for e in EDGES:
+        points.update((e - 1, e, e + 1))
+    points.discard(-1)
+    for x in sorted(points):
+        assert tm.record(x, 0, 0) == min(bisect_left(EDGES, x), N_BUCKETS - 1), x
+    for x in (10_000_000_001, EDGES[-1] + 1, 20_000_000_000, 1 << 45):
+        assert tm.record(x, 0, 0) == N_BUCKETS - 1
 
 
 def test_quantile_from_counts_known_small_case():

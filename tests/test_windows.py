@@ -25,7 +25,7 @@ def test_new_window_freezes_queue_and_ranges():
     assert win.tw == 150                       # head waited 250 - 100
     assert (win.boundary_lo, win.boundary_hi) == (1, 5)
     assert win.outstanding == 5
-    assert win.members == 5
+    assert win.boundary_hi - win.boundary_lo + 1 == 5
     assert t.win is win and t.prev_boundary == 5
 
 
@@ -65,7 +65,7 @@ def test_completed_gap_reduces_next_window_outstanding():
     t.completed_gap = 2         # two of them already completed
     t.queue = type(t.queue)(list(t.queue)[2:])  # and left the queue
     w2 = new_window(t, 5)
-    assert w2.members == 4
+    assert w2.boundary_hi - w2.boundary_lo + 1 == 4
     assert w2.outstanding == 2
     assert t.completed_gap == 0  # consumed
 

@@ -1,10 +1,12 @@
 """Workload sources: presets, closed-loop recycling, open-loop arrivals, bursts."""
 
+import dataclasses
 import math
 
 import pytest
 
-from qwinsim import Burst, Engine, EventKind, PRESETS, PRESET_CLASS, WorkloadSpec, WorkloadSource, make_stream
+from qwinsim import (Burst, DeviceParams, Engine, EventKind, PRESETS, PRESET_CLASS,
+                     WorkloadSpec, WorkloadSource, make_stream)
 from qwinsim.workload import CLOSED, OPEN, Request
 from qwinsim.sim_core import SEC
 
@@ -61,9 +63,9 @@ def test_presets_cover_table_and_validate():
 # ---------------------------------------------------------------------------
 
 
-def _drive(spec, seed=1, label="t0"):
+def _drive(spec, seed=1, label="t0", device=DeviceParams()):
     eng = Engine()
-    src = WorkloadSource(spec, make_stream(seed, 1), label)
+    src = WorkloadSource(spec, make_stream(seed, 1), label, device)
     arrived = []
     src.start(eng, lambda req, now: arrived.append((req, now)))
     return eng, src, arrived
@@ -148,6 +150,44 @@ def test_pure_read_and_pure_write_specs_are_constant():
             req.finish_at = at
             req = src.on_completion(req, at)
             assert req.is_read is want
+
+
+# Read and write medians differ and sizes scale at a non-default exponent, so
+# a mu looked up under the wrong op or size shows.
+_MU_DEVICE = DeviceParams(read_median_us=80.0, write_median_us=150.0,
+                          size_exponent=0.7)
+
+
+@pytest.mark.parametrize("spec", [
+    PRESETS["C"], PRESETS["K"], PRESETS["J"],
+    WorkloadSpec(mode=CLOSED, sizes=((4096, 0.5), (65536, 0.5)), read_ratio=0.0,
+                 iodepth=4, numjobs=1),
+], ids=["C", "K", "J", "write-only"])
+def test_every_request_carries_the_log_median_of_its_op_and_size(spec):
+    def check(req):
+        assert req.mu == math.log(_MU_DEVICE.median_ns(req.is_read, req.size))
+        seen.add((req.is_read, req.size))
+
+    want = {(op, s) for s, _ in spec.sizes for op in (True, False)
+            if (spec.read_ratio > 0 if op else spec.read_ratio < 1)}
+    # open loop: make_request
+    seen = set()
+    src = WorkloadSource(dataclasses.replace(spec, mode=OPEN, rate_per_s=1.0),
+                         make_stream(9, 1), "t0", _MU_DEVICE)
+    for _ in range(3_000):
+        check(src.make_request(0))
+    assert seen == want
+    # closed loop: the t=0 population, then on_completion's replacements
+    seen = set()
+    eng, src, arrived = _drive(spec, seed=9, device=_MU_DEVICE)
+    eng.run_until(0)
+    for req, _ in arrived:
+        check(req)
+    req = arrived[0][0]
+    for at in range(1, 3_001):
+        req = src.on_completion(req, at)
+        check(req)
+    assert seen == want
 
 
 def test_requests_carry_identity_fields():
