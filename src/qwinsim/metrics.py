@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-import numpy as np
-
 from .sim_core import SEC, US
 
 # ---------------------------------------------------------------------------
@@ -39,14 +37,13 @@ N_BUCKETS = len(EDGES)
 _LAST = N_BUCKETS - 1
 
 # Direct-index start for the common latency range: _CELL_FIRST[x >> _CELL_SHIFT]
-# is bisect_left(EDGES, start of x's cell) (searchsorted's side="left"), so a
-# forward step over EDGES from there ends at bisect_left(EDGES, x).  Cells are
-# narrower than the edge spacing from about 85 us up, so the step is 0 or 1
-# edges there.
+# is bisect_left(EDGES, start of x's cell), so a forward step over EDGES from
+# there ends at bisect_left(EDGES, x).  Cells are narrower than the edge
+# spacing from about 85 us up, so the step is 0 or 1 edges there.
 _CELL_SHIFT = 12
 _CELL_LIMIT = 16_384 << _CELL_SHIFT      # about 67 ms; bisect beyond
-_CELL_FIRST = np.searchsorted(
-    EDGES, np.arange(_CELL_LIMIT >> _CELL_SHIFT) << _CELL_SHIFT).tolist()
+_CELL_FIRST = [bisect_left(EDGES, k << _CELL_SHIFT)
+               for k in range(_CELL_LIMIT >> _CELL_SHIFT)]
 
 
 def bucket_of(latency_ns: int) -> int:
