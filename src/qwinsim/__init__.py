@@ -35,25 +35,3 @@ from .harness import (RunResult, Simulation, build, compare_allocators,
                       main, make_report, run_experiment, sweep)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Engine", "EventKind", "SimTime", "make_np_stream", "make_stream",
-    "US", "MS", "SEC",
-    "Burst", "PRESETS", "PRESET_CLASS", "Request", "WorkloadSpec",
-    "WorkloadSource",
-    "Device", "DeviceParams", "ServiceEstimator",
-    "LatencyHistogram", "MetricsHub", "TenantMetrics",
-    "quantile_from_counts", "write_all",
-    "Window", "calculate_cores", "new_window",
-    "Backend", "Core", "Tenant", "BE_LABEL",
-    "PolicyParams", "QwinAllocator", "compute_budget", "select_policy",
-    "CONSERVATIVE", "AGGRESSIVE", "SLO_AWARE",
-    "CongestionAllocator", "CongestionParams", "FeedbackAllocator",
-    "FeedbackParams", "PriorityAllocator", "StaticAllocator", "StaticParams",
-    "AllocatorConfig", "ConfigError", "EstimatorConfig", "ExperimentConfig",
-    "SCENARIOS", "SloSpec", "TenantConfig", "load_config", "loads_config",
-    "parse_config", "scenario",
-    "RunResult", "Simulation", "build", "compare_allocators", "main",
-    "make_report", "run_experiment", "sweep",
-    "__version__",
-]

@@ -2,18 +2,24 @@
 
 A config is a plain hierarchical mapping (YAML on disk).  Times are given in
 natural units (seconds, milliseconds, microseconds, as the key names say) and
-normalized to integer nanoseconds internally.  parse(serialize(cfg)) == cfg.
+normalized to integer nanoseconds internally.  One table, SCHEMA, describes
+every key; a generic reader and writer walk it, so parse(serialize(cfg)) ==
+cfg.  Range and cross-field rules live in each section's validate().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import os
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import yaml
 
 from .baselines import CongestionParams, FeedbackParams, StaticParams
 from .device import DeviceParams
-from .qwin_allocator import PolicyParams, POLICIES
+from .qwin_allocator import PolicyParams
+from .sim_core import MS, SEC, US
 from .workload import Burst, PRESETS, PRESET_CLASS, WorkloadSpec, CLOSED, OPEN
 
 ALLOCATORS = ("qwin", "static", "priority", "shenango", "cake")
@@ -30,29 +36,14 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-def _ns_from_s(x) -> int:
-    return round(float(x) * 1_000_000_000)
-
-
-def _ns_from_ms(x) -> int:
-    return round(float(x) * 1_000_000)
-
-
-def _ns_from_us(x) -> int:
-    return round(float(x) * 1_000)
-
-
-def _s_from_ns(ns: int) -> float:
-    return ns / 1_000_000_000
-
-
 @dataclass(frozen=True)
 class SloSpec:
+    latency_ns: int
     quantile: float = 0.999
-    latency_ns: int = 4_000_000
 
-    def to_dict(self):
-        return {"quantile": self.quantile, "latency_ms": self.latency_ns / 1e6}
+    def validate(self):
+        if not 0 < self.quantile < 1 or self.latency_ns <= 0:
+            raise ValueError("quantile must be in (0, 1) and latency_ms > 0")
 
 
 @dataclass(frozen=True)
@@ -67,28 +58,12 @@ class TenantConfig:
             return PRESETS[self.workload]
         return self.workload
 
-    def to_dict(self):
-        d = {"label": self.label, "class": self.tenant_class}
-        if isinstance(self.workload, str):
-            d["workload"] = self.workload
-        else:
-            w = self.workload
-            wd = {"mode": w.mode,
-                  "sizes": [[s, wgt] for s, wgt in w.sizes],
-                  "read_ratio": w.read_ratio}
-            if w.mode == CLOSED:
-                wd["iodepth"] = w.iodepth
-                wd["numjobs"] = w.numjobs
-            else:
-                wd["rate_per_s"] = w.rate_per_s
-                if w.burst is not None:
-                    wd["burst"] = {"on_s": _s_from_ns(w.burst.on_ns),
-                                   "off_s": _s_from_ns(w.burst.off_ns),
-                                   "rate_per_s": w.burst.rate_per_s}
-            d["workload"] = wd
-        if self.slo is not None:
-            d["slo"] = self.slo.to_dict()
-        return d
+    def validate(self):
+        if self.label in ("", BE_CLASS):
+            raise ValueError("label must be non-empty; 'be' is reserved for the shared pool")
+        if (self.slo is None) != (self.tenant_class == BE_CLASS):
+            raise ValueError("LC tenants need slo: {quantile, latency_ms}; "
+                             "BE tenants take no SLO")
 
 
 @dataclass(frozen=True)
@@ -97,9 +72,11 @@ class EstimatorConfig:
     hist_window: int = 10_000
     scope: str = "tenant"              # "tenant" or "device"
 
-    def to_dict(self):
-        return {"ewma_alpha": self.ewma_alpha, "hist_window": self.hist_window,
-                "scope": self.scope}
+    def validate(self):
+        if not 0 < self.ewma_alpha <= 1:
+            raise ValueError("ewma_alpha must be in (0, 1]")
+        if self.hist_window < 1:
+            raise ValueError("hist_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,23 +86,6 @@ class AllocatorConfig:
     static: StaticParams = field(default_factory=StaticParams)
     shenango: CongestionParams = field(default_factory=CongestionParams)
     cake: FeedbackParams = field(default_factory=FeedbackParams)
-
-    def to_dict(self):
-        d = {"kind": self.kind}
-        q = self.qwin
-        d["qwin"] = {"policy_window": q.policy_window,
-                     "slack_low_us": q.slack_low_ns / 1e3,
-                     "slack_high_us": q.slack_high_ns / 1e3,
-                     "min_tail_samples": q.min_tail_samples}
-        if q.pin is not None:
-            d["qwin"]["pin"] = q.pin
-        if self.static.counts:
-            d["static"] = {"counts": dict(self.static.counts)}
-        d["shenango"] = {"probe_interval_us": self.shenango.probe_interval_ns / 1e3}
-        c = self.cake
-        d["cake"] = {"interval_s": _s_from_ns(c.interval_ns), "step": c.step,
-                     "headroom": c.headroom, "min_samples": c.min_samples}
-        return d
 
 
 @dataclass(frozen=True)
@@ -163,37 +123,242 @@ class ExperimentConfig:
     def run_id(self, seed=None) -> str:
         return f"{self.name}-{self.allocator_id()}-s{self.seed if seed is None else seed}"
 
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self):
-        d = {
-            "name": self.name,
-            "seed": self.seed,
-            "duration_s": _s_from_ns(self.duration_ns),
-            "interval_s": _s_from_ns(self.interval_ns),
-            "out_dir": self.out_dir,
-            "window_end": self.window_end,
-            "pool": {"total": self.pool_total},
-            "device": {
-                "read_median_us": self.device.read_median_us,
-                "write_median_us": self.device.write_median_us,
-                "sigma": self.device.sigma,
-                "p_spike": self.device.p_spike,
-                "m_spike": self.device.m_spike,
-                "capacity": self.device.capacity,
-                "ref_block_bytes": self.device.ref_block_bytes,
-                "size_exponent": self.device.size_exponent,
-            },
-            "estimators": self.estimators.to_dict(),
-            "allocator": self.allocator.to_dict(),
-            "tenants": [t.to_dict() for t in self.tenants],
-        }
-        if self.warmup_ns is not None:
-            d["warmup_s"] = _s_from_ns(self.warmup_ns)
-        return d
-
     def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False)
+        return yaml.safe_dump(_plain(self), sort_keys=False)
+
+
+# ---------------------------------------------------------------------------
+# Schema: a generic reader and writer over one row per YAML key
+# ---------------------------------------------------------------------------
+
+
+class Key(NamedTuple):
+    name: str          # the YAML key
+    attr: str | None   # None: a sub-mapping whose keys are attributes of this section
+    type: object       # float, int, str, a tuple of choices, a dataclass in SCHEMA,
+                       # a reader(value, where, errors), or (attr None) a tuple of Keys
+    scale: int = 0     # ns per unit: a number in this unit is stored as integer ns
+
+
+def _at(where, msg):
+    return f"{where}: {msg}" if where else msg
+
+
+def _scalar(key, value, typ, scale=0):
+    """`value` checked and converted to `typ`; ValueError names `key` and the problem."""
+    if isinstance(typ, tuple) or typ is str:
+        if isinstance(value, str) and (typ is str or value in typ):
+            return value
+        raise ValueError(f"{key} must be a string" if typ is str else
+                         f"unknown {key} {value!r} (known: {', '.join(typ)})")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number")
+    if typ is int and not scale and isinstance(value, int):
+        return value
+    try:
+        x = float(value) * (scale or 1)
+    except OverflowError:                  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite")
+    if typ is int and not scale and not x.is_integer():
+        raise ValueError(f"{key} must be an integer")
+    return round(x) if typ is int else x
+
+
+def _fields(keys, raw, where, errors):
+    """Attribute -> value for the `keys` set in mapping `raw` (an absent or null
+    key keeps its dataclass default); None if `raw` is not a mapping."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        errors.append(f"{where or 'config root'} must be a mapping")
+        return None
+    known = {k.name for k in keys}
+    errors.extend(_at(where, f"unknown key {k!r}") for k in raw if k not in known)
+    kw = {}
+    for k in keys:
+        value = raw.get(k.name)
+        if value is None:
+            continue
+        path = f"{where}.{k.name}" if where else k.name
+        if k.attr is None:
+            kw.update(_fields(k.type, value, path, errors) or {})
+        elif k.type in SCHEMA:
+            kw[k.attr] = _section(k.type, value, path, errors)
+        elif k.type in (int, float, str) or isinstance(k.type, tuple):
+            try:
+                kw[k.attr] = _scalar(k.name, value, k.type, k.scale)
+            except ValueError as e:
+                errors.append(_at(where, str(e)))
+        else:
+            kw[k.attr] = k.type(value, path, errors)
+    return {a: v for a, v in kw.items() if v is not None}
+
+
+def _section(cls, raw, where, errors):
+    """A validated `cls` built from mapping `raw`, or None after a problem."""
+    n = len(errors)
+    kw = _fields(SCHEMA[cls], raw, where, errors)
+    if len(errors) > n:
+        return None
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    missing = [k.name for k in SCHEMA[cls] if k.attr in required and k.attr not in kw]
+    if missing:
+        errors.append(_at(where, f"missing {', '.join(missing)}"))
+        return None
+    obj = cls(**kw)
+    # StaticParams is checked against the pool and the LC labels in parse_config.
+    if hasattr(obj, "validate") and cls is not StaticParams:
+        try:
+            obj.validate()
+        except ValueError as e:
+            errors.append(_at(where, str(e)))
+            return None
+    return obj
+
+
+def _plain(value):
+    """`value` as plain YAML data; config dataclasses become mappings by SCHEMA."""
+    if type(value) in SCHEMA:
+        return _write(SCHEMA[type(value)], value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _write(keys, obj):
+    d = {}
+    for k in keys:
+        if k.attr is None:
+            d[k.name] = _write(k.type, obj)
+        elif (v := getattr(obj, k.attr)) is not None:
+            d[k.name] = v / k.scale if k.scale else _plain(v)
+    return d
+
+
+# Bespoke readers: the tenant list, the preset-or-mapping workload and its
+# size mix, and the free-form static counts.
+
+def _tenants(raw, where, errors):
+    if not isinstance(raw, list):
+        errors.append(f"{where} must be a list")
+        return None
+    tenants = []
+    for i, d in enumerate(raw):
+        at = f"{where}[{i}]"
+        if isinstance(d, dict):
+            if isinstance(d.get("label"), str) and d["label"]:
+                at += f" ({d['label']})"
+            if d.get("class") is None and isinstance(d.get("workload"), str):
+                d = {**d, "class": PRESET_CLASS.get(d["workload"])}
+        tenants.append(_section(TenantConfig, d, at, errors))
+    return tuple(t for t in tenants if t is not None)
+
+
+def _workload(raw, where, errors):
+    if not isinstance(raw, str):
+        return _section(WorkloadSpec, raw, where, errors)
+    if raw not in PRESETS:
+        errors.append(f"{where}: unknown workload preset {raw!r} "
+                      f"(known: {', '.join(sorted(PRESETS))})")
+        return None
+    return raw
+
+
+def _sizes(raw, where, errors):
+    try:
+        return tuple((_scalar("size", s, int), _scalar("weight", w, float)) for s, w in raw)
+    except (TypeError, ValueError):
+        errors.append(f"{where} must be [[bytes, weight], ...]")
+        return None
+
+
+def _counts(raw, where, errors):
+    if isinstance(raw, dict) and all(isinstance(k, str) and type(n) is int
+                                     for k, n in raw.items()):
+        return dict(raw)
+    errors.append(f"{where} must map tenant labels to integer core counts")
+    return None
+
+
+SCHEMA = {
+    ExperimentConfig: (
+        Key("name", "name", str),
+        Key("seed", "seed", int),
+        Key("duration_s", "duration_ns", int, SEC),
+        Key("warmup_s", "warmup_ns", int, SEC),
+        Key("interval_s", "interval_ns", int, SEC),
+        Key("out_dir", "out_dir", str),
+        Key("window_end", "window_end", ("complete", "dequeue")),
+        Key("pool", None, (Key("total", "pool_total", int),)),
+        Key("device", "device", DeviceParams),
+        Key("estimators", "estimators", EstimatorConfig),
+        Key("allocator", "allocator", AllocatorConfig),
+        Key("tenants", "tenants", _tenants),
+    ),
+    DeviceParams: (
+        Key("read_median_us", "read_median_us", float),
+        Key("write_median_us", "write_median_us", float),
+        Key("sigma", "sigma", float),
+        Key("p_spike", "p_spike", float),
+        Key("m_spike", "m_spike", float),
+        Key("capacity", "capacity", int),
+        Key("ref_block_bytes", "ref_block_bytes", int),
+        Key("size_exponent", "size_exponent", float),
+    ),
+    EstimatorConfig: (
+        Key("ewma_alpha", "ewma_alpha", float),
+        Key("hist_window", "hist_window", int),
+        Key("scope", "scope", ("tenant", "device")),
+    ),
+    AllocatorConfig: (
+        Key("kind", "kind", ALLOCATORS),
+        Key("qwin", "qwin", PolicyParams),
+        Key("static", "static", StaticParams),
+        Key("shenango", "shenango", CongestionParams),
+        Key("cake", "cake", FeedbackParams),
+    ),
+    PolicyParams: (
+        Key("policy_window", "policy_window", int),
+        Key("slack_low_us", "slack_low_ns", int, US),
+        Key("slack_high_us", "slack_high_ns", int, US),
+        Key("min_tail_samples", "min_tail_samples", int),
+        Key("pin", "pin", str),
+    ),
+    StaticParams: (Key("counts", "counts", _counts),),
+    CongestionParams: (Key("probe_interval_us", "probe_interval_ns", int, US),),
+    FeedbackParams: (
+        Key("interval_s", "interval_ns", int, SEC),
+        Key("step", "step", int),
+        Key("headroom", "headroom", float),
+        Key("min_samples", "min_samples", int),
+    ),
+    TenantConfig: (
+        Key("label", "label", str),
+        Key("class", "tenant_class", (LC, BE_CLASS)),
+        Key("workload", "workload", _workload),
+        Key("slo", "slo", SloSpec),
+    ),
+    SloSpec: (
+        Key("quantile", "quantile", float),
+        Key("latency_ms", "latency_ns", int, MS),
+    ),
+    WorkloadSpec: (
+        Key("mode", "mode", (CLOSED, OPEN)),
+        Key("sizes", "sizes", _sizes),
+        Key("read_ratio", "read_ratio", float),
+        Key("iodepth", "iodepth", int),
+        Key("numjobs", "numjobs", int),
+        Key("rate_per_s", "rate_per_s", float),
+        Key("burst", "burst", Burst),
+    ),
+    Burst: (
+        Key("on_s", "on_ns", int, SEC),
+        Key("off_s", "off_ns", int, SEC),
+        Key("rate_per_s", "rate_per_s", float),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -201,247 +366,59 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_workload(w, errors, where):
-    if isinstance(w, str):
-        if w not in PRESETS:
-            errors.append(f"{where}: unknown workload preset {w!r} "
-                          f"(known: {', '.join(sorted(PRESETS))})")
-            return None
-        return w
-    if not isinstance(w, dict):
-        errors.append(f"{where}: workload must be a preset name or a mapping")
-        return None
-    mode = w.get("mode", CLOSED)
-    sizes = w.get("sizes", [[4096, 1.0]])
-    try:
-        sizes = tuple((int(s), float(wgt)) for s, wgt in sizes)
-    except (TypeError, ValueError):
-        errors.append(f"{where}: sizes must be [[bytes, weight], ...]")
-        return None
-    burst = None
-    if w.get("burst") is not None:
-        b = w["burst"]
-        try:
-            burst = Burst(on_ns=_ns_from_s(b["on_s"]), off_ns=_ns_from_s(b["off_s"]),
-                          rate_per_s=float(b["rate_per_s"]))
-        except (KeyError, TypeError, ValueError) as e:
-            errors.append(f"{where}: invalid burst ({e})")
-            return None
-    try:
-        spec = WorkloadSpec(
-            mode=mode, sizes=sizes,
-            read_ratio=float(w.get("read_ratio", 1.0)),
-            iodepth=int(w.get("iodepth", 16)),
-            numjobs=int(w.get("numjobs", 1)),
-            rate_per_s=float(w.get("rate_per_s", 0.0)),
-            burst=burst)
-        spec.validate()
-    except (TypeError, ValueError) as e:
-        errors.append(f"{where}: {e}")
-        return None
-    return spec
-
-
-def _parse_tenant(d, errors, idx):
-    where = f"tenants[{idx}]"
-    if not isinstance(d, dict):
-        errors.append(f"{where}: must be a mapping")
-        return None
-    label = d.get("label")
-    if not label or not isinstance(label, str):
-        errors.append(f"{where}: needs a non-empty string label")
-        return None
-    where = f"tenants[{idx}] ({label})"
-    if label == "be":
-        errors.append(f"{where}: label 'be' is reserved for the shared pool")
-    cls = d.get("class")
-    if cls is None and isinstance(d.get("workload"), str):
-        cls = PRESET_CLASS.get(d["workload"])
-    if cls not in (LC, BE_CLASS):
-        errors.append(f"{where}: class must be 'lc' or 'be'")
-        return None
-    workload = _parse_workload(d.get("workload"), errors, where)
-    if workload is None:
-        return None
-    slo = None
-    if cls == LC:
-        s = d.get("slo")
-        if not isinstance(s, dict) or "latency_ms" not in s:
-            errors.append(f"{where}: LC tenants need slo: {{quantile, latency_ms}}")
-            return None
-        q = float(s.get("quantile", 0.999))
-        lat = _ns_from_ms(s["latency_ms"])
-        if not 0 < q < 1:
-            errors.append(f"{where}: slo quantile must be in (0, 1)")
-        if lat <= 0:
-            errors.append(f"{where}: slo latency must be > 0")
-        slo = SloSpec(quantile=q, latency_ns=lat)
-    elif d.get("slo") is not None:
-        errors.append(f"{where}: BE tenants take no SLO")
-    return TenantConfig(label=label, tenant_class=cls, workload=workload, slo=slo)
-
-
-def _parse_allocator(d, errors):
-    if d is None:
-        d = {}
-    if not isinstance(d, dict):
-        errors.append("allocator: must be a mapping")
-        return AllocatorConfig()
-    kind = d.get("kind", "qwin")
-    if kind not in ALLOCATORS:
-        errors.append(f"allocator: unknown kind {kind!r} (known: {', '.join(ALLOCATORS)})")
-        kind = "qwin"
-    q = d.get("qwin", {}) or {}
-    pin = q.get("pin")
-    if pin is not None and pin not in POLICIES:
-        errors.append(f"allocator.qwin: pin must be one of {POLICIES}")
-        pin = None
-    try:
-        qwin = PolicyParams(
-            policy_window=int(q.get("policy_window", 2000)),
-            slack_low_ns=_ns_from_us(q.get("slack_low_us", 300)),
-            slack_high_ns=_ns_from_us(q.get("slack_high_us", 1000)),
-            min_tail_samples=int(q.get("min_tail_samples", 1000)),
-            pin=pin)
-        qwin.validate()
-    except (TypeError, ValueError) as e:
-        errors.append(f"allocator.qwin: {e}")
-        qwin = PolicyParams()
-    st = d.get("static", {}) or {}
-    static = StaticParams(counts=dict(st.get("counts", {})))
-    sh = d.get("shenango", {}) or {}
-    try:
-        shen = CongestionParams(probe_interval_ns=_ns_from_us(sh.get("probe_interval_us", 100)))
-        shen.validate()
-    except (TypeError, ValueError) as e:
-        errors.append(f"allocator.shenango: {e}")
-        shen = CongestionParams()
-    ck = d.get("cake", {}) or {}
-    try:
-        cake = FeedbackParams(
-            interval_ns=_ns_from_s(ck.get("interval_s", 1.0)),
-            step=int(ck.get("step", 1)),
-            headroom=float(ck.get("headroom", 0.7)),
-            min_samples=int(ck.get("min_samples", 100)))
-        cake.validate()
-    except (TypeError, ValueError) as e:
-        errors.append(f"allocator.cake: {e}")
-        cake = FeedbackParams()
-    return AllocatorConfig(kind=kind, qwin=qwin, static=static, shenango=shen, cake=cake)
-
-
 def parse_config(d: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain mapping."""
     errors: list[str] = []
-    if not isinstance(d, dict):
-        raise ConfigError(["config root must be a mapping"])
-
-    name = d.get("name", "run")
-    seed = d.get("seed", 1)
-    if not isinstance(seed, int) or seed < 0:
-        errors.append("seed must be a non-negative integer")
-        seed = 1
-    duration_ns = _ns_from_s(d.get("duration_s", 60.0))
-    if duration_ns <= 0:
-        errors.append("duration_s must be > 0")
-    warmup_ns = None
-    if d.get("warmup_s") is not None:
-        warmup_ns = _ns_from_s(d["warmup_s"])
-        if warmup_ns < 0:
-            errors.append("warmup_s must be >= 0")
-        elif warmup_ns >= duration_ns > 0:
-            errors.append("warmup_s must be smaller than duration_s")
-    interval_ns = _ns_from_s(d.get("interval_s", 1.0))
-    if interval_ns <= 0:
-        errors.append("interval_s must be > 0")
-    window_end = d.get("window_end", "complete")
-    if window_end not in ("complete", "dequeue"):
-        errors.append("window_end must be 'complete' or 'dequeue'")
-
-    pool = d.get("pool", {}) or {}
-    pool_total = pool.get("total", 8)
-    if not isinstance(pool_total, int) or pool_total < 1:
-        errors.append("pool.total must be an integer >= 1")
-        pool_total = 8
-
-    dev = d.get("device", {}) or {}
-    try:
-        device = DeviceParams(
-            read_median_us=float(dev.get("read_median_us", 100.0)),
-            write_median_us=float(dev.get("write_median_us", 100.0)),
-            sigma=float(dev.get("sigma", 0.3)),
-            p_spike=float(dev.get("p_spike", 0.001)),
-            m_spike=float(dev.get("m_spike", 20.0)),
-            capacity=int(dev.get("capacity", 8)),
-            ref_block_bytes=int(dev.get("ref_block_bytes", 4096)),
-            size_exponent=float(dev.get("size_exponent", 0.5)))
-        device.validate()
-    except (TypeError, ValueError) as e:
-        errors.append(f"device: {e}")
-        device = DeviceParams()
-
-    est = d.get("estimators", {}) or {}
-    scope = est.get("scope", "tenant")
-    if scope not in ("tenant", "device"):
-        errors.append("estimators.scope must be 'tenant' or 'device'")
-        scope = "tenant"
-    try:
-        estimators = EstimatorConfig(
-            ewma_alpha=float(est.get("ewma_alpha", 0.01)),
-            hist_window=int(est.get("hist_window", 10_000)),
-            scope=scope)
-        if not 0 < estimators.ewma_alpha <= 1:
-            errors.append("estimators.ewma_alpha must be in (0, 1]")
-        if estimators.hist_window < 1:
-            errors.append("estimators.hist_window must be >= 1")
-    except (TypeError, ValueError) as e:
-        errors.append(f"estimators: {e}")
-        estimators = EstimatorConfig()
-
-    allocator = _parse_allocator(d.get("allocator"), errors)
-
-    tenants = []
-    raw_tenants = d.get("tenants", [])
-    if not raw_tenants:
-        errors.append("at least one tenant is required")
-    labels = set()
-    for i, td in enumerate(raw_tenants):
-        t = _parse_tenant(td, errors, i)
-        if t is None:
-            continue
-        if t.label in labels:
-            errors.append(f"duplicate tenant label {t.label!r}")
-        labels.add(t.label)
-        tenants.append(t)
-
-    lc_labels = [t.label for t in tenants if t.tenant_class == LC]
-    if allocator.kind in ("qwin", "static", "shenango", "cake") and \
-            len(lc_labels) > pool_total:
-        errors.append(f"{len(lc_labels)} LC tenants need at least that many cores; "
-                      f"pool has {pool_total}")
-    if allocator.kind == "static" and not errors:
+    kw = _fields(SCHEMA[ExperimentConfig], d, "", errors)
+    if kw is None:
+        raise ConfigError(errors)
+    cfg = ExperimentConfig(**kw)
+    warmup, duration, labels = cfg.warmup_ns, cfg.duration_ns, [t.label for t in cfg.tenants]
+    lc_labels = [t.label for t in cfg.lc_tenants()]
+    errors += [msg for bad, msg in (
+        (not cfg.name or any(c in cfg.name for c in ("/", os.sep, "\0")),
+         "name must be a plain file name: not empty, no '/' or NUL"),
+        (cfg.seed < 0, "seed must be a non-negative integer"),
+        (duration <= 0, "duration_s must be > 0"),
+        (warmup is not None and warmup < 0, "warmup_s must be >= 0"),
+        (warmup is not None and warmup >= duration > 0, "warmup_s must be smaller than duration_s"),
+        (cfg.interval_ns <= 0, "interval_s must be > 0"),
+        (cfg.pool_total < 1, "pool.total must be an integer >= 1"),
+        (not (d or {}).get("tenants"), "at least one tenant is required"),
+        (len(set(labels)) < len(labels), f"duplicate tenant label in {labels}"),
+        (cfg.allocator.kind != "priority" and len(lc_labels) > cfg.pool_total,
+         f"{len(lc_labels)} LC tenants need at least that many cores; "
+         f"pool has {cfg.pool_total}"),
+    ) if bad]
+    if cfg.allocator.kind == "static" and not errors:
         try:
-            allocator.static.validate(pool_total, lc_labels)
+            cfg.allocator.static.validate(cfg.pool_total, lc_labels)
         except ValueError as e:
             errors.append(f"allocator.static: {e}")
-
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        name=str(name), seed=seed, duration_ns=duration_ns, warmup_ns=warmup_ns,
-        interval_ns=interval_ns, out_dir=str(d.get("out_dir", "results")),
-        window_end=window_end, pool_total=pool_total, device=device,
-        estimators=estimators, allocator=allocator, tenants=tuple(tenants))
+    return cfg
+
+
+def read_yaml(stream) -> dict:
+    """The mapping at the root of a YAML text or file ({} when it is empty)."""
+    try:
+        d = yaml.safe_load(stream)
+    # ValueError: e.g. a date like 2021-13-45; RecursionError: nesting too deep.
+    except (yaml.YAMLError, ValueError, RecursionError) as e:
+        raise ConfigError([f"not valid YAML: {e}"]) from None
+    if not isinstance(d, (dict, type(None))):
+        raise ConfigError(["config root must be a mapping"])
+    return d or {}
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        d = yaml.safe_load(f)
-    return parse_config(d)
+    with open(path, "rb") as f:
+        return parse_config(read_yaml(f))
 
 
 def loads_config(text: str) -> ExperimentConfig:
-    return parse_config(yaml.safe_load(text))
+    return parse_config(read_yaml(text))
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +436,15 @@ def _be(label, preset):
 
 
 def scenario(name: str) -> dict:
-    """Return a named scenario as a plain config mapping (overridable)."""
-    base = {
-        "name": name,
-        "seed": 1,
-        "duration_s": 60.0,
-        "interval_s": 1.0,
-        "pool": {"total": 8},
-        "allocator": {"kind": "qwin"},
-    }
+    """Return a named scenario as a plain config mapping (overridable).
+
+    Keys it leaves out take their defaults: seed 1, 60 s in 1 s intervals,
+    8 cores and the qwin allocator."""
     if name == "duo":
-        base["tenants"] = [_lc("lc0", "C", 4.0), _be("be0", "H")]
+        tenants = [_lc("lc0", "C", 4.0), _be("be0", "H")]
     elif name == "burst-duo":
         # Open-loop LC with a 4x burst one second out of every five.
-        base["tenants"] = [
+        tenants = [
             {"label": "lc0", "class": "lc",
              "workload": {"mode": OPEN, "rate_per_s": 12000.0,
                           "sizes": [[4096, 1.0]], "read_ratio": 0.9,
@@ -482,23 +454,23 @@ def scenario(name: str) -> dict:
             _be("be0", "H"),
         ]
     elif name == "group1":
-        base["tenants"] = [_lc("lc0", "B", 2.5), _lc("lc1", "C", 4.0),
-                           _lc("lc2", "D", 5.5),
-                           _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
+        tenants = [_lc("lc0", "B", 2.5), _lc("lc1", "C", 4.0),
+                   _lc("lc2", "D", 5.5),
+                   _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
     elif name == "group2":
-        base["tenants"] = [_lc("lc0", "K", 4.0), _lc("lc1", "K", 5.5),
-                           _lc("lc2", "K", 7.0),
-                           _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
+        tenants = [_lc("lc0", "K", 4.0), _lc("lc1", "K", 5.5),
+                   _lc("lc2", "K", 7.0),
+                   _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
     elif name == "group3":
-        base["tenants"] = [_lc("lc0", "J", 4.0), _lc("lc1", "J", 5.5),
-                           _lc("lc2", "J", 7.0),
-                           _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
+        tenants = [_lc("lc0", "J", 4.0), _lc("lc1", "J", 5.5),
+                   _lc("lc2", "J", 7.0),
+                   _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
     elif name == "policy-duo":
-        base["tenants"] = [_lc("lc0", "C", 3.0), _lc("lc1", "P", 5.0),
-                           _be("be0", "H")]
+        tenants = [_lc("lc0", "C", 3.0), _lc("lc1", "P", 5.0),
+                   _be("be0", "H")]
     else:
         raise KeyError(f"unknown scenario {name!r} (known: {', '.join(SCENARIOS)})")
-    return base
+    return {"name": name, "tenants": tenants}
 
 
 SCENARIOS = ("duo", "burst-duo", "group1", "group2", "group3", "policy-duo")

@@ -18,7 +18,7 @@ from .backend import Backend, Tenant
 from .baselines import (CongestionAllocator, FeedbackAllocator,
                         PriorityAllocator, StaticAllocator)
 from .config import (ALLOCATORS, ConfigError, ExperimentConfig, SCENARIOS,
-                     parse_config, scenario)
+                     parse_config, read_yaml, scenario)
 from .device import Device, ServiceEstimator
 from .metrics import MetricsHub, write_all
 from .qwin_allocator import QwinAllocator
@@ -300,13 +300,8 @@ def _assemble_config(args) -> ExperimentConfig:
     if args.scenario:
         base = scenario(args.scenario)
     if args.config:
-        import yaml
-
-        with open(args.config) as f:
-            loaded = yaml.safe_load(f) or {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(["config root must be a mapping"])
-        base.update(loaded)
+        with open(args.config, "rb") as f:
+            base.update(read_yaml(f))
     if not base:
         raise ConfigError(["nothing to run: pass --config and/or --scenario"])
     if args.seed is not None:
@@ -317,15 +312,13 @@ def _assemble_config(args) -> ExperimentConfig:
         base["warmup_s"] = args.warmup
     if args.out is not None:
         base["out_dir"] = args.out
-    if args.allocator is not None or args.pin is not None:
-        alloc = dict(base.get("allocator", {}) or {})
-        if args.allocator is not None:
-            alloc["kind"] = args.allocator
-        if args.pin is not None:
-            alloc["kind"] = alloc.get("kind", "qwin")
-            q = dict(alloc.get("qwin", {}) or {})
-            q["pin"] = args.pin
-            alloc["qwin"] = q
+    alloc = base.get("allocator") or {}
+    # A section that is not a mapping is left as it is for parse_config to report.
+    if (args.allocator is not None or args.pin is not None) and isinstance(alloc, dict):
+        alloc = dict(alloc, kind=args.allocator or alloc.get("kind", "qwin"))
+        q = alloc.get("qwin") or {}
+        if args.pin is not None and isinstance(q, dict):
+            alloc["qwin"] = {**q, "pin": args.pin}
         base["allocator"] = alloc
     return parse_config(base)
 

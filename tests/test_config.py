@@ -1,10 +1,21 @@
 """Config schema: defaults, validation with full error collection, round-trips."""
 
-import pytest
+import os
+import subprocess
+import sys
 
-from qwinsim.config import (ConfigError, ExperimentConfig, SCENARIOS,
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qwinsim
+from qwinsim.config import (SCHEMA, ConfigError, ExperimentConfig, SCENARIOS,
                             load_config, loads_config, parse_config, scenario)
-from qwinsim.workload import OPEN, PRESETS
+from qwinsim.workload import CLOSED, OPEN, PRESETS
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
 
 
 def _minimal(**over):
@@ -182,6 +193,134 @@ def test_bad_slo_quantile_and_latency_reported():
         parse_config(d)
     msgs = "\n".join(ei.value.errors)
     assert "quantile" in msgs and "latency" in msgs
+
+
+# One key of the duo scenario changed to a malformed value; each must be
+# reported as a ConfigError whose message names the key path.
+MALFORMED = [
+    (("duration_s",), "abc", "duration_s must be a number"),
+    (("duration_s",), float("nan"), "duration_s must be finite"),
+    (("duration_s",), float("inf"), "duration_s must be finite"),
+    (("warmup_s",), "x", "warmup_s must be a number"),
+    (("tenants", 0, "slo", "quantile"), "high",
+     "tenants[0] (lc0).slo: quantile must be a number"),
+    (("tenants", 0, "slo", "latency_ms"), float("nan"),
+     "tenants[0] (lc0).slo: latency_ms must be finite"),
+    (("allocator", "static", "counts"), [1, 2], "allocator.static.counts must map"),
+    (("allocator", "qwin"), "x", "allocator.qwin must be a mapping"),
+    (("pool",), "x", "pool must be a mapping"),
+    (("device",), [1], "device must be a mapping"),
+    (("estimators",), "x", "estimators must be a mapping"),
+    (("name",), "../../etc/x", "name must be a plain file name"),
+    (("name",), "", "name must be a plain file name"),
+    (("name",), "a\0b", "name must be a plain file name"),
+    (("seed",), True, "seed must be a number"),
+    (("pool", "total"), True, "pool: total must be a number"),
+    (("device", "capacity"), 2.7, "device: capacity must be an integer"),
+    (("tenants", 0, "workload"), {"mode": CLOSED, "iodepth": 1.5},
+     "tenants[0] (lc0).workload: iodepth must be an integer"),
+    (("duraton_s",), 30.0, "unknown key 'duraton_s'"),
+    (("device", "sigmaa"), 0.3, "device: unknown key 'sigmaa'"),
+]
+
+
+def _set(tree, path, value):
+    for key in path[:-1]:
+        if isinstance(tree, dict):
+            tree = tree.setdefault(key, {})
+        else:
+            tree = tree[key]
+    tree[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,value,message", MALFORMED,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in MALFORMED])
+def test_malformed_value_is_a_config_error_naming_its_key(path, value, message):
+    d = scenario("duo")
+    _set(d, path, value)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(d)
+    assert any(message in e for e in ei.value.errors), ei.value.errors
+
+
+def test_integral_floats_are_accepted_where_an_integer_is_expected():
+    cfg = parse_config(_minimal(pool={"total": 4.0}, device={"capacity": 2.0}))
+    assert (cfg.pool_total, cfg.device.capacity) == (4, 2)
+    assert isinstance(cfg.pool_total, int)
+
+
+def _cli(tmp_path, text):
+    p = tmp_path / "bad.yaml"
+    p.write_text(text)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(qwinsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [pkg_root, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "qwinsim", "--config", str(p), "--validate-only"],
+        capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("tenants: [\n  - a\n", "not valid YAML"),
+    ("duration_s: abc\n", "duration_s must be a number"),
+    ("tenants: " + "[" * 3000 + "]" * 3000 + "\n", "not valid YAML"),
+])
+def test_cli_reports_a_bad_config_file_without_a_traceback(tmp_path, text, message):
+    r = _cli(tmp_path, text)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert message in r.stderr
+
+
+def _paths(tree, prefix=()):
+    yield prefix
+    items = tree.items() if isinstance(tree, dict) else \
+        enumerate(tree) if isinstance(tree, list) else ()
+    for key, sub in items:
+        yield from _paths(sub, prefix + (key,))
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -10**400]),
+    st.integers(), st.floats(),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.one_of(st.text(max_size=3), st.integers(), st.none()),
+                    st.one_of(st.integers(), st.text(max_size=2), st.none()),
+                    max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_any_mangled_config_parses_or_raises_config_error(data):
+    # Start from a scenario's full serialised tree, so every section is there.
+    name = data.draw(st.sampled_from(SCENARIOS))
+    tree = yaml.safe_load(parse_config(scenario(name)).to_yaml())
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(tree))))
+        value = data.draw(JUNK)
+        if path:
+            _set(tree, path, value)
+        else:
+            tree = value
+    try:
+        parse_config(tree)
+    except ConfigError:
+        pass
+
+
+def test_readme_config_block_parses():
+    with open(README) as f:
+        text = f.read().split("\n## Configuration\n", 1)[1]
+    block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = loads_config(block)
+    assert loads_config(cfg.to_yaml()) == cfg
+    # The block lists every key the schema accepts.
+    shown = {k for p in _paths(yaml.safe_load(block)) for k in p if isinstance(k, str)}
+    accepted = {k.name for keys in SCHEMA.values() for k in keys}
+    accepted |= {sub.name for keys in SCHEMA.values() for k in keys
+                 if k.attr is None for sub in k.type}
+    assert accepted <= shown, sorted(accepted - shown)
 
 
 # ---------------------------------------------------------------------------
