@@ -45,7 +45,7 @@ class Tenant:
     __slots__ = ("label", "lc", "slo_q", "slo_ns", "queue", "source",
                  "arrivals", "prev_boundary", "completed_gap",
                  "win", "wid", "wcnt", "budget", "policy", "num",
-                 "estimator", "metrics", "idle",
+                 "estimator", "metrics", "idle", "wake_idle",
                  "probe_counts", "probe_n", "probes_attempted",
                  "end_on_complete", "windows_established", "last_head_seq")
 
@@ -68,6 +68,7 @@ class Tenant:
         self.estimator = None
         self.metrics = None
         self.idle = []            # sorted cids of this tenant's parked cores
+        self.wake_idle = None     # the parked-core list an arrival wakes from
         self.probe_counts = [0] * N_BUCKETS   # latency buckets since last policy refresh
         self.probe_n = 0
         self.probes_attempted = 0
@@ -107,7 +108,7 @@ class Backend:
         self.be_count = pool_total   # cores owned by the BE pool
         self._be_rr = 0
         self._lc_rr = 0
-        self.pool_serves_lc = False  # fully-shared priority mode
+        self.pool_lc: list[Tenant] = []  # LC tenants the BE pool serves first
         self.allocator = None
         self.completed = 0
         device.on_complete_fn = self._on_io_complete
@@ -121,6 +122,7 @@ class Backend:
         source.tenant = tenant
         tenant.estimator = estimator
         tenant.end_on_complete = self.window_end == "complete"
+        tenant.wake_idle = tenant.idle if tenant.lc else self.be_idle
         self.tenants.append(tenant)
         self.by_label[tenant.label] = tenant
         if tenant.lc:
@@ -197,16 +199,10 @@ class Backend:
         req.seq = tenant.arrivals
         tenant.queue.append(req)
         # Wake one parked core that is allowed to serve this tenant.
-        if tenant.lc and not self.pool_serves_lc:
-            idle = tenant.idle
-            if idle:
-                core = self.cores[idle.pop(0)]
-                self.core_step(core, now)
-        else:
-            idle = self.be_idle
-            if idle:
-                core = self.cores[idle.pop(0)]
-                self.core_step(core, now)
+        idle = tenant.wake_idle
+        if idle:
+            core = self.cores[idle.pop(0)]
+            self.core_step(core, now)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -238,18 +234,17 @@ class Backend:
             dev.fifo.append(req)
 
     def _be_dequeue(self):
-        # Strict-priority shared pool: LC queues first, round-robin among
-        # tenants of each class.
-        if self.pool_serves_lc:
-            lcs = self.lc_tenants
+        # LC queues the pool serves first (priority mode only), then BE
+        # queues, round-robin among the tenants of each class.
+        lcs = self.pool_lc
+        if lcs:
             n = len(lcs)
-            if n:
-                start = self._lc_rr
-                for k in range(n):
-                    t = lcs[(start + k) % n]
-                    if t.queue:
-                        self._lc_rr = (start + k + 1) % n
-                        return t.queue.popleft()
+            start = self._lc_rr
+            for k in range(n):
+                t = lcs[(start + k) % n]
+                if t.queue:
+                    self._lc_rr = (start + k + 1) % n
+                    return t.queue.popleft()
         bes = self.be_tenants
         n = len(bes)
         if n:
@@ -297,7 +292,7 @@ class Backend:
             t.arrivals += 1
             repl.seq = t.arrivals
             t.queue.append(repl)
-            idle = t.idle if (t.lc and not self.pool_serves_lc) else self.be_idle
+            idle = t.wake_idle
             if idle:
                 other = self.cores[idle.pop(0)]
                 self.core_step(other, now)
@@ -328,61 +323,61 @@ class Backend:
         else:
             self.hub.transfer_event(core.cid, row[0], row[1], now, now, initiator)
 
-    def grant_cores(self, tenant, want: int, now: int, initiator: str) -> int:
-        """Move up to `want` BE-pool cores to an LC tenant; returns the grant."""
+    def _flip_cores(self, src, dst, count, now, initiator):
+        """Flip up to `count` of `src`'s cores to `dst`: idle ones first, then
+        busy ones, soonest completion first.  Returns the idle cores flipped
+        and the number flipped."""
+        idle = self.be_idle if src is BE else src.idle
+        flipped = []
+        while len(flipped) < count and idle:
+            core = self.cores[idle.pop(0)]
+            self._flip(core, dst, now, initiator)
+            flipped.append(core)
+        moved = len(flipped)
+        if moved < count:
+            busy = [c for c in self.cores
+                    if c.owner is src and c.busy is not None]
+            busy.sort(key=lambda c: (c.busy.finish_at, c.cid))
+            for core in busy[:count - moved]:
+                self._flip(core, dst, now, initiator)
+                moved += 1
+        return flipped, moved
+
+    def grant_cores(self, tenant, want: int, now: int, trigger: str) -> int:
+        """Move up to `want` BE-pool cores to an LC tenant; returns the grant.
+        The alloc row names `trigger`, or `shortfall` if the pool fell short."""
         grant = want if want <= self.be_count else self.be_count
         if grant <= 0:
             return 0
-        took = 0
-        wake = []
-        idle = self.be_idle
-        while took < grant and idle:
-            core = self.cores[idle.pop(0)]
-            self._flip(core, tenant, now, initiator)
-            wake.append(core)
-            took += 1
-        if took < grant:
-            # Mark busy BE cores, soonest completion first.
-            busy = [c for c in self.cores
-                    if c.owner is BE and c.busy is not None]
-            busy.sort(key=lambda c: (c.busy.finish_at, c.cid))
-            for core in busy[:grant - took]:
-                self._flip(core, tenant, now, initiator)
-                took += 1
+        wake, took = self._flip_cores(BE, tenant, grant, now, tenant.label)
         self.be_count -= took
-        tenant.num += took
+        old = tenant.num
+        tenant.num = old + took
         hub = self.hub
         hub.on_cores(tenant.label, tenant.num, now)
         hub.areas[hub.BE_POOL].change(self.be_count, now)
-        # Granted idle cores go to work for their new owner immediately.
+        # Granted idle cores go to work for their new owner immediately; the
+        # row follows any rows their first steps write.
         for core in wake:
             self.core_step(core, now)
+        if took:
+            hub.alloc_event(now, tenant.label, old, old + took,
+                            trigger if took == want else "shortfall")
         return took
 
-    def release_cores(self, tenant, count: int, now: int, initiator: str) -> int:
-        """Return `count` of tenant's cores to the BE pool (idle first)."""
-        released = 0
-        redispatch = []
-        idle = tenant.idle
-        while released < count and idle:
-            core = self.cores[idle.pop(0)]
-            self._flip(core, BE, now, initiator)
-            redispatch.append(core)
-            released += 1
-        if released < count:
-            busy = [c for c in self.cores
-                    if c.owner is tenant and c.busy is not None]
-            busy.sort(key=lambda c: (c.busy.finish_at, c.cid))
-            for core in busy[:count - released]:
-                self._flip(core, BE, now, initiator)
-                released += 1
-        tenant.num -= released
+    def release_cores(self, tenant, count: int, now: int, trigger: str) -> int:
+        """Return `count` of tenant's cores to the BE pool (idle first); the
+        alloc row names `trigger`."""
+        redispatch, released = self._flip_cores(tenant, BE, count, now, tenant.label)
+        old = tenant.num
+        tenant.num = old - released
         self.be_count += released
         hub = self.hub
         hub.on_cores(tenant.label, tenant.num, now)
         hub.areas[hub.BE_POOL].change(self.be_count, now)
         for core in redispatch:
             self.core_step(core, now)
+        hub.alloc_event(now, tenant.label, old, tenant.num, trigger)
         return released
 
     def yield_core(self, core, tenant, now):
@@ -403,14 +398,12 @@ class Backend:
         owned = sum(t.num for t in self.tenants if t.lc)
         assert owned + self.be_count == self.pool_total, \
             f"core conservation broken: {owned} LC + {self.be_count} BE != {self.pool_total}"
-        for t in self.lc_tenants:
-            if self.allocator is not None and self.allocator.per_tenant_cores:
-                assert t.num >= 1, f"{t.label} dropped below 1 core"
         by_owner = {}
         for c in self.cores:
             by_owner[id(c.owner)] = by_owner.get(id(c.owner), 0) + 1
         for t in self.lc_tenants:
-            if self.allocator is not None and self.allocator.per_tenant_cores:
+            if t not in self.pool_lc:
+                assert t.num >= 1, f"{t.label} dropped below 1 core"
                 assert by_owner.get(id(t), 0) == t.num, \
                     f"{t.label}.num={t.num} but owns {by_owner.get(id(t), 0)} cores"
         assert by_owner.get(id(BE), 0) == self.be_count

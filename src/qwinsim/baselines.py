@@ -59,13 +59,13 @@ class StaticParams:
 class StaticAllocator(_PlainLcStep):
     """Fixed partition; cores never move."""
 
-    name = "static"
-    per_tenant_cores = True
+    Params = StaticParams
 
     def __init__(self, params: StaticParams):
         self.params = params
 
     def setup(self, backend):
+        backend.allocator = self
         counts, _be = self.params.validate(
             backend.pool_total, [t.label for t in backend.lc_tenants])
         cid = 0
@@ -76,16 +76,39 @@ class StaticAllocator(_PlainLcStep):
 
 
 class PriorityAllocator:
-    """One fully shared pool; LC requests always dispatch before BE requests."""
+    """One fully shared pool; LC requests always dispatch before BE requests.
 
-    name = "priority"
-    per_tenant_cores = False
+    No core is ever owned by an LC tenant, so lc_step is never called."""
+
+    Params = None
 
     def setup(self, backend):
-        backend.pool_serves_lc = True
+        backend.allocator = self
+        backend.pool_lc = list(backend.lc_tenants)
+        for t in backend.lc_tenants:
+            t.wake_idle = backend.be_idle
 
-    def lc_step(self, core, t, now):  # pragma: no cover - no LC-owned cores exist
-        raise RuntimeError("priority allocator runs every core out of the shared pool")
+
+class _PeriodicAllocator(_PlainLcStep):
+    """Starts each LC tenant on one core, then every `period` ns applies the
+    per-tenant rule `step` to the LC tenants in order."""
+
+    def __init__(self, params=None):
+        self.params = params or self.Params()
+        self.params.validate()
+        self.backend = None
+
+    def setup(self, backend):
+        backend.allocator = self
+        self.backend = backend
+        backend.assign_lc_cores()
+        backend.engine.schedule(self.period, EventKind.POLICY_PROBE, self._tick, None)
+
+    def _tick(self, _payload, now):
+        for t in self.backend.lc_tenants:
+            self.step(t, now)
+        self.backend.engine.schedule(now + self.period, EventKind.POLICY_PROBE,
+                                     self._tick, None)
 
 
 @dataclass(frozen=True)
@@ -98,45 +121,27 @@ class CongestionParams:
             raise ValueError("probe_interval_ns must be >= 1")
 
 
-class CongestionAllocator(_PlainLcStep):
+class CongestionAllocator(_PeriodicAllocator):
     """Every probe interval: if the same request still heads a tenant's queue,
     add one core; if the queue is empty, drop back to one core at once."""
 
-    name = "shenango"
-    per_tenant_cores = True
+    Params = CongestionParams
 
-    def __init__(self, params: CongestionParams | None = None):
-        self.params = params or CongestionParams()
-        self.params.validate()
-        self.backend = None
+    @property
+    def period(self):
+        return self.params.probe_interval_ns
 
-    def setup(self, backend):
-        self.backend = backend
-        backend.assign_lc_cores()
-        backend.engine.schedule(self.params.probe_interval_ns,
-                                EventKind.POLICY_PROBE, self._probe, None)
-
-    def _probe(self, _payload, now):
-        backend = self.backend
-        hub = backend.hub
-        for t in backend.lc_tenants:
-            queue = t.queue
-            if not queue:
-                t.last_head_seq = -1
-                if t.num > 1:
-                    old = t.num
-                    backend.release_cores(t, old - 1, now, t.label)
-                    hub.alloc_event(now, t.label, old, t.num, "reclaim")
-                continue
-            head_seq = queue[0].seq
-            if head_seq == t.last_head_seq:
-                old = t.num
-                got = backend.grant_cores(t, 1, now, t.label)
-                if got:
-                    hub.alloc_event(now, t.label, old, t.num, "congestion")
-            t.last_head_seq = head_seq
-        backend.engine.schedule(now + self.params.probe_interval_ns,
-                                EventKind.POLICY_PROBE, self._probe, None)
+    def step(self, t, now):
+        queue = t.queue
+        if not queue:
+            t.last_head_seq = -1
+            if t.num > 1:
+                self.backend.release_cores(t, t.num - 1, now, "reclaim")
+            return
+        head_seq = queue[0].seq
+        if head_seq == t.last_head_seq:
+            self.backend.grant_cores(t, 1, now, "congestion")
+        t.last_head_seq = head_seq
 
 
 @dataclass(frozen=True)
@@ -158,41 +163,23 @@ class FeedbackParams:
             raise ValueError("min_samples must be >= 1")
 
 
-class FeedbackAllocator(_PlainLcStep):
+class FeedbackAllocator(_PeriodicAllocator):
     """At each interval, compare the previous interval's measured tail with the
     SLO: too slow -> add cores, comfortably fast -> shed one (never below 1)."""
 
-    name = "cake"
-    per_tenant_cores = True
+    Params = FeedbackParams
 
-    def __init__(self, params: FeedbackParams | None = None):
-        self.params = params or FeedbackParams()
-        self.params.validate()
-        self.backend = None
+    @property
+    def period(self):
+        return self.params.interval_ns
 
-    def setup(self, backend):
-        self.backend = backend
-        backend.assign_lc_cores()
-        backend.engine.schedule(self.params.interval_ns,
-                                EventKind.POLICY_PROBE, self._tick, None)
-
-    def _tick(self, _payload, now):
-        backend = self.backend
-        hub = backend.hub
-        step = self.params.step
-        for t in backend.lc_tenants:
-            n = t.probe_n
-            if n >= self.params.min_samples:
-                tail = quantile_from_counts(t.probe_counts, n, t.slo_q)
-                old = t.num
-                if tail > t.slo_ns:
-                    got = backend.grant_cores(t, step, now, t.label)
-                    if got:
-                        hub.alloc_event(now, t.label, old, t.num, "feedback_up")
-                elif tail < t.slo_ns * self.params.headroom and old > 1:
-                    drop = min(step, old - 1)
-                    backend.release_cores(t, drop, now, t.label)
-                    hub.alloc_event(now, t.label, old, t.num, "feedback_down")
-            t.reset_probe_hist()
-        backend.engine.schedule(now + self.params.interval_ns,
-                                EventKind.POLICY_PROBE, self._tick, None)
+    def step(self, t, now):
+        p = self.params
+        if t.probe_n >= p.min_samples:
+            tail = quantile_from_counts(t.probe_counts, t.probe_n, t.slo_q)
+            if tail > t.slo_ns:
+                self.backend.grant_cores(t, p.step, now, "feedback_up")
+            elif tail < t.slo_ns * p.headroom and t.num > 1:
+                self.backend.release_cores(t, min(p.step, t.num - 1), now,
+                                           "feedback_down")
+        t.reset_probe_hist()

@@ -16,13 +16,25 @@ from typing import NamedTuple
 
 import yaml
 
-from .baselines import CongestionParams, FeedbackParams, StaticParams
+from .baselines import (CongestionAllocator, CongestionParams, FeedbackAllocator,
+                        FeedbackParams, PriorityAllocator, StaticAllocator, StaticParams)
 from .device import DeviceParams
-from .qwin_allocator import PolicyParams
+from .qwin_allocator import PolicyParams, QwinAllocator
 from .sim_core import MS, SEC, US
 from .workload import Burst, PRESETS, PRESET_CLASS, WorkloadSpec, CLOSED, OPEN
 
-ALLOCATORS = ("qwin", "static", "priority", "shenango", "cake")
+# Allocator kind -> class.  A class with a Params dataclass is configured by
+# the allocator section of the same name; its setup(backend) is its one entry
+# point.
+ALLOCATORS = {
+    "qwin": QwinAllocator,
+    "static": StaticAllocator,
+    "priority": PriorityAllocator,
+    "shenango": CongestionAllocator,
+    "cake": FeedbackAllocator,
+}
+# Where a config pins every LC tenant's adaptive policy for the whole run.
+PIN_KEY = ("allocator", "qwin", "pin")
 
 LC = "lc"
 BE_CLASS = "be"
@@ -81,6 +93,7 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class AllocatorConfig:
+    """The kind to run, and one params section per kind in ALLOCATORS that has one."""
     kind: str = "qwin"
     qwin: PolicyParams = field(default_factory=PolicyParams)
     static: StaticParams = field(default_factory=StaticParams)
@@ -313,11 +326,8 @@ SCHEMA = {
         Key("scope", "scope", ("tenant", "device")),
     ),
     AllocatorConfig: (
-        Key("kind", "kind", ALLOCATORS),
-        Key("qwin", "qwin", PolicyParams),
-        Key("static", "static", StaticParams),
-        Key("shenango", "shenango", CongestionParams),
-        Key("cake", "cake", FeedbackParams),
+        Key("kind", "kind", tuple(ALLOCATORS)),
+        *(Key(kind, kind, cls.Params) for kind, cls in ALLOCATORS.items() if cls.Params),
     ),
     PolicyParams: (
         Key("policy_window", "policy_window", int),

@@ -15,13 +15,11 @@ import sys
 from dataclasses import dataclass
 
 from .backend import Backend, Tenant
-from .baselines import (CongestionAllocator, FeedbackAllocator,
-                        PriorityAllocator, StaticAllocator)
-from .config import (ALLOCATORS, ConfigError, ExperimentConfig, SCENARIOS,
+from .config import (ALLOCATORS, PIN_KEY, ConfigError, ExperimentConfig, SCENARIOS,
                      parse_config, read_yaml, scenario)
 from .device import Device, ServiceEstimator
 from .metrics import MetricsHub, write_all
-from .qwin_allocator import QwinAllocator
+from .qwin_allocator import POLICIES
 from .sim_core import SEC, Engine, EventKind, make_np_stream, make_stream
 from .workload import WorkloadSource
 
@@ -51,21 +49,6 @@ def _dominant_size(spec) -> int:
         if w > best_w:
             best_s, best_w = s, w
     return best_s
-
-
-def _make_allocator(cfg: ExperimentConfig):
-    a = cfg.allocator
-    if a.kind == "qwin":
-        return QwinAllocator(a.qwin)
-    if a.kind == "static":
-        return StaticAllocator(a.static)
-    if a.kind == "priority":
-        return PriorityAllocator()
-    if a.kind == "shenango":
-        return CongestionAllocator(a.shenango)
-    if a.kind == "cake":
-        return FeedbackAllocator(a.cake)
-    raise ValueError(f"unknown allocator kind {a.kind!r}")
 
 
 def _make_estimator(cfg: ExperimentConfig, spec, slo_q: float) -> ServiceEstimator:
@@ -107,8 +90,9 @@ def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
             backend.add_tenant(tenant, source, est)
         else:
             backend.add_tenant(Tenant(tc.label, False), source, None)
-    allocator = _make_allocator(cfg)
-    backend.allocator = allocator
+    a = cfg.allocator
+    cls = ALLOCATORS[a.kind]
+    allocator = cls(getattr(a, a.kind)) if cls.Params else cls()
     allocator.setup(backend)
     return Simulation(cfg=cfg, seed=seed, run_id=run_id, engine=engine,
                       device=device, hub=hub, backend=backend,
@@ -245,13 +229,20 @@ def compare_allocators(base: dict, kinds, seeds, out_dir: str | None = None,
     """Sweep the same scenario under several allocators; {kind: aggregate}."""
     out = {}
     for kind in kinds:
-        d = dict(base)
-        alloc = dict(d.get("allocator", {}) or {})
-        alloc["kind"] = kind
-        d["allocator"] = alloc
-        cfg = parse_config(d)
+        cfg = parse_config(_override(base, ("allocator", "kind"), kind))
         out[kind] = sweep(cfg, seeds, out_dir=out_dir, write=write)
     return out
+
+
+def _override(d: dict, path: tuple, value) -> dict:
+    """A copy of `d` with the key at `path` set to `value`.  A section on the
+    way that is not a mapping is left as it is for parse_config to report."""
+    if len(path) == 1:
+        return {**d, path[0]: value}
+    sub = d.get(path[0]) or {}
+    if not isinstance(sub, dict):
+        return d
+    return {**d, path[0]: _override(sub, path[1:], value)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +273,8 @@ def _build_arg_parser():
                    help="seed sweep: N..M (inclusive) or comma list")
     p.add_argument("--allocator", choices=ALLOCATORS,
                    help="core allocation policy to run")
-    p.add_argument("--pin", choices=("conservative", "aggressive", "slo_aware"),
-                   help="pin every tenant's adaptive policy (qwin only)")
+    p.add_argument("--pin", choices=POLICIES,
+                   help="pin every LC tenant's adaptive policy (adaptive allocator only)")
     p.add_argument("--duration", type=float, metavar="S",
                    help="simulated seconds")
     p.add_argument("--warmup", type=float, metavar="S",
@@ -292,6 +283,12 @@ def _build_arg_parser():
     p.add_argument("--validate-only", action="store_true",
                    help="parse and validate, run nothing")
     return p
+
+
+# Command-line flag -> the config key it sets.
+_FLAG_KEYS = (("seed", ("seed",)), ("duration", ("duration_s",)),
+              ("warmup", ("warmup_s",)), ("out", ("out_dir",)),
+              ("allocator", ("allocator", "kind")), ("pin", PIN_KEY))
 
 
 def _assemble_config(args) -> ExperimentConfig:
@@ -304,22 +301,10 @@ def _assemble_config(args) -> ExperimentConfig:
             base.update(read_yaml(f))
     if not base:
         raise ConfigError(["nothing to run: pass --config and/or --scenario"])
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.duration is not None:
-        base["duration_s"] = args.duration
-    if args.warmup is not None:
-        base["warmup_s"] = args.warmup
-    if args.out is not None:
-        base["out_dir"] = args.out
-    alloc = base.get("allocator") or {}
-    # A section that is not a mapping is left as it is for parse_config to report.
-    if (args.allocator is not None or args.pin is not None) and isinstance(alloc, dict):
-        alloc = dict(alloc, kind=args.allocator or alloc.get("kind", "qwin"))
-        q = alloc.get("qwin") or {}
-        if args.pin is not None and isinstance(q, dict):
-            alloc["qwin"] = {**q, "pin": args.pin}
-        base["allocator"] = alloc
+    for flag, path in _FLAG_KEYS:
+        value = getattr(args, flag)
+        if value is not None:
+            base = _override(base, path, value)
     return parse_config(base)
 
 

@@ -79,8 +79,7 @@ def compute_budget(slo_ns: int, tail_io_ns: int, tw_ns: int, t_io_avg_ns: float)
 class QwinAllocator:
     """Per-LC-core adaptive allocation (window demand + probes + policy)."""
 
-    name = "qwin"
-    per_tenant_cores = True
+    Params = PolicyParams
 
     def __init__(self, params: PolicyParams | None = None):
         self.params = params or PolicyParams()
@@ -92,6 +91,7 @@ class QwinAllocator:
     # -- wiring ------------------------------------------------------------
 
     def setup(self, backend):
+        backend.allocator = self
         self.backend = backend
         self.hub = backend.hub
         self.pool = backend.pool_total
@@ -178,17 +178,10 @@ class QwinAllocator:
         Shrinks release to the BE pool immediately (idle victims first, the
         executing core never).  Grows take BE cores: parked ones right away,
         busy ones marked to transfer as their in-flight request completes.
-        A grow capped by pool availability is traced as a shortfall.
         """
         num = t.num
         if target > num:
-            want = target - num
-            got = self.backend.grant_cores(t, want, now, t.label)
-            if got:
-                trigger = origin if got == want else "shortfall"
-                self.hub.alloc_event(now, t.label, num, num + got, trigger)
-            return t.num
-        if target < num:
-            self.backend.release_cores(t, num - target, now, t.label)
-            self.hub.alloc_event(now, t.label, num, target, origin)
+            self.backend.grant_cores(t, target - num, now, origin)
+        elif target < num:
+            self.backend.release_cores(t, num - target, now, origin)
         return t.num

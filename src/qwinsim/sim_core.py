@@ -71,14 +71,11 @@ class SimStats:
 class Engine:
     """Minimal event loop.  Handlers are called as fn(payload, now)."""
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.now: SimTime = 0
         self.stats = SimStats(self)
         self._heap: list[Event] = []
         self._seq = 0
-        # Optional event trace: (fire_at, seq, kind, payload id).  Used by the
-        # replay tests; costs nothing when disabled.
-        self.trace: list | None = [] if trace else None
 
     def schedule(self, fire_at: SimTime, kind: int, fn: Callable, payload=None) -> tuple:
         """Queue fn(payload, now) to run at fire_at; returns the event tuple.
@@ -102,16 +99,12 @@ class Engine:
         pop = heappop
         stats = self.stats
         by_kind = stats.by_kind
-        trace = self.trace
         processed = 0
         while heap and heap[0][0] <= end:
-            fire_at, seq, kind, payload, fn = pop(heap)
+            fire_at, _seq, kind, payload, fn = pop(heap)
             self.now = fire_at
             by_kind[kind] += 1
             processed += 1
-            if trace is not None:
-                trace.append((fire_at, seq, kind,
-                              getattr(payload, "trace_id", payload)))
             fn(payload, fire_at)
         stats.processed += processed
         if end > self.now:

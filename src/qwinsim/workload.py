@@ -51,10 +51,6 @@ class Request:
         self.core = None       # core currently serving this request
         self.finish_at = Request.NOT_SCHEDULED  # set once device service starts
 
-    @property
-    def trace_id(self):
-        return (self.tenant, self.seq)
-
     def __repr__(self):
         op = "R" if self.is_read else "W"
         return f"<Req {self.tenant}#{self.seq} {op}{self.size} t={self.arrive_at}>"

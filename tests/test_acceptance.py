@@ -192,7 +192,6 @@ def _window_partition_trace(seed):
                        ServiceEstimator(nominal_mean_ns=52_300.0,
                                         nominal_tail_ns=200_000))
     alloc = QwinAllocator()
-    backend.allocator = alloc
     alloc.setup(backend)
 
     records = []

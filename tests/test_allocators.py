@@ -88,7 +88,6 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
             est = ServiceEstimator(nominal_mean_ns=106_600.0, nominal_tail_ns=260_000)
         backend.add_tenant(t, src, est)
     alloc = allocator or QwinAllocator()
-    backend.allocator = alloc
     alloc.setup(backend)
     # publish initial core counts so transfers can be accounted before (or
     # without) backend.start(); start() re-publishes the same values at t=0
@@ -104,12 +103,12 @@ ONE_CORE_START = {"qwin": QwinAllocator, "shenango": CongestionAllocator,
 
 
 def test_setup_gives_each_lc_tenant_one_core():
-    for make in ONE_CORE_START.values():
+    for kind, make in ONE_CORE_START.items():
         eng, backend, hub, alloc = _rig(
             allocator=make(),
             tenants=(("lc0", True, 4 * MS), ("lc1", True, 5 * MS), ("be0", False, 0)))
         lc0, lc1 = backend.by_label["lc0"], backend.by_label["lc1"]
-        assert lc0.num == lc1.num == 1, alloc.name
+        assert lc0.num == lc1.num == 1, kind
         assert backend.be_count == 2
         assert backend.cores[0].owner is lc0 and backend.cores[1].owner is lc1
         backend.check_invariants()
@@ -157,6 +156,45 @@ def test_adjust_noop_emits_no_row():
     before = len(hub.alloc_rows)
     alloc.adjust_cores(lc, lc.num, 0, "probe")
     assert len(hub.alloc_rows) == before
+
+
+# ---------------------------------------------------------------------------
+# Grants and releases write their own alloc rows
+# ---------------------------------------------------------------------------
+
+
+def test_short_baseline_grant_is_written_as_shortfall():
+    # cake asks for 2 cores at a violation; the pool has only 1 spare
+    eng, backend, hub, alloc = _rig(
+        pool=2, allocator=FeedbackAllocator(FeedbackParams(step=2, min_samples=10)))
+    lc = backend.by_label["lc0"]
+    lc.probe_counts[bucket_of(10 * MS)] = 50
+    lc.probe_n = 50
+    alloc._tick(None, 100 * US)
+    assert hub.alloc_rows == [(100 * US, "lc0", 1, 2, "shortfall")]
+    backend.check_invariants()
+
+
+def test_grant_on_an_empty_pool_writes_no_row():
+    eng, backend, hub, alloc = _rig(pool=1)
+    lc = backend.by_label["lc0"]
+    assert backend.be_count == 0
+    assert backend.grant_cores(lc, 1, 0, "probe") == 0
+    assert lc.num == 1 and not hub.alloc_rows
+
+
+def test_release_writes_old_and_new_count_with_the_callers_trigger():
+    eng, backend, hub, alloc = _rig(pool=4)
+    lc = backend.by_label["lc0"]
+    # queued work and an active window keep the granted cores from yielding
+    _fill(lc, 8)
+    new_window(lc, 0)
+    assert backend.grant_cores(lc, 2, 0, "window_start") == 2
+    assert backend.release_cores(lc, 1, 5, "reclaim") == 1
+    assert hub.alloc_rows == [(0, "lc0", 1, 3, "window_start"),
+                              (5, "lc0", 3, lc.num, "reclaim")]
+    assert lc.num == 2
+    backend.check_invariants()
 
 
 def test_budget_for_policy_per_policy():
@@ -455,7 +493,7 @@ def test_priority_pool_serves_lc_first():
         workloads={"lc0": WorkloadSpec(iodepth=64, numjobs=4),
                    "be0": WorkloadSpec(iodepth=64, numjobs=4,
                                        sizes=((65536, 1.0),))})
-    assert backend.pool_serves_lc
+    assert backend.pool_lc == [backend.by_label["lc0"]]
     backend.start()
     eng.run_until(SEC)
     lc = backend.by_label["lc0"]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 import yaml
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwinsim
-from qwinsim.config import (SCHEMA, ConfigError, ExperimentConfig, SCENARIOS,
+from qwinsim import harness
+from qwinsim.config import (ALLOCATORS, SCHEMA, AllocatorConfig, ConfigError,
+                            ExperimentConfig, SCENARIOS,
                             load_config, loads_config, parse_config, scenario)
 from qwinsim.workload import CLOSED, OPEN, PRESETS
 
@@ -394,6 +397,19 @@ def test_run_and_allocator_identifiers():
     assert pinned.run_id(seed=3) == "duo-qwin-aggressive-s3"
     cake = parse_config(scenario("duo") | {"allocator": {"kind": "cake"}})
     assert cake.allocator_id() == "cake"
+
+
+def test_readme_registry_and_cli_name_the_same_allocator_kinds():
+    with open(README) as f:
+        text = f.read().split("\n## Allocators\n", 1)[1].split("\n## ", 1)[0]
+    table = [line.split("|")[1].strip().strip("`") for line in text.splitlines()
+             if line.startswith("| `")]
+    choices = next(a.choices for a in harness._build_arg_parser()._actions
+                   if a.dest == "allocator")
+    assert table == list(ALLOCATORS) == list(choices)
+    # one params section per kind that takes params, named after the kind
+    sections = [f.name for f in fields(AllocatorConfig) if f.name != "kind"]
+    assert sections == [k for k, cls in ALLOCATORS.items() if cls.Params]
 
 
 def test_configs_are_frozen():

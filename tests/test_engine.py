@@ -80,15 +80,6 @@ def test_no_event_loss_accounting():
     assert sum(st.by_kind) == st.processed
 
 
-def test_trace_records_processed_events_in_order():
-    eng = Engine(trace=True)
-    for at in (3, 1, 2):
-        eng.schedule(at, EventKind.CORE_WAKE, lambda p, now: None, at)
-    eng.run_until(10)
-    assert [e[0] for e in eng.trace] == [1, 2, 3]
-    assert all(e[2] == EventKind.CORE_WAKE for e in eng.trace)
-
-
 def test_unit_multipliers():
     assert US == 1_000 and MS == 1_000_000 and SEC == 1_000_000_000
 

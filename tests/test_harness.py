@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import qwinsim
-from qwinsim.config import parse_config, scenario
+from qwinsim.config import ConfigError, parse_config, scenario
 from qwinsim.harness import (_assemble_config, _build_arg_parser, _parse_seeds,
                              build, compare_allocators, main, run_experiment,
                              sweep)
@@ -170,6 +170,11 @@ def test_compare_allocators_runs_each_kind():
         assert agg["allocator"] == kind
         assert len(agg["runs"]) == 1
         assert agg["tenants"]["be0"]["bandwidth_bytes_per_s"][0] >= 0.0
+
+
+def test_compare_allocators_reports_an_allocator_section_that_is_not_a_mapping():
+    with pytest.raises(ConfigError, match="allocator must be a mapping"):
+        compare_allocators(scenario("duo") | {"allocator": "x"}, ["qwin"], [1])
 
 
 # ---------------------------------------------------------------------------
