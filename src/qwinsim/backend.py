@@ -16,7 +16,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 
-from .metrics import N_BUCKETS
 from .sim_core import EventKind
 
 BE = None  # owner sentinel for the shared best-effort pool
@@ -45,8 +44,7 @@ class Tenant:
     __slots__ = ("label", "lc", "slo_q", "slo_ns", "queue", "source",
                  "arrivals", "prev_boundary", "completed_gap",
                  "win", "wid", "wcnt", "budget", "policy", "num",
-                 "estimator", "metrics", "idle", "wake_idle",
-                 "probe_counts", "probe_n", "probes_attempted",
+                 "estimator", "metrics", "idle", "wake_idle", "probes_attempted",
                  "end_on_complete", "windows_established", "last_head_seq")
 
     def __init__(self, label, lc, slo_q=0.999, slo_ns=0, end_on_complete=True):
@@ -69,16 +67,10 @@ class Tenant:
         self.metrics = None
         self.idle = []            # sorted cids of this tenant's parked cores
         self.wake_idle = None     # the parked-core list an arrival wakes from
-        self.probe_counts = [0] * N_BUCKETS   # latency buckets since last policy refresh
-        self.probe_n = 0
         self.probes_attempted = 0
         self.end_on_complete = end_on_complete
         self.windows_established = 0
         self.last_head_seq = -1   # congestion-probe baseline state
-
-    def reset_probe_hist(self):
-        self.probe_counts = [0] * N_BUCKETS
-        self.probe_n = 0
 
     def __repr__(self):
         kind = "lc" if self.lc else "be"
@@ -110,8 +102,12 @@ class Backend:
         self._lc_rr = 0
         self.pool_lc: list[Tenant] = []  # LC tenants the BE pool serves first
         self.allocator = None
-        self.completed = 0
         device.on_complete_fn = self._on_io_complete
+
+    @property
+    def completed(self) -> int:
+        """Requests completed: every request the device started and no longer serves."""
+        return self.device.started - self.device.in_service
 
     # -- construction -------------------------------------------------------
 
@@ -189,6 +185,8 @@ class Backend:
     # -- enqueue side ---------------------------------------------------------
 
     def _make_enqueue(self, tenant):
+        # A closure, not functools.partial: a Python-to-Python call is cheaper
+        # than a C partial calling back into Python (Python 3.11).
         def enqueue(req, now, _t=tenant):
             self.enqueue(_t, req, now)
         return enqueue
@@ -267,13 +265,11 @@ class Backend:
             dev._start(dev.fifo.popleft(), now)
         core = req.core
         t = req.tenant
-        b = t.metrics.record(now - req.arrive_at, req.size, now)
+        t.metrics.record(now - req.arrive_at, req.size, now)
         if t.lc:
             est = t.estimator
             if est is not None:
                 est.update(now - req.dequeued_at)
-            t.probe_counts[b] += 1
-            t.probe_n += 1
             win = t.win
             seq = req.seq
             if seq > (win.boundary_hi if win is not None else t.prev_boundary):
@@ -282,7 +278,6 @@ class Backend:
                 win.outstanding -= 1
                 if win.outstanding == 0 and t.end_on_complete:
                     t.win = None
-        self.completed += 1
         repl = t.source.on_completion(req, now)
         if repl is not None:
             # Inline of enqueue() for the closed-loop replacement: the
@@ -395,19 +390,28 @@ class Backend:
     # -- invariants (used by tests and --validate paths) -------------------------
 
     def check_invariants(self):
+        """Raise AssertionError if core ownership or a closed loop's
+        population is inconsistent; explicit raises, so `python -O` checks too."""
+        def need(ok, msg):
+            if not ok:
+                raise AssertionError(msg)
+
         owned = sum(t.num for t in self.tenants if t.lc)
-        assert owned + self.be_count == self.pool_total, \
-            f"core conservation broken: {owned} LC + {self.be_count} BE != {self.pool_total}"
+        need(owned + self.be_count == self.pool_total,
+             f"core conservation broken: {owned} LC + {self.be_count} BE != {self.pool_total}")
         by_owner = {}
         for c in self.cores:
             by_owner[id(c.owner)] = by_owner.get(id(c.owner), 0) + 1
         for t in self.lc_tenants:
             if t not in self.pool_lc:
-                assert t.num >= 1, f"{t.label} dropped below 1 core"
-                assert by_owner.get(id(t), 0) == t.num, \
-                    f"{t.label}.num={t.num} but owns {by_owner.get(id(t), 0)} cores"
-        assert by_owner.get(id(BE), 0) == self.be_count
+                need(t.num >= 1, f"{t.label} dropped below 1 core")
+                need(by_owner.get(id(t), 0) == t.num,
+                     f"{t.label}.num={t.num} but owns {by_owner.get(id(t), 0)} cores")
+        need(by_owner.get(id(BE), 0) == self.be_count,
+             f"BE pool count {self.be_count} but it owns {by_owner.get(id(BE), 0)} cores")
         for t in self.tenants:
             src = t.source
             if src is not None and src.spec.mode == "closed_loop":
-                assert src.in_flight <= src.spec.in_flight_cap
+                need(src.in_flight <= src.spec.in_flight_cap,
+                     f"{t.label} has {src.in_flight} requests in flight, "
+                     f"more than its {src.spec.in_flight_cap}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .metrics import quantile_from_counts
 from .sim_core import EventKind, SEC, US
 
 
@@ -175,11 +174,12 @@ class FeedbackAllocator(_PeriodicAllocator):
 
     def step(self, t, now):
         p = self.params
-        if t.probe_n >= p.min_samples:
-            tail = quantile_from_counts(t.probe_counts, t.probe_n, t.slo_q)
+        tm = t.metrics
+        n, tail = tm.since_mark(t.slo_q)
+        if n >= p.min_samples:
             if tail > t.slo_ns:
                 self.backend.grant_cores(t, p.step, now, "feedback_up")
             elif tail < t.slo_ns * p.headroom and t.num > 1:
                 self.backend.release_cores(t, min(p.step, t.num - 1), now,
                                            "feedback_down")
-        t.reset_probe_hist()
+        tm.mark()

@@ -86,6 +86,9 @@ def sample_service_time(params: DeviceParams, is_read: bool, size: int, rng) -> 
     return max(1, round(t))
 
 
+DRAW_BLOCK = 8192   # variates drawn per refill of the device's blocks
+
+
 class Device:
     """Runtime device instance: capacity-bounded concurrency plus a FIFO.
 
@@ -97,10 +100,11 @@ class Device:
     standard normal and one uniform per request) purely for speed; the
     distribution is exactly the one sample_service_time() implements, and the
     consumed sequence depends only on the stream key, so runs replay
-    bit-for-bit.
+    bit-for-bit.  One request started is one draw consumed, so `started` is
+    counted from the refills and the position in the current block.
     """
 
-    DRAW_BLOCK = 8192
+    DRAW_BLOCK = DRAW_BLOCK
 
     def __init__(self, params: DeviceParams, rng, engine):
         params.validate()
@@ -111,30 +115,35 @@ class Device:
         self.in_service = 0
         self.fifo = deque()
         self.on_complete_fn = None   # set by the backend at wiring time
-        self.started = 0
         self._sigma = params.sigma
         self._p_spike = params.p_spike
         self._m_spike = params.m_spike
         self._z = None               # block of sigma * N(0,1) draws
         self._u = None               # block of U[0,1) draws
-        self._zi = Device.DRAW_BLOCK  # exhausted -> refill on first use
+        self._zi = DRAW_BLOCK        # exhausted -> refill on first use
+        self._refills = 0
+
+    @property
+    def started(self) -> int:
+        """Requests put into service so far."""
+        return (self._refills - 1) * DRAW_BLOCK + self._zi
 
     def _start(self, req, now):
         """Serve req: draw its service time around the log-median req.mu."""
         i = self._zi
-        if i == Device.DRAW_BLOCK:
+        if i == DRAW_BLOCK:
             # .tolist() hands back plain Python floats; scalar math on numpy
             # float64 objects would cost more than the draws themselves.  The
             # sigma scaling is the same IEEE product numpy or Python makes.
-            self._z = (self.rng.standard_normal(Device.DRAW_BLOCK) * self._sigma).tolist()
-            self._u = self.rng.random(Device.DRAW_BLOCK).tolist()
+            self._z = (self.rng.standard_normal(DRAW_BLOCK) * self._sigma).tolist()
+            self._u = self.rng.random(DRAW_BLOCK).tolist()
+            self._refills += 1
             i = 0
         self._zi = i + 1
         t = exp(req.mu + self._z[i])
         if self._u[i] < self._p_spike:
             t *= self._m_spike
         self.in_service += 1
-        self.started += 1
         fire_at = now + (st if (st := round(t)) > 0 else 1)
         req.finish_at = fire_at
         self.engine.schedule(fire_at, IO_COMPLETE, self.on_complete_fn, req)
@@ -206,26 +215,28 @@ class ServiceEstimator:
     def update(self, service_ns: int):
         # EWMA seeded with the first observation so early windows are not
         # dragged toward zero.
-        if self.samples == 0:
+        samples = self.samples
+        if samples == 0:
             self.mean = float(service_ns)
         else:
             self.mean += self.alpha * (service_ns - self.mean)
-        self.samples += 1
+        self.samples = samples = samples + 1
 
         b = (service_ns // US) if service_ns < _LINEAR_LIMIT_NS else _service_bucket(service_ns)
         ring = self._ring
         counts = self._counts
         pos = self._pos
-        if self.samples > self.window:
+        tail_idx = self._tail_idx
+        if samples > self.window:
             old = ring[pos]
             counts[old] -= 1
-            if old <= self._tail_idx:
+            if old <= tail_idx:
                 self._cum -= 1
         ring[pos] = b
         pos += 1
         self._pos = pos if pos < self.window else 0
         counts[b] += 1
-        if b <= self._tail_idx:
+        if b <= tail_idx:
             self._cum += 1
 
     @property

@@ -111,41 +111,62 @@ class LatencyHistogram:
 # ---------------------------------------------------------------------------
 
 
+_NEVER = 1 << 63   # a completion time no run reaches
+
+
+def _minus(counts, base):
+    return [a - b for a, b in zip(counts, base)]
+
+
 class TenantMetrics:
-    """Interval + cumulative accounting for one tenant.
+    """Interval, cumulative and since-mark accounting for one tenant.
 
-    The cumulative histogram only counts completions at or after the warmup
-    boundary; it is the measurement the SLO verdict is judged on.  Full-run
-    totals (count/bytes) are kept separately so interval rows can be checked
-    to sum up exactly.
+    record() runs once per completion and counts it in one live histogram
+    (`counts`, `n`, `nbytes`).  Every other view is the difference from a
+    snapshot of it:
 
-    record() runs once per completion, so it touches only the interval
-    counters; cumulative and full-run tallies are folded in when the interval
-    is flushed.  Only while an interval straddles the warmup boundary does
-    record() classify each completion individually (`fold` False).
+    - the interval: from the snapshot taken at the last flush, whose
+      count and bytes are the run totals up to it, `t_n` and `t_bytes`, so
+      interval rows sum to them exactly;
+    - the cumulative, the measurement the SLO verdict is judged on: from the
+      snapshot taken just before the first completion at or past the warmup
+      boundary.  It holds the intervals flushed since; an interval that
+      straddles the boundary counts each post-warmup completion at once;
+    - since the last mark(): what the adaptive policy refresh and the
+      interval feedback allocator read, each marking when it consumes.
     """
 
-    __slots__ = ("label", "lc", "slo_q", "warmup_ns", "fold",
-                 "i_counts", "i_n", "i_bytes",
-                 "c_counts", "c_n", "c_bytes",
-                 "t_n", "t_bytes")
+    __slots__ = ("label", "lc", "slo_q", "warmup_ns", "_warm_at", "_straddle",
+                 "counts", "n", "nbytes",
+                 "_t_counts", "t_n", "t_bytes",
+                 "_w_counts", "_w_n", "_w_bytes",
+                 "_m_counts", "_m_n")
 
     def __init__(self, label: str, lc: bool, slo_q: float, warmup_ns: int):
         self.label = label
         self.lc = lc
         self.slo_q = slo_q
         self.warmup_ns = warmup_ns
-        self.fold = warmup_ns == 0   # first interval starts at t=0
-        self.i_counts = [0] * N_BUCKETS
-        self.i_n = 0
-        self.i_bytes = 0
-        self.c_counts = [0] * N_BUCKETS
-        self.c_n = 0
-        self.c_bytes = 0
+        self._warm_at = warmup_ns      # _NEVER once the warmup snapshot is taken
+        self._straddle = warmup_ns > 0  # the open interval began before warmup
+        self.counts = [0] * N_BUCKETS
+        self.n = 0
+        self.nbytes = 0
+        self._t_counts = [0] * N_BUCKETS
         self.t_n = 0
         self.t_bytes = 0
+        self._w_counts = None
+        self._w_n = 0
+        self._w_bytes = 0
+        self._m_counts = [0] * N_BUCKETS
+        self._m_n = 0
 
-    def record(self, latency_ns: int, size: int, now: int) -> int:
+    def record(self, latency_ns: int, size: int, now: int):
+        if now >= self._warm_at:
+            self._warm_at = _NEVER
+            self._w_counts = self.counts[:]
+            self._w_n = self.n
+            self._w_bytes = self.nbytes
         if latency_ns < _CELL_LIMIT:
             b = _CELL_FIRST[latency_ns >> _CELL_SHIFT]
             while EDGES[b] < latency_ns:
@@ -154,37 +175,54 @@ class TenantMetrics:
             b = bisect_left(EDGES, latency_ns)
             if b >= N_BUCKETS:
                 b = _LAST
-        self.i_counts[b] += 1
-        self.i_n += 1
-        self.i_bytes += size
-        if not self.fold and now >= self.warmup_ns:
-            self.c_counts[b] += 1
-            self.c_n += 1
-            self.c_bytes += size
-        return b
+        self.counts[b] += 1
+        self.n += 1
+        self.nbytes += size
 
     def flush_interval(self, now: int):
         """Close the interval ending at `now`; returns its counts/n/bytes."""
-        counts, n, nbytes = self.i_counts, self.i_n, self.i_bytes
-        if self.fold:
-            # Interval lay entirely past warmup: cumulative gets it wholesale.
-            c = self.c_counts
-            for i, v in enumerate(counts):
-                if v:
-                    c[i] += v
-            self.c_n += n
-            self.c_bytes += nbytes
-        self.t_n += n
-        self.t_bytes += nbytes
-        self.i_counts = [0] * N_BUCKETS
-        self.i_n = 0
-        self.i_bytes = 0
+        counts = self.counts
+        interval = (_minus(counts, self._t_counts), self.n - self.t_n,
+                    self.nbytes - self.t_bytes)
+        self._t_counts = counts[:]
+        self.t_n = self.n
+        self.t_bytes = self.nbytes
         # The next interval starts at `now`.
-        self.fold = now >= self.warmup_ns
-        return counts, n, nbytes
+        self._straddle = now < self.warmup_ns
+        return interval
+
+    def _cumulative(self):
+        """Post-warmup counts/n/bytes: up to the last flush, or up to now
+        while the open interval straddles the warmup boundary."""
+        if self._w_counts is None:
+            return None, 0, 0
+        if self._straddle:
+            counts, n, nbytes = self.counts, self.n, self.nbytes
+        else:
+            counts, n, nbytes = self._t_counts, self.t_n, self.t_bytes
+        return (_minus(counts, self._w_counts), n - self._w_n,
+                nbytes - self._w_bytes)
+
+    @property
+    def c_n(self) -> int:
+        return self._cumulative()[1]
+
+    @property
+    def c_bytes(self) -> int:
+        return self._cumulative()[2]
 
     def cumulative_quantile(self, q: float):
-        return quantile_from_counts(self.c_counts, self.c_n, q)
+        counts, n, _ = self._cumulative()
+        return quantile_from_counts(counts, n, q)
+
+    def since_mark(self, q: float):
+        """(completions since the last mark, their q-quantile or None)."""
+        n = self.n - self._m_n
+        return n, quantile_from_counts(_minus(self.counts, self._m_counts), n, q)
+
+    def mark(self):
+        self._m_counts = self.counts[:]
+        self._m_n = self.n
 
 
 class _Area:

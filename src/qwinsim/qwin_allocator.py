@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .metrics import quantile_from_counts
 from .sim_core import US
 from .window_runtime import calculate_cores, new_window
 
@@ -107,10 +106,11 @@ class QwinAllocator:
         """Re-pick the policy from measured latency slack (every policy_window windows)."""
         if self.params.pin is not None:
             return
-        if t.probe_n < self.params.min_tail_samples:
+        tm = t.metrics
+        n, measured = tm.since_mark(t.slo_q)
+        if n < self.params.min_tail_samples:
             return  # not enough evidence; keep the current policy
-        measured = quantile_from_counts(t.probe_counts, t.probe_n, t.slo_q)
-        t.reset_probe_hist()
+        tm.mark()
         slack = t.slo_ns - measured
         new = select_policy(slack, self.params)
         if new != t.policy:

@@ -258,13 +258,13 @@ class WorkloadSource:
 
         Reusing the object keeps the hot path allocation-free; nothing holds a
         reference to a completed request once its latency has been recorded.
-        Returns the replacement (arriving now) or None for open loops.
+        Returns the replacement (arriving now) or None for open loops.  The
+        replacement takes the completed request's place in flight.
         """
-        self.in_flight -= 1
         if not self._closed:
+            self.in_flight -= 1
             return None
         self.generated += 1
-        self.in_flight += 1
         # Only fields the enqueue/serve/start path does not overwrite need
         # refreshing; the stale timestamps are dead the moment this returns.
         # The op/size draws are inlined -- this runs once per completion.

@@ -42,7 +42,7 @@ from qwinsim.config import parse_config, scenario
 from qwinsim.harness import build, run_experiment
 from qwinsim.metrics import (ALLOC_HEADER, EDGES, INTERVALS_HEADER,
                              LatencyHistogram, TRANSFERS_HEADER, _write_csv,
-                             bucket_of, quantile_from_counts)
+                             bucket_of)
 from qwinsim.sim_core import MS, SEC
 from qwinsim.workload import OPEN
 
@@ -358,10 +358,12 @@ def test_06_policy_regions_exact(capsys):
              (3_950_000, AGGRESSIVE)]
     landed = []
     for synthetic_tail, want in cases:
-        t.reset_probe_hist()
-        t.probe_counts[bucket_of(synthetic_tail)] = 2000
-        t.probe_n = 2000
-        measured = quantile_from_counts(t.probe_counts, t.probe_n, t.slo_q)
+        tm = t.metrics
+        tm.mark()
+        for _ in range(2000):
+            tm.record(synthetic_tail, 4096, 0)
+        n, measured = tm.since_mark(t.slo_q)
+        assert n == 2000
         slack = t.slo_ns - measured
         if want is CONSERVATIVE:
             assert slack > 1_000_000

@@ -12,7 +12,6 @@ from qwinsim import (AGGRESSIVE, CONSERVATIVE, SLO_AWARE,
                      calculate_cores, compute_budget, make_np_stream,
                      make_stream, select_policy)
 from qwinsim import new_window
-from qwinsim.metrics import EDGES, bucket_of
 from qwinsim.sim_core import MS, SEC, US
 from qwinsim.workload import Request
 
@@ -27,6 +26,16 @@ def _fill(t, n, now=0):
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)
+
+
+def _feed(t, latency_ns, count, now=0):
+    """Record `count` completions of `latency_ns` in a tenant's metrics."""
+    for _ in range(count):
+        t.metrics.record(latency_ns, 4096, now)
+
+
+def _since_mark(t):
+    return t.metrics.since_mark(t.slo_q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +177,7 @@ def test_short_baseline_grant_is_written_as_shortfall():
     eng, backend, hub, alloc = _rig(
         pool=2, allocator=FeedbackAllocator(FeedbackParams(step=2, min_samples=10)))
     lc = backend.by_label["lc0"]
-    lc.probe_counts[bucket_of(10 * MS)] = 50
-    lc.probe_n = 50
+    _feed(lc, 10 * MS, 50)
     alloc._tick(None, 100 * US)
     assert hub.alloc_rows == [(100 * US, "lc0", 1, 2, "shortfall")]
     backend.check_invariants()
@@ -213,11 +221,10 @@ def test_refresh_policy_needs_samples_and_keeps_hist():
     eng, backend, hub, alloc = _rig()
     lc = backend.by_label["lc0"]
     lc.policy = AGGRESSIVE
-    lc.probe_counts[bucket_of(100_000)] = 500   # below min_tail_samples
-    lc.probe_n = 500
+    _feed(lc, 100_000, 500)   # below min_tail_samples
     alloc._refresh_policy(lc, 0)
     assert lc.policy == AGGRESSIVE               # kept
-    assert lc.probe_n == 500                     # histogram not thrown away
+    assert _since_mark(lc) == 500                # histogram not thrown away
 
 
 def test_refresh_policy_switches_on_measured_slack():
@@ -225,21 +232,18 @@ def test_refresh_policy_switches_on_measured_slack():
     lc = backend.by_label["lc0"]                 # slo 4ms
     lc.policy = AGGRESSIVE
     # measured tail ~1ms -> slack ~3ms > 1ms threshold -> conservative
-    lc.probe_counts[bucket_of(1 * MS)] = 2_000
-    lc.probe_n = 2_000
+    _feed(lc, 1 * MS, 2_000)
     alloc._refresh_policy(lc, 123)
     assert lc.policy == CONSERVATIVE
-    assert lc.probe_n == 0                       # consumed and reset
+    assert _since_mark(lc) == 0                  # consumed and reset
     assert hub.policy_rows[-1][:4] == (123, "lc0", "aggressive", "conservative")
     # measured tail just under the SLO -> slack tiny -> aggressive
-    lc.probe_counts[bucket_of(lc.slo_ns - 10_000)] = 2_000
-    lc.probe_n = 2_000
+    _feed(lc, lc.slo_ns - 10_000, 2_000)
     alloc._refresh_policy(lc, 456)
     assert lc.policy == AGGRESSIVE
     # measured tail leaves mid slack -> slo_aware
     mid = lc.slo_ns - 600_000                    # slack ~600us between thresholds
-    lc.probe_counts[bucket_of(mid)] = 2_000
-    lc.probe_n = 2_000
+    _feed(lc, mid, 2_000)
     alloc._refresh_policy(lc, 789)
     assert lc.policy == SLO_AWARE
 
@@ -248,11 +252,10 @@ def test_pinned_policy_never_refreshes():
     eng, backend, hub, alloc = _rig(allocator=QwinAllocator(PolicyParams(pin=AGGRESSIVE)))
     lc = backend.by_label["lc0"]
     assert lc.policy == AGGRESSIVE
-    lc.probe_counts[bucket_of(1 * MS)] = 5_000
-    lc.probe_n = 5_000
+    _feed(lc, 1 * MS, 5_000)
     alloc._refresh_policy(lc, 0)
     assert lc.policy == AGGRESSIVE
-    assert lc.probe_n == 5_000                   # untouched
+    assert _since_mark(lc) == 5_000              # untouched
 
 
 def test_budget_one_probe_grows_to_the_live_queue_demand():
@@ -445,21 +448,18 @@ def test_feedback_scales_up_on_violation_and_down_with_headroom():
     eng, backend, hub, alloc = _feedback_rig()
     lc = backend.by_label["lc0"]
     # synthetic: violation in the first interval
-    lc.probe_counts[bucket_of(10 * MS)] = 50
-    lc.probe_n = 50
+    _feed(lc, 10 * MS, 50)
     alloc._tick(None, 100 * US)
     assert lc.num == 2
     assert hub.alloc_rows[-1][4] == "feedback_up"
-    assert lc.probe_n == 0                        # feedback resets each interval
+    assert _since_mark(lc) == 0                   # feedback resets each interval
     # comfortable tail -> shed one
-    lc.probe_counts[bucket_of(100_000)] = 50
-    lc.probe_n = 50
+    _feed(lc, 100_000, 50)
     alloc._tick(None, 200 * US)
     assert lc.num == 1
     assert hub.alloc_rows[-1][4] == "feedback_down"
     # never below one core
-    lc.probe_counts[bucket_of(100_000)] = 50
-    lc.probe_n = 50
+    _feed(lc, 100_000, 50)
     alloc._tick(None, 300 * US)
     assert lc.num == 1
 
@@ -467,11 +467,10 @@ def test_feedback_scales_up_on_violation_and_down_with_headroom():
 def test_feedback_holds_without_enough_samples():
     eng, backend, hub, alloc = _feedback_rig()
     lc = backend.by_label["lc0"]
-    lc.probe_counts[bucket_of(10 * MS)] = 5       # under min_samples
-    lc.probe_n = 5
+    _feed(lc, 10 * MS, 5)       # under min_samples
     alloc._tick(None, 100 * US)
     assert lc.num == 1 and not hub.alloc_rows
-    assert lc.probe_n == 0                        # but the stale hist is dropped
+    assert _since_mark(lc) == 0                   # but the stale hist is dropped
 
 
 def test_feedback_params_validation():

@@ -135,6 +135,33 @@ def test_capacity_bounds_concurrency_and_fifo_spills():
     assert max(n for _, _, n in started) == 2
 
 
+def test_started_counts_every_start_across_block_refills():
+    eng, dev, done = _device(seed=3)
+    assert dev.started == 0
+    for calls in range(1, 2 * Device.DRAW_BLOCK + 3):
+        dev._start(_req(), 0)
+        assert dev.started == calls
+
+
+def test_completed_equals_the_completions_handled():
+    from qwinsim.config import parse_config, scenario
+    from qwinsim.harness import build
+    sim = build(parse_config(scenario("duo")))
+    handled = []
+    on_complete = sim.device.on_complete_fn
+
+    def counted(req, now):
+        handled.append(now)
+        on_complete(req, now)
+
+    sim.device.on_complete_fn = counted
+    sim.backend.start()
+    for k in range(1, 6):
+        sim.engine.run_until(k * 10_000 * US)
+        assert sim.backend.completed == len(handled) > 0
+        assert sim.engine.stats.by_kind[EventKind.IO_COMPLETE] == len(handled)
+
+
 def test_device_empirical_median_within_three_percent():
     # drive one request at a time so completion - submit == pure service time
     eng, dev, done = _device(seed=78)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwinsim import Engine, EventKind, make_np_stream, make_stream
 from qwinsim.sim_core import MS, SEC, US
@@ -78,6 +80,37 @@ def test_no_event_loss_accounting():
     assert st.scheduled == st.processed + eng.pending()
     assert st.processed == len(fired)
     assert sum(st.by_kind) == st.processed
+
+
+_N_KINDS = len(EventKind)
+
+
+@given(roots=st.lists(st.tuples(st.integers(0, 500), st.sampled_from(list(EventKind)),
+                                st.integers(0, 3)), max_size=40),
+       slices=st.lists(st.integers(0, 300), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_derived_counts_match_the_handlers_across_slices(roots, slices):
+    # Events of every kind, some scheduling follow-ups (one at the same
+    # instant), run in slices as the benchmark's worker runs them.
+    eng = Engine()
+    handled = [0] * _N_KINDS
+
+    def handler(payload, now):
+        kind, children = payload
+        handled[kind] += 1
+        for i in range(children):
+            k = (kind + i + 1) % _N_KINDS
+            eng.schedule(now + 17 * i, k, handler, (k, children - 1))
+
+    for at, kind, children in roots:
+        eng.schedule(at, kind, handler, (int(kind), children))
+    end = 0
+    for step in slices:
+        end += step
+        st_ = eng.run_until(end)
+        assert st_.scheduled == st_.processed + eng.pending()
+        assert st_.by_kind == handled
+        assert all(ev[0] > end for ev in eng._heap)
 
 
 def test_unit_multipliers():

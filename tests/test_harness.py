@@ -254,19 +254,38 @@ def test_cli_precedence_scenario_then_file_then_flags(tmp_path):
     assert cfg.seed == 9
 
 
-def test_module_entry_point_runs_from_anywhere():
-    # The child starts in "/", so a relative PYTHONPATH entry (such as
+def _child_env():
+    # A child may start in "/", where a relative PYTHONPATH entry (such as
     # PYTHONPATH=src) would resolve against "/" instead; hand it absolute
     # paths, led by the directory the imported package came from.
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(
         qwinsim.__file__)))
     inherited = [os.path.abspath(e) for e in
                  os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([pkg_root, *inherited])}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([pkg_root, *inherited])}
+
+
+def test_module_entry_point_runs_from_anywhere():
     r = subprocess.run(
         [sys.executable, "-m", "qwinsim", "--scenario", "duo",
          "--validate-only"],
-        capture_output=True, text=True, cwd="/", env=env)
+        capture_output=True, text=True, cwd="/", env=_child_env())
     assert r.returncode == 0
     assert "config OK" in r.stdout
+
+
+def test_check_invariants_holds_under_python_O():
+    # -O strips assert statements; the end-of-run check must still fire.
+    code = "\n".join((
+        "from qwinsim.config import parse_config, scenario",
+        "from qwinsim.harness import build",
+        "assert False, 'asserts are on'",
+        "sim = build(parse_config(scenario('duo')))",
+        "sim.backend.be_count += 3",
+        "sim.backend.check_invariants()"))
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, cwd="/", env=_child_env())
+    assert r.returncode == 1
+    assert "asserts are on" not in r.stderr
+    assert "core conservation broken: 1 LC + 10 BE != 8" in r.stderr

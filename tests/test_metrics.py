@@ -5,6 +5,8 @@ import random
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwinsim import LatencyHistogram, MetricsHub, TenantMetrics, quantile_from_counts
 from qwinsim.metrics import (ALLOC_HEADER, EDGES, ESTIMATORS_HEADER,
@@ -48,10 +50,18 @@ def test_record_bucket_equals_bisect_at_every_transition():
     for e in EDGES:
         points.update((e - 1, e, e + 1))
     points.discard(-1)
+    # Each record counts one bucket, so the expected one going up by one
+    # shows it is the bucket record chose.
+    def bucket_recorded(x, want):
+        before = tm.counts[want]
+        tm.record(x, 0, 0)
+        assert tm.counts[want] == before + 1, x
+
     for x in sorted(points):
-        assert tm.record(x, 0, 0) == min(bisect_left(EDGES, x), N_BUCKETS - 1), x
+        bucket_recorded(x, min(bisect_left(EDGES, x), N_BUCKETS - 1))
     for x in (10_000_000_001, EDGES[-1] + 1, 20_000_000_000, 1 << 45):
-        assert tm.record(x, 0, 0) == N_BUCKETS - 1
+        bucket_recorded(x, N_BUCKETS - 1)
+    assert tm.n == len(points) + 4
 
 
 def test_quantile_from_counts_known_small_case():
@@ -143,24 +153,24 @@ def test_interval_totals_sum_to_run_totals():
 def test_fold_flag_toggles_at_warmup_and_totals_stay_exact():
     # warmup at 1500 cuts the second interval [1000, 2000) in half
     tm = TenantMetrics("lc0", True, 0.999, warmup_ns=1_500)
-    assert tm.fold is False
     tm.record(5_000, 100, now=200)
     tm.flush_interval(1_000)
-    assert tm.fold is False                # interval [1000,2000) straddles
+    assert tm.c_n == 0                     # interval [1000,2000) straddles
     tm.record(5_000, 100, now=1_400)       # pre-warmup: cumulative skips it
     tm.record(5_000, 100, now=1_600)       # post-warmup: cumulative takes it
+    assert tm.c_n == 1                     # at once, inside the straddle
     tm.flush_interval(2_000)
-    assert tm.fold is True                 # intervals now fully post-warmup
     tm.record(5_000, 100, now=2_700)
-    tm.flush_interval(3_000)
+    assert tm.c_n == 1                     # intervals now fully post-warmup:
+    tm.flush_interval(3_000)               # counted when flushed
     assert tm.c_n == 2 and tm.t_n == 4
     assert tm.c_bytes == 200 and tm.t_bytes == 400
 
 
 def test_zero_warmup_folds_from_the_start():
     tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
-    assert tm.fold is True
     tm.record(5_000, 50, now=1)
+    assert tm.c_n == 0                     # counted when the interval flushes
     tm.flush_interval(1_000)
     assert tm.c_n == 1 and tm.t_n == 1
 
@@ -259,3 +269,108 @@ def test_mean_cores_is_time_weighted():
     hub.flush_interval(1_000)
     row = hub.interval_rows[0]
     assert float(row[5]) == pytest.approx((0 * 250 + 4 * 750) / 1_000)
+
+
+# ---------------------------------------------------------------------------
+# One live histogram against the two-histogram bookkeeping it replaced
+# ---------------------------------------------------------------------------
+
+
+class _TwoHistogramOracle:
+    """The accounting one live histogram replaced, kept as the reference:
+    interval counts folded into a separate cumulative histogram at each
+    flush (per completion while an interval straddles the warmup boundary),
+    beside a probe histogram counted per completion and reset when read."""
+
+    def __init__(self, warmup_ns):
+        self.warmup_ns = warmup_ns
+        self.fold = warmup_ns == 0
+        self.i_counts, self.i_n, self.i_bytes = [0] * N_BUCKETS, 0, 0
+        self.c_counts, self.c_n, self.c_bytes = [0] * N_BUCKETS, 0, 0
+        self.t_n = self.t_bytes = 0
+        self.probe_counts, self.probe_n = [0] * N_BUCKETS, 0
+
+    def record(self, latency_ns, size, now):
+        b = bucket_of(latency_ns)
+        self.i_counts[b] += 1
+        self.i_n += 1
+        self.i_bytes += size
+        if not self.fold and now >= self.warmup_ns:
+            self.c_counts[b] += 1
+            self.c_n += 1
+            self.c_bytes += size
+        self.probe_counts[b] += 1
+        self.probe_n += 1
+
+    def flush_interval(self, now):
+        counts, n, nbytes = self.i_counts, self.i_n, self.i_bytes
+        if self.fold:
+            for i, v in enumerate(counts):
+                self.c_counts[i] += v
+            self.c_n += n
+            self.c_bytes += nbytes
+        self.t_n += n
+        self.t_bytes += nbytes
+        self.i_counts, self.i_n, self.i_bytes = [0] * N_BUCKETS, 0, 0
+        self.fold = now >= self.warmup_ns
+        return counts, n, nbytes
+
+    def cumulative_quantile(self, q):
+        return quantile_from_counts(self.c_counts, self.c_n, q)
+
+    def since_mark(self, q):
+        return self.probe_n, quantile_from_counts(self.probe_counts, self.probe_n, q)
+
+    def mark(self):
+        self.probe_counts, self.probe_n = [0] * N_BUCKETS, 0
+
+
+@st.composite
+def _metric_scripts(draw):
+    """(warmup_ns, ops): completions, marks and the flushes at every
+    interval edge, in time order; ties at one instant in any order."""
+    interval = draw(st.integers(1, 40))
+    n_intervals = draw(st.integers(1, 5))
+    end = draw(st.integers(interval * (n_intervals - 1) + 1, interval * n_intervals))
+    edges = [min(k * interval, end) for k in range(1, n_intervals + 1)]
+    warmup = draw(st.one_of(st.just(0), st.sampled_from(edges),
+                            st.integers(0, end + 2 * interval)))  # may pass the end
+    near = sorted({t for e in edges + [warmup, 0] for t in (e - 1, e, e + 1)
+                   if 0 <= t <= end})
+    when = st.one_of(st.sampled_from(near), st.integers(0, end))
+    latency = st.one_of(st.sampled_from(EDGES), st.integers(0, 2 * EDGES[-1]))
+    op = st.one_of(
+        st.tuples(st.just("record"), latency, st.integers(0, 1 << 20)),
+        st.tuples(st.just("mark")))
+    timed = draw(st.lists(st.tuples(when, st.integers(0, 3), op), max_size=60))
+    timed += [(e, draw(st.integers(0, 3)), ("flush",)) for e in edges]
+    timed.sort(key=lambda x: (x[0], x[1]))
+    return warmup, [(t, o) for t, _tie, o in timed]
+
+
+@given(_metric_scripts())
+@settings(max_examples=400, deadline=None)
+def test_one_live_histogram_matches_the_two_histogram_oracle(script):
+    warmup, ops = script
+    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=warmup)
+    oracle = _TwoHistogramOracle(warmup)
+    qs = (0.5, 0.9, 0.999, 1.0)
+    for now, op in ops:
+        if op[0] == "record":
+            tm.record(op[1], op[2], now)
+            oracle.record(op[1], op[2], now)
+        elif op[0] == "flush":
+            counts, n, nbytes = tm.flush_interval(now)
+            want = oracle.flush_interval(now)
+            assert (counts, n, nbytes) == want
+            assert quantile_from_counts(counts, n, 0.999) == \
+                quantile_from_counts(want[0], want[1], 0.999)
+        else:
+            assert tm.since_mark(0.999) == oracle.since_mark(0.999)
+            tm.mark()
+            oracle.mark()
+        assert (tm.c_n, tm.c_bytes, tm.t_n, tm.t_bytes) == \
+            (oracle.c_n, oracle.c_bytes, oracle.t_n, oracle.t_bytes)
+        assert [tm.cumulative_quantile(q) for q in qs] == \
+            [oracle.cumulative_quantile(q) for q in qs]
+        assert tm.since_mark(0.9) == oracle.since_mark(0.9)
