@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from math import exp
 from statistics import NormalDist
 
+import numpy as np
+
 from .sim_core import IO_COMPLETE, MS, US
 
 _INV_CDF = NormalDist().inv_cdf
@@ -97,11 +99,12 @@ class Device:
     service times and schedules IO_COMPLETE events.
 
     Variates are drawn from a numpy Generator in fixed-size blocks (one
-    standard normal and one uniform per request) purely for speed; the
-    distribution is exactly the one sample_service_time() implements, and the
-    consumed sequence depends only on the stream key, so runs replay
-    bit-for-bit.  One request started is one draw consumed, so `started` is
-    counted from the refills and the position in the current block.
+    standard normal and one uniform per request, the uniform kept as its
+    spike multiplier) purely for speed; the distribution is exactly the one
+    sample_service_time() implements, and the consumed sequence depends only
+    on the stream key, so runs replay bit-for-bit.  One request started is
+    one draw consumed, so `started` is counted from the refills and the
+    position in the current block.
     """
 
     DRAW_BLOCK = DRAW_BLOCK
@@ -119,7 +122,7 @@ class Device:
         self._p_spike = params.p_spike
         self._m_spike = params.m_spike
         self._z = None               # block of sigma * N(0,1) draws
-        self._u = None               # block of U[0,1) draws
+        self._k = None               # block of spike multipliers
         self._zi = DRAW_BLOCK        # exhausted -> refill on first use
         self._refills = 0
 
@@ -135,14 +138,19 @@ class Device:
             # .tolist() hands back plain Python floats; scalar math on numpy
             # float64 objects would cost more than the draws themselves.  The
             # sigma scaling is the same IEEE product numpy or Python makes.
+            # The spike test becomes a multiplier, m_spike where the uniform
+            # is below p_spike and 1.0 elsewhere; x * 1.0 is x in IEEE
+            # arithmetic, so the product equals the branch.  The 1.0s are one
+            # shared object.
             self._z = (self.rng.standard_normal(DRAW_BLOCK) * self._sigma).tolist()
-            self._u = self.rng.random(DRAW_BLOCK).tolist()
+            k = [1.0] * DRAW_BLOCK
+            for j in np.flatnonzero(self.rng.random(DRAW_BLOCK) < self._p_spike).tolist():
+                k[j] = self._m_spike
+            self._k = k
             self._refills += 1
             i = 0
         self._zi = i + 1
-        t = exp(req.mu + self._z[i])
-        if self._u[i] < self._p_spike:
-            t *= self._m_spike
+        t = exp(req.mu + self._z[i]) * self._k[i]
         self.in_service += 1
         fire_at = now + (st if (st := round(t)) > 0 else 1)
         req.finish_at = fire_at
@@ -188,7 +196,7 @@ class ServiceEstimator:
     """
 
     __slots__ = ("alpha", "window", "quantile", "mean", "samples",
-                 "_counts", "_ring", "_pos", "_tail_idx", "_cum",
+                 "_counts", "_ring", "_pos", "_tail_idx", "_cum", "_need_full",
                  "nominal_mean", "nominal_tail")
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
@@ -209,6 +217,7 @@ class ServiceEstimator:
         self._pos = 0                # next ring slot to overwrite
         self._tail_idx = 0
         self._cum = 0
+        self._need_full = self._need(window)
         self.nominal_mean = float(nominal_mean_ns)
         self.nominal_tail = int(nominal_tail_ns)
 
@@ -243,15 +252,21 @@ class ServiceEstimator:
     def mean_ns(self) -> float:
         return self.mean if self.samples else self.nominal_mean
 
+    def _need(self, n: int) -> int:
+        """Samples the tail bucket must reach among n: ceil(q*n), at least 1."""
+        # The epsilon guards against float dust on exact multiples.
+        need = math.ceil(self.quantile * n - 1e-9)
+        return need if need > 1 else 1
+
     @property
     def tail_ns(self) -> int:
-        n = self.samples if self.samples < self.window else self.window
-        if n == 0:
+        samples = self.samples
+        if samples >= self.window:
+            need = self._need_full
+        elif samples:
+            need = self._need(samples)
+        else:
             return self.nominal_tail
-        # ceil(q*n) with a guard against float dust on exact multiples.
-        need = math.ceil(self.quantile * n - 1e-9)
-        if need < 1:
-            need = 1
         counts = self._counts
         idx = self._tail_idx
         cum = self._cum

@@ -110,7 +110,10 @@ def _start_metric_ticks(sim: Simulation):
         for t in lc_tenants:
             est = t.estimator
             hub.estimator_snapshot(now, t.label, est.mean_ns, est.tail_ns)
-        hub.flush_interval(now)
+        # A tick at the end runs before completions due at that instant, so
+        # the last interval is left for MetricsHub.finalize to close.
+        if now < end:
+            hub.flush_interval(now)
         nxt = now + interval
         if nxt <= end:
             engine.schedule(nxt, EventKind.METRIC_TICK, tick)

@@ -13,6 +13,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from math import log
 
 from .sim_core import REQUEST_ARRIVAL, SEC
 
@@ -156,6 +157,7 @@ class WorkloadSource:
         self.in_flight = 0
         self.generated = 0
         self._enqueue = None
+        self._free = []              # completed open-loop requests, for reuse
         self._engine = None
         # Pre-computed op sampler: constant when the mix is pure.
         rr = spec.read_ratio
@@ -174,6 +176,14 @@ class WorkloadSource:
         # Log median per [is_read][size index], computed once per source.
         self._mu = [[math.log(device.median_ns(op, s)) for s in self._size_vals]
                     for op in (WRITE, READ)]
+        # Open loop: the current phase's rate (requests per ns) and end.  The
+        # off phase comes first; without a burst the one phase never ends.
+        burst = spec.burst
+        self._base_rate = spec.rate_per_s / SEC
+        self._burst_rate = burst.rate_per_s / SEC if burst else None
+        self._on = False
+        self._rate = self._base_rate
+        self._phase_end = burst.off_ns if burst else math.inf
 
     # -- draws ------------------------------------------------------------
 
@@ -186,6 +196,16 @@ class WorkloadSource:
             op = self.rng.random() < self._rr
         cum = self._size_cum
         i = 0 if cum is None else bisect.bisect_left(cum, self.rng.random())
+        free = self._free
+        if free:
+            # A completed open-loop request, refreshed as on_completion does.
+            req = free.pop()
+            req.is_read = op
+            req.size = self._size_vals[i]
+            req.mu = self._mu[op][i]
+            req.arrive_at = arrive_at
+            req.finish_at = Request.NOT_SCHEDULED
+            return req
         return Request(self.tenant, op, self._size_vals[i], arrive_at, slot,
                        self._mu[op][i])
 
@@ -209,41 +229,40 @@ class WorkloadSource:
 
     # -- open loop ----------------------------------------------------------
 
-    def _rate_at(self, t) -> float:
-        """Arrival rate in requests/ns at virtual time t."""
-        spec = self.spec
-        burst = spec.burst
-        if burst is None:
-            return spec.rate_per_s / SEC
-        cycle = burst.on_ns + burst.off_ns
-        # Off phase first, then the burst.
-        if (t % cycle) < burst.off_ns:
-            return spec.rate_per_s / SEC
-        return burst.rate_per_s / SEC
+    def _next_phase(self, t):
+        """Step to the phase that holds t (t >= _phase_end); return its end.
 
-    def _phase_end(self, t) -> int:
+        Off and on phases alternate, so a zero-length off phase is stepped
+        over at once.
+        """
         burst = self.spec.burst
-        cycle = burst.on_ns + burst.off_ns
-        pos = t % cycle
-        base = t - pos
-        return base + (burst.off_ns if pos < burst.off_ns else cycle)
+        on = self._on
+        end = self._phase_end
+        while t >= end:
+            on = not on
+            end += burst.on_ns if on else burst.off_ns
+        self._on = on
+        self._rate = self._burst_rate if on else self._base_rate
+        self._phase_end = end
+        return end
 
     def _schedule_next_arrival(self, now):
-        # Exponential gap at the current phase rate; if it crosses a phase
-        # boundary, restart the draw from the boundary (memorylessness makes
-        # this an exact piecewise-Poisson process).
+        # Exponential gap at the current phase rate; if it crosses the phase
+        # end, restart the draw from there (memorylessness makes this an exact
+        # piecewise-Poisson process).  The gap is expovariate's own formula,
+        # drawn inline.  A phase holds [start, end), so a draw that lands on
+        # the end is the next phase's.
         t = now
-        if self.spec.burst is None:
-            t += round(self.rng.expovariate(self._rate_at(t)))
-        else:
-            while True:
-                gap = self.rng.expovariate(self._rate_at(t))
-                end = self._phase_end(t)
-                if t + gap <= end:
-                    t += round(gap)
-                    break
-                t = end
-        t = max(t, now)
+        end = self._phase_end
+        random = self.rng.random
+        while True:
+            if t >= end:
+                end = self._next_phase(t)
+            gap = -log(1.0 - random()) / self._rate
+            if t + gap <= end:
+                t += round(gap)
+                break
+            t = end
         req = self.make_request(t)
         self._engine.schedule(t, REQUEST_ARRIVAL, self._open_arrive, req)
 
@@ -258,11 +277,13 @@ class WorkloadSource:
 
         Reusing the object keeps the hot path allocation-free; nothing holds a
         reference to a completed request once its latency has been recorded.
-        Returns the replacement (arriving now) or None for open loops.  The
-        replacement takes the completed request's place in flight.
+        Returns the replacement (arriving now) or None for open loops, which
+        keep the request for their next arrival instead.  The replacement
+        takes the completed request's place in flight.
         """
         if not self._closed:
             self.in_flight -= 1
+            self._free.append(req)
             return None
         self.generated += 1
         # Only fields the enqueue/serve/start path does not overwrite need

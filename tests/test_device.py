@@ -177,12 +177,22 @@ def test_device_empirical_median_within_three_percent():
     assert abs(med - 100_000) / 100_000 < 0.03
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.3, 2.5])
-def test_service_times_equal_the_scalar_draw(sigma):
+@pytest.mark.parametrize("sigma, p_spike, m_spike", [
+    pytest.param(0.0, 0.01, 20.0, id="0.0"),
+    pytest.param(0.3, 0.01, 20.0, id="0.3"),
+    pytest.param(2.5, 0.01, 20.0, id="2.5"),
+    # The spike multiplier at its edges: never, always, and a spike of 1x.
+    pytest.param(0.3, 0.0, 20.0, id="0.3-never"),
+    pytest.param(0.3, 1.0, 20.0, id="0.3-always"),
+    pytest.param(0.3, 0.01, 1.0, id="0.3-m1"),
+])
+def test_service_times_equal_the_scalar_draw(sigma, p_spike, m_spike):
     # Reference: the unscaled normal block, scaled by sigma one draw at a
-    # time in Python.  Scaling the block in numpy must give the same ints.
-    params = DeviceParams(sigma=sigma, p_spike=0.01)
-    eng, dev, done = _device(seed=17, sigma=sigma, p_spike=0.01)
+    # time in Python, and the spike as a branch on the uniform.  Scaling the
+    # block in numpy and multiplying by the precomputed spike multiplier
+    # must give the same ints.
+    params = DeviceParams(sigma=sigma, p_spike=p_spike, m_spike=m_spike)
+    eng, dev, done = _device(seed=17, sigma=sigma, p_spike=p_spike, m_spike=m_spike)
     ref = make_np_stream(17, 0)
     got, want = [], []
     for i in range(Device.DRAW_BLOCK + 500):   # crosses a block refill

@@ -116,6 +116,23 @@ def test_slo_verdict_recomputable_from_latency_csv(tmp_path):
     assert (tail <= rep["slo_ns"]) == rep["slo_met"]
 
 
+def test_completion_at_the_end_instant_is_counted_when_intervals_divide_the_run():
+    # The duration is three whole intervals and a completion lands exactly at
+    # the end, after the last metric tick has run: it must still reach the
+    # tenant's requests and the last interval row.
+    cfg = _short_duo(warmup_s=0, duration_s=0.250024125, interval_s=0.083341375)
+    assert cfg.duration_ns == 3 * cfg.interval_ns
+    res = run_experiment(cfg, write=False)
+    hub, rep = res.sim.hub, res.report
+    assert rep["completed"] == 17817
+    assert sum(t["requests"] for t in rep["tenants"].values()) == 17817
+    assert {r[1] for r in hub.interval_rows} == {0, 1, 2}
+    secs = cfg.interval_ns / 1e9
+    for label, tm in hub.tenants.items():
+        interval_bytes = sum(float(r[4]) * secs for r in hub.interval_rows if r[2] == label)
+        assert interval_bytes == pytest.approx(tm.c_bytes, rel=1e-9, abs=0)
+
+
 def test_interval_rows_cover_each_tenant_per_interval(tmp_path):
     cfg = _short_duo(duration_s=2.0, warmup_s=0.5, interval_s=0.5)
     res = run_experiment(cfg, out_dir=str(tmp_path))

@@ -1,9 +1,13 @@
 """Workload sources: presets, closed-loop recycling, open-loop arrivals, bursts."""
 
+import bisect
 import dataclasses
+import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwinsim import (Burst, DeviceParams, Engine, EventKind, PRESETS, PRESET_CLASS,
                      WorkloadSpec, WorkloadSource, make_stream)
@@ -256,3 +260,164 @@ def test_open_loop_reproducible_across_rebuilds():
         eng.run_until(SEC)
         runs.append([(now, r.size, r.is_read) for r, now in arrived])
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Open-loop arrival stream against a reference generator
+# ---------------------------------------------------------------------------
+
+
+def _reference_arrivals(spec, seed, n):
+    """The first n open-loop arrivals as (time, is_read, size), drawn the
+    straightforward way: random.expovariate at the rate of the phase holding
+    t, with the rate and phase end recomputed from t on every draw.  Also
+    returns how often a gap landed exactly on a phase end and how many draws
+    crossed one.
+    """
+    rng = make_stream(seed, 1)
+    burst = spec.burst
+
+    def rate_at(t):
+        if burst is None or t % (burst.on_ns + burst.off_ns) < burst.off_ns:
+            return spec.rate_per_s / SEC
+        return burst.rate_per_s / SEC
+
+    def phase_end(t):
+        cycle = burst.on_ns + burst.off_ns
+        pos = t % cycle
+        return t - pos + (burst.off_ns if pos < burst.off_ns else cycle)
+
+    sizes = [s for s, _ in spec.sizes]
+    total = sum(w for _, w in spec.sizes)
+    cum = list(itertools.accumulate(w / total for _, w in spec.sizes))
+    cum[-1] = 1.0
+    out, landed, crossed = [], 0, 0
+    t = 0
+    for _ in range(n):
+        if burst is None:
+            t += round(rng.expovariate(rate_at(t)))
+        else:
+            while True:
+                gap = rng.expovariate(rate_at(t))
+                end = phase_end(t)
+                if t + gap <= end:
+                    t += round(gap)
+                    landed += t == end
+                    break
+                crossed += 1
+                t = end
+        # The op is drawn after the gaps, the size after the op.
+        rr = spec.read_ratio
+        op = True if rr >= 1.0 else False if rr <= 0.0 else rng.random() < rr
+        size = sizes[0] if len(sizes) == 1 else sizes[bisect.bisect_left(cum, rng.random())]
+        out.append((t, op, size))
+    return out, landed, crossed
+
+
+class _OneShotEngine:
+    """Holds the one pending arrival a source schedules at a time."""
+
+    def __init__(self):
+        self.pending = None
+
+    def schedule(self, t, kind, fn, payload):
+        assert self.pending is None and kind == EventKind.REQUEST_ARRIVAL
+        self.pending = (t, fn, payload)
+
+    def fire(self):
+        t, fn, payload = self.pending
+        self.pending = None
+        fn(payload, t)
+
+
+def _source_arrivals(spec, seed, n, lag):
+    """The first n arrivals of a WorkloadSource; each request completes once
+    `lag` later ones have arrived, so completed requests get reused."""
+    eng = _OneShotEngine()
+    src = WorkloadSource(spec, make_stream(seed, 1), "t0", _MU_DEVICE)
+    out, live = [], []
+
+    def enqueue(req, now):
+        assert req.arrive_at == now and req.finish_at == Request.NOT_SCHEDULED
+        assert req.slot == -1 and req.tenant == "t0"
+        assert req.mu == math.log(_MU_DEVICE.median_ns(req.is_read, req.size))
+        out.append((now, req.is_read, req.size))
+        live.append(req)
+        if len(live) > lag:
+            done = live.pop(0)
+            assert src.on_completion(done, now) is None
+
+    src.start(eng, enqueue)
+    while len(out) < n:
+        eng.fire()
+    assert src.generated == n + 1 and src.in_flight == n + 1 - max(0, n - lag)
+    return out
+
+
+_SIZE_MIXES = (((4096, 1.0),), ((2048, 0.5), (8192, 0.5)),
+               ((4096, 0.35), (16384, 0.40), (65536, 0.25)))
+
+
+@st.composite
+def _open_specs(draw):
+    """Open-loop specs whose mean gaps run from 1/1000 of a burst cycle to 20
+    cycles, so draws both stay inside phases and cross several of them."""
+    sizes = draw(st.sampled_from(_SIZE_MIXES))
+    read_ratio = draw(st.sampled_from([1.0, 0.0]) | st.floats(0.0, 1.0))
+    gap_factor = st.floats(-3.0, 1.3).map(lambda e: 10.0 ** e)
+    if draw(st.booleans()):
+        mean_gap_ns = draw(st.floats(-3.0, 7.0).map(lambda e: 10.0 ** e))
+        return WorkloadSpec(mode=OPEN, sizes=sizes, read_ratio=read_ratio,
+                            rate_per_s=SEC / mean_gap_ns)
+    on_ns = draw(st.integers(1, 10 ** 6))
+    off_ns = draw(st.sampled_from([0]) | st.integers(0, 10 ** 6))
+    cycle = on_ns + off_ns
+    burst = Burst(on_ns=on_ns, off_ns=off_ns,
+                  rate_per_s=SEC / (draw(gap_factor) * cycle))
+    return WorkloadSpec(mode=OPEN, sizes=sizes, read_ratio=read_ratio,
+                        rate_per_s=SEC / (draw(gap_factor) * cycle), burst=burst)
+
+
+@settings(max_examples=250, deadline=None)
+@given(spec=_open_specs(), seed=st.integers(0, 2 ** 16), lag=st.integers(0, 8))
+@example(spec=WorkloadSpec(mode=OPEN, rate_per_s=9_000.0), seed=1, lag=0)
+@example(spec=WorkloadSpec(mode=OPEN, rate_per_s=1e9,
+                           burst=Burst(on_ns=3, off_ns=0, rate_per_s=5e8)),
+         seed=2, lag=3)
+def test_open_loop_arrivals_match_the_reference(spec, seed, lag):
+    n = 150
+    want, _, _ = _reference_arrivals(spec, seed, n)
+    assert _source_arrivals(spec, seed, n, lag) == want
+
+
+# Named cases, each checked to reach the situation it is named after.
+_NAMED = {
+    "no-burst": WorkloadSpec(mode=OPEN, rate_per_s=20_000.0),
+    "phases-shorter-than-a-gap": WorkloadSpec(
+        mode=OPEN, rate_per_s=10_000.0,
+        burst=Burst(on_ns=7_000, off_ns=13_000, rate_per_s=40_000.0)),
+    "off-zero": WorkloadSpec(
+        mode=OPEN, rate_per_s=1_000.0,
+        burst=Burst(on_ns=5_000, off_ns=0, rate_per_s=1e6)),
+    "lands-on-phase-end": WorkloadSpec(
+        mode=OPEN, rate_per_s=2e9,
+        burst=Burst(on_ns=5, off_ns=3, rate_per_s=1e9)),
+    "size-and-op-mix": WorkloadSpec(
+        mode=OPEN, rate_per_s=50_000.0, read_ratio=0.7, sizes=_SIZE_MIXES[2],
+        burst=Burst(on_ns=100_000, off_ns=400_000, rate_per_s=200_000.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_NAMED))
+def test_open_loop_arrivals_match_the_reference_on_named_cases(name):
+    spec = _NAMED[name]
+    n = 3_000
+    want, landed, crossed = _reference_arrivals(spec, 7, n)
+    assert _source_arrivals(spec, 7, n, lag=4) == want
+    if name == "phases-shorter-than-a-gap":
+        assert crossed > n
+    if name == "lands-on-phase-end":
+        assert landed > 0
+    if name == "size-and-op-mix":
+        assert {(op, size) for _, op, size in want} == {
+            (op, s) for op in (True, False) for s, _ in spec.sizes}
