@@ -19,8 +19,7 @@ from .sim_core import Engine, EventKind, SimTime, make_np_stream, make_stream, U
 from .workload import (Burst, PRESETS, PRESET_CLASS, Request, WorkloadSpec,
                        WorkloadSource)
 from .device import Device, DeviceParams, ServiceEstimator
-from .metrics import (LatencyHistogram, MetricsHub, TenantMetrics,
-                      quantile_from_counts, write_all)
+from .metrics import MetricsHub, TenantMetrics, quantile_from_counts, write_all
 from .window_runtime import Window, calculate_cores, new_window
 from .backend import Backend, Core, Tenant, BE_LABEL
 from .qwin_allocator import (PolicyParams, QwinAllocator, compute_budget,

@@ -157,11 +157,9 @@ class Backend:
 
     def start(self):
         """Publish initial core counts and kick every core at t=0."""
-        hub = self.hub
-        if hub is not None:
-            for t in self.tenants:
-                hub.on_cores(t.label, t.num, 0)
-            hub.init_be_pool(self.be_count)
+        if self.hub is not None:
+            self.hub.start_cores({t.label: t.num for t in self.lc_tenants},
+                                 self.pool_total)
         for t in self.tenants:
             t.source.start(self.engine, self._make_enqueue(t))
         for core in self.cores:
@@ -272,7 +270,7 @@ class Backend:
                 est.update(now - req.dequeued_at)
             win = t.win
             seq = req.seq
-            if seq > (win.boundary_hi if win is not None else t.prev_boundary):
+            if seq > t.prev_boundary:
                 t.completed_gap += 1
             elif win is not None and seq >= win.boundary_lo:
                 win.outstanding -= 1
@@ -348,16 +346,13 @@ class Backend:
         self.be_count -= took
         old = tenant.num
         tenant.num = old + took
-        hub = self.hub
-        hub.on_cores(tenant.label, tenant.num, now)
-        hub.areas[hub.BE_POOL].change(self.be_count, now)
         # Granted idle cores go to work for their new owner immediately; the
         # row follows any rows their first steps write.
         for core in wake:
             self.core_step(core, now)
         if took:
-            hub.alloc_event(now, tenant.label, old, old + took,
-                            trigger if took == want else "shortfall")
+            self.hub.alloc_event(now, tenant.label, old, old + took,
+                                 trigger if took == want else "shortfall")
         return took
 
     def release_cores(self, tenant, count: int, now: int, trigger: str) -> int:
@@ -367,31 +362,26 @@ class Backend:
         old = tenant.num
         tenant.num = old - released
         self.be_count += released
-        hub = self.hub
-        hub.on_cores(tenant.label, tenant.num, now)
-        hub.areas[hub.BE_POOL].change(self.be_count, now)
         for core in redispatch:
             self.core_step(core, now)
-        hub.alloc_event(now, tenant.label, old, tenant.num, trigger)
+        self.hub.alloc_event(now, tenant.label, old, tenant.num, trigger)
         return released
 
     def yield_core(self, core, tenant, now):
         """Voluntary single-core yield by the core's own tenant (hot-ish)."""
         old = tenant.num
         tenant.num = old - 1
-        core.owner = BE
         self.be_count += 1
-        hub = self.hub
-        hub.transfer_event(core.cid, tenant.label, BE_LABEL, now, now, tenant.label)
-        hub.alloc_event(now, tenant.label, old, old - 1, "yield")
-        hub.on_cores(tenant.label, tenant.num, now)
-        hub.areas[hub.BE_POOL].change(self.be_count, now)
+        # Never busy (core_step only steps idle cores): the row is written now.
+        self._flip(core, BE, now, tenant.label)
+        self.hub.alloc_event(now, tenant.label, old, old - 1, "yield")
 
     # -- invariants (used by tests and --validate paths) -------------------------
 
     def check_invariants(self):
-        """Raise AssertionError if core ownership or a closed loop's
-        population is inconsistent; explicit raises, so `python -O` checks too."""
+        """Raise AssertionError if core ownership, the alloc trace or a closed
+        loop's population is inconsistent; explicit raises, so `python -O`
+        checks too."""
         def need(ok, msg):
             if not ok:
                 raise AssertionError(msg)
@@ -409,6 +399,11 @@ class Backend:
                      f"{t.label}.num={t.num} but owns {by_owner.get(id(t), 0)} cores")
         need(by_owner.get(id(BE), 0) == self.be_count,
              f"BE pool count {self.be_count} but it owns {by_owner.get(id(BE), 0)} cores")
+        if self.hub is not None:   # mean_cores is integrated from the alloc rows
+            replayed = self.hub.lc_cores()
+            for t in self.lc_tenants:
+                need(replayed[t.label] == t.num,
+                     f"{t.label}.num={t.num} but its alloc rows replay to {replayed[t.label]}")
         for t in self.tenants:
             src = t.source
             if src is not None and src.spec.mode == "closed_loop":

@@ -1,10 +1,11 @@
 """Latency histograms, per-interval statistics, and CSV emission.
 
-All latency accounting uses one shared geometric bucket layout (about 5%
-relative width from 1us to 10s), so a bucket index computed once per
-completion can feed several histograms.  Quantiles follow the rule "smallest
+All latency accounting uses one geometric bucket layout (about 5% relative
+width from 1us to 10s); each completion is counted once, in its tenant's
+live histogram (TenantMetrics.record).  Quantiles follow the rule "smallest
 bucket upper edge whose cumulative fraction reaches q", which bounds the
-error by one bucket width.
+error by one bucket width.  Core counts have one record, the alloc trace:
+each interval's mean_cores is integrated from its rows.
 """
 
 from __future__ import annotations
@@ -46,15 +47,6 @@ _CELL_FIRST = [bisect_left(EDGES, k << _CELL_SHIFT)
                for k in range(_CELL_LIMIT >> _CELL_SHIFT)]
 
 
-def bucket_of(latency_ns: int) -> int:
-    b = bisect_left(EDGES, latency_ns)
-    return b if b < N_BUCKETS else _LAST
-
-
-def bucket_edge(idx: int) -> int:
-    return EDGES[idx]
-
-
 def quantile_from_counts(counts, n: int, q: float):
     """Smallest bucket upper edge with cumulative fraction >= q; None if empty."""
     if n <= 0:
@@ -71,39 +63,6 @@ def quantile_from_counts(counts, n: int, q: float):
             if cum >= need:
                 return EDGES[idx]
     return EDGES[_LAST]
-
-
-class LatencyHistogram:
-    """Standalone histogram over the shared bucket layout."""
-
-    __slots__ = ("counts", "n", "samples")
-
-    def __init__(self, keep_samples: bool = False):
-        self.counts = [0] * N_BUCKETS
-        self.n = 0
-        self.samples = [] if keep_samples else None
-
-    def add(self, latency_ns: int):
-        self.counts[bucket_of(latency_ns)] += 1
-        self.n += 1
-        if self.samples is not None:
-            self.samples.append(latency_ns)
-
-    def quantile(self, q: float):
-        return quantile_from_counts(self.counts, self.n, q)
-
-    def merge_into(self, other: "LatencyHistogram"):
-        oc = other.counts
-        for i, c in enumerate(self.counts):
-            if c:
-                oc[i] += c
-        other.n += self.n
-
-    def reset(self):
-        self.counts = [0] * N_BUCKETS
-        self.n = 0
-        if self.samples is not None:
-            self.samples = []
 
 
 # ---------------------------------------------------------------------------
@@ -225,41 +184,14 @@ class TenantMetrics:
         self._m_n = self.n
 
 
-class _Area:
-    """Time-weighted integral of a core count, for mean_cores per interval."""
-
-    __slots__ = ("num", "last_t", "area")
-
-    def __init__(self, num: int, t0: int = 0):
-        self.num = num
-        self.last_t = t0
-        self.area = 0
-
-    def change(self, new_num: int, now: int):
-        self.area += self.num * (now - self.last_t)
-        self.num = new_num
-        self.last_t = now
-
-    def take(self, now: int) -> int:
-        """Integrate up to now, return and reset the accumulated area."""
-        self.area += self.num * (now - self.last_t)
-        self.last_t = now
-        a = self.area
-        self.area = 0
-        return a
-
-
 class MetricsHub:
     """Owns per-tenant metrics, interval rows, and the trace row buffers."""
-
-    BE_POOL = "__be__"
 
     def __init__(self, run_id: str, interval_ns: int, warmup_ns: int):
         self.run_id = run_id
         self.interval_ns = interval_ns
         self.warmup_ns = warmup_ns
         self.tenants: dict[str, TenantMetrics] = {}
-        self.areas: dict[str, _Area] = {}
         self.interval_rows: list[tuple] = []
         self.alloc_rows: list[tuple] = []
         self.window_rows: list[tuple] = []
@@ -268,21 +200,29 @@ class MetricsHub:
         self.estimator_rows: list[tuple] = []
         self._interval_idx = 0
         self._interval_start = 0
-        self._be_labels: list[str] = []
+        self._cores: dict[str, int] = {}   # LC core counts at _interval_start
+        self._alloc_read = 0               # alloc rows folded into _cores
+        self._pool_total = None
 
     def register_tenant(self, label: str, lc: bool, slo_q: float) -> TenantMetrics:
         tm = TenantMetrics(label, lc, slo_q, self.warmup_ns)
         self.tenants[label] = tm
-        self.areas[label] = _Area(0)
-        if not lc:
-            self._be_labels.append(label)
+        if lc:
+            self._cores[label] = 0
         return tm
 
-    def init_be_pool(self, num: int):
-        self.areas[self.BE_POOL] = _Area(num)
+    def start_cores(self, counts: dict, pool_total: int):
+        """Take the LC core counts at t=0, before any alloc row, and the
+        pool size."""
+        self._cores.update(counts)
+        self._pool_total = pool_total
 
-    def on_cores(self, label: str, new_num: int, now: int):
-        self.areas[label].change(new_num, now)
+    def lc_cores(self) -> dict:
+        """Each LC tenant's core count, replayed from the alloc rows."""
+        cores = dict(self._cores)
+        for _, label, old, new, _ in self.alloc_rows[self._alloc_read:]:
+            cores[label] += new - old
+        return cores
 
     # -- traces ---------------------------------------------------------------
 
@@ -311,14 +251,22 @@ class MetricsHub:
         length = now - self._interval_start
         if length <= 0:
             return
-        be_area = self.areas.get(self.BE_POOL)
-        be_mean = (be_area.take(now) / length) if be_area is not None else None
+        # Integrate each LC count from its value at the interval start and
+        # the alloc rows written since; the BE pool holds the rest.
+        area = {label: num * length for label, num in self._cores.items()}
+        for t, label, old, new, _ in self.alloc_rows[self._alloc_read:]:
+            area[label] += (new - old) * (now - t)
+        self._cores = self.lc_cores()
+        self._alloc_read = len(self.alloc_rows)
+        be_mean = None
+        if self._pool_total is not None:
+            be_mean = (self._pool_total * length - sum(area.values())) / length
         secs = length / SEC
         for label, tm in self.tenants.items():
             counts, n, nbytes = tm.flush_interval(now)
             if tm.lc:
                 tail = quantile_from_counts(counts, n, tm.slo_q)
-                mean_cores = self.areas[label].take(now) / length
+                mean_cores = area[label] / length
             else:
                 tail = None
                 mean_cores = be_mean

@@ -26,6 +26,7 @@ import gc
 import hashlib
 import math
 import time
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -35,14 +36,13 @@ from test_formula_oracles import BUDGET_ORACLE, DEMAND_ORACLE
 import qwinsim.qwin_allocator as qa
 from qwinsim import (AGGRESSIVE, CONSERVATIVE, SLO_AWARE, Backend, Device,
                      DeviceParams, Engine, MetricsHub, QwinAllocator,
-                     ServiceEstimator, Tenant, WorkloadSpec, WorkloadSource,
-                     calculate_cores, compute_budget, make_np_stream,
-                     make_stream, select_policy)
+                     ServiceEstimator, Tenant, TenantMetrics, WorkloadSpec,
+                     WorkloadSource, calculate_cores, compute_budget,
+                     make_np_stream, make_stream, select_policy)
 from qwinsim.config import parse_config, scenario
 from qwinsim.harness import build, run_experiment
-from qwinsim.metrics import (ALLOC_HEADER, EDGES, INTERVALS_HEADER,
-                             LatencyHistogram, TRANSFERS_HEADER, _write_csv,
-                             bucket_of)
+from qwinsim.metrics import (ALLOC_HEADER, EDGES, INTERVALS_HEADER, N_BUCKETS,
+                             TRANSFERS_HEADER, _write_csv)
 from qwinsim.sim_core import MS, SEC
 from qwinsim.workload import OPEN
 
@@ -472,17 +472,22 @@ def test_10_identical_seed_reproduces_identical_csvs(capsys, tmp_path):
 
 def test_11_histogram_quantiles_within_one_bucket(capsys):
     rng = np.random.default_rng(42)
-    hist = LatencyHistogram(keep_samples=True)
-    for ns in rng.lognormal(mean=math.log(200_000), sigma=0.5, size=50_000):
-        hist.add(max(1, int(ns)))
-    ordered = sorted(hist.samples)
+    # The per-tenant histogram a run records into, read after a flush as
+    # the cumulative tail is.
+    tm = TenantMetrics(LC_LABEL, True, 0.999, warmup_ns=0)
+    samples = [max(1, int(ns)) for ns in
+               rng.lognormal(mean=math.log(200_000), sigma=0.5, size=50_000)]
+    for ns in samples:
+        tm.record(ns, 4096, 0)
+    tm.flush_interval(1)
+    ordered = sorted(samples)
     n = len(ordered)
     worst = 0.0
     for q in (0.9, 0.99, 0.999):
         need = min(n, max(1, math.ceil(q * n - 1e-9)))
         exact = ordered[need - 1]
-        approx = hist.quantile(q)
-        b = bucket_of(exact)
+        approx = tm.cumulative_quantile(q)
+        b = min(bisect_left(EDGES, exact), N_BUCKETS - 1)
         width = EDGES[b + 1] - EDGES[b]
         assert abs(approx - exact) <= width, (q, approx, exact, width)
         worst = max(worst, abs(approx - exact) / width)

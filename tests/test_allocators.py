@@ -12,6 +12,8 @@ from qwinsim import (AGGRESSIVE, CONSERVATIVE, SLO_AWARE,
                      calculate_cores, compute_budget, make_np_stream,
                      make_stream, select_policy)
 from qwinsim import new_window
+from qwinsim.config import parse_config, scenario
+from qwinsim.harness import run_experiment
 from qwinsim.sim_core import MS, SEC, US
 from qwinsim.workload import Request
 
@@ -100,9 +102,7 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
     alloc.setup(backend)
     # publish initial core counts so transfers can be accounted before (or
     # without) backend.start(); start() re-publishes the same values at t=0
-    hub.init_be_pool(backend.be_count)
-    for t in backend.tenants:
-        hub.on_cores(t.label, t.num, 0)
+    hub.start_cores({t.label: t.num for t in backend.lc_tenants}, pool)
     return eng, backend, hub, alloc
 
 
@@ -203,6 +203,21 @@ def test_release_writes_old_and_new_count_with_the_callers_trigger():
                               (5, "lc0", 3, lc.num, "reclaim")]
     assert lc.num == 2
     backend.check_invariants()
+
+
+def test_a_run_whose_probe_rows_are_lost_fails_at_the_end(monkeypatch):
+    # The end-of-run check replays the alloc trace: a count change that
+    # skips its row fails the run instead of skewing mean_cores.
+    record = MetricsHub.alloc_event
+
+    def drop_probes(self, now, tenant, old, new, trigger):
+        if trigger != "probe":
+            record(self, now, tenant, old, new, trigger)
+
+    monkeypatch.setattr(MetricsHub, "alloc_event", drop_probes)
+    cfg = parse_config({**scenario("duo"), "duration_s": 0.1, "warmup_s": 0.0})
+    with pytest.raises(AssertionError, match="lc0.num=.* but its alloc rows replay to"):
+        run_experiment(cfg, write=False)
 
 
 def test_budget_for_policy_per_policy():

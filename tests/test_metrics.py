@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwinsim import LatencyHistogram, MetricsHub, TenantMetrics, quantile_from_counts
+from qwinsim import MetricsHub, TenantMetrics, quantile_from_counts
 from qwinsim.metrics import (ALLOC_HEADER, EDGES, ESTIMATORS_HEADER,
                              INTERVALS_HEADER, LATENCY_HEADER, N_BUCKETS,
                              POLICY_HEADER, TRANSFERS_HEADER, WINDOWS_HEADER,
-                             bucket_edge, bucket_of, write_all)
+                             write_all)
+
+
+def _bucket(x):
+    """The bucket a latency falls in: the first edge at or above it."""
+    return min(bisect_left(EDGES, x), N_BUCKETS - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -27,14 +32,6 @@ def test_edges_are_strictly_increasing_and_cover_range():
     # ~5% geometric growth
     for a, b in list(zip(EDGES, EDGES[1:]))[::500]:
         assert 1.03 < b / a < 1.07 or a < 2_000
-
-
-def test_bucket_of_respects_edges():
-    for v in (1, 1_000, 1_001, 123_456, 10_000_000_000, 1 << 45):
-        b = bucket_of(v)
-        assert v <= bucket_edge(b) or b == N_BUCKETS - 1
-        if b > 0:
-            assert v > bucket_edge(b - 1) or b == N_BUCKETS - 1
 
 
 def test_record_bucket_equals_bisect_at_every_transition():
@@ -58,7 +55,7 @@ def test_record_bucket_equals_bisect_at_every_transition():
         assert tm.counts[want] == before + 1, x
 
     for x in sorted(points):
-        bucket_recorded(x, min(bisect_left(EDGES, x), N_BUCKETS - 1))
+        bucket_recorded(x, _bucket(x))
     for x in (10_000_000_001, EDGES[-1] + 1, 20_000_000_000, 1 << 45):
         bucket_recorded(x, N_BUCKETS - 1)
     assert tm.n == len(points) + 4
@@ -67,51 +64,42 @@ def test_record_bucket_equals_bisect_at_every_transition():
 def test_quantile_from_counts_known_small_case():
     counts = [0] * N_BUCKETS
     # ten samples: 9 in bucket of 100us, 1 in bucket of 10ms
-    b_lo, b_hi = bucket_of(100_000), bucket_of(10_000_000)
+    b_lo, b_hi = _bucket(100_000), _bucket(10_000_000)
     counts[b_lo] = 9
     counts[b_hi] = 1
-    assert quantile_from_counts(counts, 10, 0.5) == bucket_edge(b_lo)
-    assert quantile_from_counts(counts, 10, 0.9) == bucket_edge(b_lo)
+    assert quantile_from_counts(counts, 10, 0.5) == EDGES[b_lo]
+    assert quantile_from_counts(counts, 10, 0.9) == EDGES[b_lo]
     # ceil(0.91 * 10) = 10th sample -> the spike bucket
-    assert quantile_from_counts(counts, 10, 0.91) == bucket_edge(b_hi)
-    assert quantile_from_counts(counts, 10, 1.0) == bucket_edge(b_hi)
+    assert quantile_from_counts(counts, 10, 0.91) == EDGES[b_hi]
+    assert quantile_from_counts(counts, 10, 1.0) == EDGES[b_hi]
     assert quantile_from_counts(counts, 0, 0.9) is None
 
 
 def test_quantile_exact_multiple_has_no_float_dust():
     counts = [0] * N_BUCKETS
-    counts[bucket_of(1_000)] = 900
-    counts[bucket_of(50_000)] = 100
+    counts[_bucket(1_000)] = 900
+    counts[_bucket(50_000)] = 100
     # 0.9 * 1000 = 900 exactly -> the 900th sample, still the low bucket
-    assert quantile_from_counts(counts, 1000, 0.9) == bucket_edge(bucket_of(1_000))
+    assert quantile_from_counts(counts, 1000, 0.9) == EDGES[_bucket(1_000)]
 
 
 def test_histogram_within_one_bucket_of_exact_quantile():
     rng = random.Random(55)
-    h = LatencyHistogram(keep_samples=True)
+    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
+    samples = []
     for _ in range(30_000):
         x = int(rng.lognormvariate(math.log(200_000), 0.5))
         if rng.random() < 0.002:
             x *= 25
-        h.add(x)
-    xs = sorted(h.samples)
+        samples.append(x)
+        tm.record(x, 4096, 0)
+    tm.flush_interval(1)
+    xs = sorted(samples)
     for q in (0.9, 0.99, 0.999):
         exact = xs[math.ceil(q * len(xs)) - 1]
-        b = bucket_of(exact)
-        width = bucket_edge(b) - (bucket_edge(b - 1) if b else 0)
-        assert abs(h.quantile(q) - exact) <= width
-
-
-def test_histogram_merge_and_reset():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    for v in (1_000, 2_000, 3_000):
-        a.add(v)
-    b.add(9_000)
-    a.merge_into(b)
-    assert b.n == 4
-    assert b.quantile(1.0) == bucket_edge(bucket_of(9_000))
-    a.reset()
-    assert a.n == 0 and a.quantile(0.5) is None
+        b = _bucket(exact)
+        width = EDGES[b] - (EDGES[b - 1] if b else 0)
+        assert abs(tm.cumulative_quantile(q) - exact) <= width
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +116,7 @@ def test_cumulative_counts_only_post_warmup():
     tm.flush_interval(2_000)
     assert tm.c_n == 2
     assert tm.t_n == 4                     # totals see everything
-    assert tm.cumulative_quantile(1.0) == bucket_edge(bucket_of(20_000))
+    assert tm.cumulative_quantile(1.0) == EDGES[_bucket(20_000)]
 
 
 def test_interval_totals_sum_to_run_totals():
@@ -184,8 +172,7 @@ def _mini_hub():
     hub = MetricsHub("run-x", interval_ns=1_000, warmup_ns=0)
     hub.register_tenant("lc0", True, 0.999)
     hub.register_tenant("be0", False, 0.999)
-    hub.init_be_pool(7)
-    hub.on_cores("lc0", 1, 0)
+    hub.start_cores({"lc0": 1}, 8)
     return hub
 
 
@@ -199,7 +186,7 @@ def test_interval_rows_shape_and_be_pool_mean():
     lc_row = next(r for r in rows if r[2] == "lc0")
     be_row = next(r for r in rows if r[2] == "be0")
     assert lc_row[0] == "run-x" and lc_row[1] == 0
-    assert lc_row[3] == bucket_edge(bucket_of(40_000))
+    assert lc_row[3] == EDGES[_bucket(40_000)]
     assert float(lc_row[4]) == pytest.approx(4096 / 1e-6)   # bytes over 1us-long... 1000ns
     assert be_row[3] == ""                                   # BE has no tail column
     assert float(be_row[5]) == pytest.approx(7.0)            # pool-wide mean cores
@@ -262,9 +249,8 @@ def test_latency_rows_add_slo_quantile_when_nonstandard():
 def test_mean_cores_is_time_weighted():
     hub = MetricsHub("run-z", interval_ns=1_000, warmup_ns=0)
     hub.register_tenant("lc0", True, 0.999)
-    hub.init_be_pool(8)
-    hub.on_cores("lc0", 0, 0)
-    hub.on_cores("lc0", 4, 250)    # 0 cores for 250ns, then 4 for 750ns
+    hub.start_cores({"lc0": 0}, 8)
+    hub.alloc_event(250, "lc0", 0, 4, "window_start")  # 0 cores for 250ns, then 4
     hub.tenants["lc0"].record(1_000, 1, 10)
     hub.flush_interval(1_000)
     row = hub.interval_rows[0]
@@ -291,7 +277,7 @@ class _TwoHistogramOracle:
         self.probe_counts, self.probe_n = [0] * N_BUCKETS, 0
 
     def record(self, latency_ns, size, now):
-        b = bucket_of(latency_ns)
+        b = _bucket(latency_ns)
         self.i_counts[b] += 1
         self.i_n += 1
         self.i_bytes += size
@@ -374,3 +360,107 @@ def test_one_live_histogram_matches_the_two_histogram_oracle(script):
         assert [tm.cumulative_quantile(q) for q in qs] == \
             [oracle.cumulative_quantile(q) for q in qs]
         assert tm.since_mark(0.9) == oracle.since_mark(0.9)
+
+
+# ---------------------------------------------------------------------------
+# mean_cores from the alloc trace against the shadow integral it replaced
+# ---------------------------------------------------------------------------
+
+
+class _AreaOracle:
+    """The per-count shadow integral mean_cores was read from before the
+    alloc trace became its one record: every count change applied as it
+    happens, the area taken and reset at each flush."""
+
+    def __init__(self, num):
+        self.num, self.last_t, self.area = num, 0, 0
+
+    def change(self, new_num, now):
+        self.area += self.num * (now - self.last_t)
+        self.num, self.last_t = new_num, now
+
+    def take(self, now):
+        self.change(self.num, now)
+        area, self.area = self.area, 0
+        return area
+
+
+@st.composite
+def _core_scripts(draw):
+    """(pool, t=0 counts, ops): groups of count changes at one instant and
+    the flushes at every interval edge, in time order; ties at one instant
+    in any order.  A change draws a raw value the test maps onto the cores
+    the pool can spare, so a group may hold old == new rows.  lc0 may be
+    held at 0 cores throughout, as the priority allocator holds LC tenants."""
+    n_lc = draw(st.integers(1, 3))
+    held = n_lc > 1 and draw(st.booleans())
+    pool = draw(st.integers(n_lc, 8))
+    counts = {}
+    for i in range(n_lc):
+        free = pool - sum(counts.values())
+        counts[f"lc{i}"] = 0 if held and i == 0 else draw(st.integers(0, free))
+    interval = draw(st.integers(1, 40))
+    n_intervals = draw(st.integers(1, 5))
+    end = draw(st.integers(interval * (n_intervals - 1) + 1, interval * n_intervals))
+    edges = [min(k * interval, end) for k in range(1, n_intervals + 1)]
+    near = sorted({t for e in edges + [0] for t in (e - 1, e, e + 1) if 0 <= t <= end})
+    when = st.one_of(st.sampled_from(near), st.integers(0, end))
+    change = st.tuples(st.integers(1 if held else 0, n_lc - 1), st.integers(0, 8))
+    group = st.tuples(st.just("change"), st.lists(change, min_size=1, max_size=3),
+                      st.booleans())
+    timed = draw(st.lists(st.tuples(when, st.integers(0, 3), group), max_size=40))
+    timed += [(e, draw(st.integers(0, 3)), ("flush",)) for e in edges]
+    timed.sort(key=lambda x: (x[0], x[1]))
+    return pool, counts, [(t, o) for t, _tie, o in timed]
+
+
+@given(_core_scripts())
+@settings(max_examples=300, deadline=None)
+def test_mean_cores_from_alloc_rows_matches_the_shadow_integral(script):
+    pool, counts, ops = script
+    hub = MetricsHub("run-c", interval_ns=1_000, warmup_ns=0)
+    for label in counts:
+        hub.register_tenant(label, True, 0.999)
+    hub.register_tenant("be0", False, 0.999)
+    hub.start_cores(dict(counts), pool)
+    oracle = {label: _AreaOracle(num) for label, num in counts.items()}
+    be = _AreaOracle(pool - sum(counts.values()))
+    labels = list(counts)
+    want = []
+    last_flush = 0
+    for now, op in ops:
+        if op[0] == "flush":
+            hub.flush_interval(now)
+            length = now - last_flush
+            if length > 0:
+                want += [repr(oracle[label].take(now) / length) for label in labels]
+                want.append(repr(be.take(now) / length))
+                last_flush = now
+            continue
+        _, changes, reverse = op
+        rows = []
+        for i, raw in changes:
+            label = labels[i]
+            old = counts[label]
+            new = raw % (pool - sum(counts.values()) + old + 1)
+            counts[label] = new
+            oracle[label].change(new, now)
+            be.change(pool - sum(counts.values()), now)
+            rows.append((now, label, old, new, "probe"))
+        # A grant's row follows the rows its woken cores' first steps write
+        # at the same instant, so rows at one instant may come in any order.
+        for row in reversed(rows) if reverse else rows:
+            hub.alloc_event(*row)
+    assert [r[5] for r in hub.interval_rows] == want
+    assert hub.lc_cores() == counts
+
+
+def test_mean_cores_of_a_hub_never_started():
+    # Without start_cores an LC tenant counts from 0 cores and the BE pool
+    # has no mean.
+    hub = MetricsHub("run-n", interval_ns=1_000, warmup_ns=0)
+    hub.register_tenant("lc0", True, 0.999)
+    hub.register_tenant("be0", False, 0.999)
+    hub.alloc_event(600, "lc0", 0, 2, "probe")
+    hub.flush_interval(1_000)
+    assert [r[5] for r in hub.interval_rows] == [repr(0.8), ""]

@@ -2,9 +2,12 @@
 
 import pytest
 
-from qwinsim import new_window
+from qwinsim import (Backend, Device, DeviceParams, Engine, MetricsHub,
+                     QwinAllocator, ServiceEstimator, WorkloadSpec,
+                     WorkloadSource, make_np_stream, make_stream, new_window)
 from qwinsim.backend import Tenant
-from qwinsim.workload import Request
+from qwinsim.sim_core import MS, SEC
+from qwinsim.workload import OPEN, Request
 
 
 def _enq(t, now, n=1):
@@ -76,3 +79,95 @@ def test_window_establishment_resets_dequeue_counter():
     _enq(t, 0, 1)
     new_window(t, 0)
     assert t.wcnt == 0
+
+
+# ---------------------------------------------------------------------------
+# window_end: dequeue, on a running backend
+# ---------------------------------------------------------------------------
+
+
+class _WatchedTenant(Tenant):
+    """A tenant that logs every change of its active window as
+    (time, new window or None, arrival index of its last dequeue)."""
+
+    __slots__ = ("log", "clock")
+
+    def __init__(self, *args, **kw):
+        self.log = []
+        self.clock = lambda: 0
+        super().__init__(*args, **kw)
+
+    @property
+    def win(self):
+        return Tenant.win.__get__(self)
+
+    @win.setter
+    def win(self, new):
+        self.log.append((self.clock(), new, self.arrivals - len(self.queue)))
+        Tenant.win.__set__(self, new)
+
+
+def _dequeue_mode_run(seed):
+    """Open-loop LC traffic on an 8-core pool whose windows end at their last
+    member's dequeue.  Returns the tenant, each member's completion time by
+    arrival index, and the late completions: members of an ended window
+    completing under the next one, with its outstanding count before and
+    after."""
+    eng = Engine()
+    dev = Device(DeviceParams(read_median_us=50.0, capacity=8),
+                 make_np_stream(seed, 0), eng)
+    backend = Backend(eng, dev, 8, MetricsHub("dq", interval_ns=SEC, warmup_ns=0),
+                      window_end="dequeue")
+    spec = WorkloadSpec(mode=OPEN, rate_per_s=55_000.0, sizes=((4096, 1.0),),
+                        read_ratio=0.9)
+    t = _WatchedTenant("lc0", True, slo_ns=4 * MS)
+    t.clock = lambda: eng.now
+    backend.add_tenant(t, WorkloadSource(spec, make_stream(seed, 1), "lc0", dev.params),
+                       ServiceEstimator(nominal_mean_ns=52_300.0,
+                                        nominal_tail_ns=200_000))
+    QwinAllocator().setup(backend)
+    done_at, late = {}, []
+    on_complete = dev.on_complete_fn
+
+    def complete(req, now):
+        win = t.win
+        outstanding = win.outstanding if win is not None else None
+        done_at[req.seq] = now
+        on_complete(req, now)
+        if win is not None and req.seq < win.boundary_lo:
+            late.append((req.seq, win.wid, outstanding, win.outstanding))
+
+    dev.on_complete_fn = complete
+    backend.start()
+    eng.run_until(SEC // 5)
+    return t, done_at, late
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dequeue_mode_ends_windows_at_the_last_dequeue(seed):
+    t, done_at, late = _dequeue_mode_run(seed)
+    log = t.log[1:]                       # [0] is the constructor's None
+    windows = [win for _, win, _ in log[::2]]
+    assert t.arrivals >= 10_000 and len(windows) >= 100
+    # Establishments and ends alternate: no window is replaced unended.
+    assert all(win is not None for win in windows)
+    assert all(win is None for _, win, _ in log[1::2])
+    # Each window ended as its last member left the queue, before that
+    # member completed: at the dequeue, not at the completion.
+    completed_later = 0
+    for win, (now, _, dequeued) in zip(windows, log[1::2]):
+        assert dequeued == win.boundary_hi, win
+        if win.boundary_hi in done_at:
+            assert done_at[win.boundary_hi] > now, win
+            completed_later += 1
+    assert completed_later >= len(windows) - 8   # the rest still in flight
+    # A late member's completion leaves the next window's count alone.
+    assert len(late) >= 100
+    for seq, wid, before, after in late:
+        assert after == before, (seq, wid, before, after)
+    # Windows still partition the arrival sequence.
+    assert windows[0].boundary_lo == 1
+    for prev, win in zip(windows, windows[1:]):
+        assert win.boundary_lo == prev.boundary_hi + 1
+        assert win.wid == prev.wid + 1
+    assert all(w.boundary_hi >= w.boundary_lo for w in windows)
