@@ -43,7 +43,7 @@ class Tenant:
 
     __slots__ = ("label", "lc", "slo_q", "slo_ns", "queue", "source",
                  "arrivals", "prev_boundary", "completed_gap",
-                 "win", "wid", "wcnt", "budget", "policy", "num",
+                 "win", "wcnt", "budget", "policy", "num",
                  "estimator", "metrics", "idle", "wake_idle", "probes_attempted",
                  "end_on_complete", "windows_established", "last_head_seq")
 
@@ -58,7 +58,6 @@ class Tenant:
         self.prev_boundary = 0
         self.completed_gap = 0
         self.win = None
-        self.wid = 0
         self.wcnt = 0
         self.budget = 1
         self.policy = INIT_POLICY
@@ -113,8 +112,8 @@ class Backend:
 
     def add_tenant(self, tenant: Tenant, source, estimator=None):
         tenant.source = source
-        # Requests must carry the Tenant object so the completion handler can
-        # reach queue/window/metrics state without a dict lookup.
+        # Requests must carry the Tenant object so enqueue and the completion
+        # handler reach queue/window/metrics state without a dict lookup.
         source.tenant = tenant
         tenant.estimator = estimator
         tenant.end_on_complete = self.window_end == "complete"
@@ -125,28 +124,17 @@ class Backend:
             self.lc_tenants.append(tenant)
         else:
             self.be_tenants.append(tenant)
-        if self.hub is not None:
-            tenant.metrics = self.hub.register_tenant(
-                tenant.label, tenant.lc, tenant.slo_q)
+        tenant.metrics = self.hub.register_tenant(tenant.label, tenant.lc, tenant.slo_q)
         return tenant
 
-    def assign_core(self, core: Core, tenant: Tenant | None):
-        """Initial (pre-run) core assignment; no trace rows, no handoff."""
-        if core.owner is tenant:
-            return
-        if core.owner is BE:
-            self.be_idle.remove(core.cid)
-            self.be_count -= 1
-        else:
-            core.owner.idle.remove(core.cid)
-            core.owner.num -= 1
+    def assign_core(self, core: Core, tenant: Tenant):
+        """Move a BE-pool core to an LC tenant before the run; no trace rows,
+        no handoff."""
+        self.be_idle.remove(core.cid)
+        self.be_count -= 1
         core.owner = tenant
-        if tenant is BE:
-            insort(self.be_idle, core.cid)
-            self.be_count += 1
-        else:
-            insort(tenant.idle, core.cid)
-            tenant.num += 1
+        insort(tenant.idle, core.cid)
+        tenant.num += 1
 
     def assign_lc_cores(self):
         """Give each LC tenant one core, in tenant order, before the run."""
@@ -157,11 +145,10 @@ class Backend:
 
     def start(self):
         """Publish initial core counts and kick every core at t=0."""
-        if self.hub is not None:
-            self.hub.start_cores({t.label: t.num for t in self.lc_tenants},
-                                 self.pool_total)
+        self.hub.start_cores({t.label: t.num for t in self.lc_tenants},
+                             self.pool_total)
         for t in self.tenants:
-            t.source.start(self.engine, self._make_enqueue(t))
+            t.source.start(self.engine, self.enqueue)
         for core in self.cores:
             self.engine.schedule(0, EventKind.CORE_WAKE, self._core_wake, core)
 
@@ -169,27 +156,14 @@ class Backend:
         # A parked core is woken through here; it may have been re-parked or
         # put to work since the wake was scheduled, in which case do nothing.
         if core.busy is None:
-            self._unpark(core)
+            owner = core.owner
+            (self.be_idle if owner is BE else owner.idle).remove(core.cid)
             self.core_step(core, now)
-
-    def _unpark(self, core):
-        owner = core.owner
-        lst = self.be_idle if owner is BE else owner.idle
-        try:
-            lst.remove(core.cid)
-        except ValueError:
-            pass
 
     # -- enqueue side ---------------------------------------------------------
 
-    def _make_enqueue(self, tenant):
-        # A closure, not functools.partial: a Python-to-Python call is cheaper
-        # than a C partial calling back into Python (Python 3.11).
-        def enqueue(req, now, _t=tenant):
-            self.enqueue(_t, req, now)
-        return enqueue
-
-    def enqueue(self, tenant, req, now):
+    def enqueue(self, req, now):
+        tenant = req.tenant
         req.enqueued_at = now
         tenant.arrivals += 1
         req.seq = tenant.arrivals
@@ -292,29 +266,26 @@ class Backend:
         core.busy = None
         if core.pending_marks is not None:
             for from_l, to_l, marked, initiator in core.pending_marks:
-                self.hub.transfer_event(core.cid, from_l, to_l, marked, now, initiator)
+                self.hub.transfer_rows.append((core.cid, from_l, to_l, marked, now, initiator))
             core.pending_marks = None
         self.core_step(core, now)
 
     # -- ownership transfers -----------------------------------------------------
 
-    def _owner_label(self, owner):
-        return BE_LABEL if owner is BE else owner.label
-
     def _flip(self, core, new_owner, now, initiator):
         """Move a core between owners; busy cores hand off at completion."""
         old = core.owner
         core.owner = new_owner
-        row = (self._owner_label(old), self._owner_label(new_owner), now, initiator)
-        if core.busy is not None:
+        from_l = BE_LABEL if old is BE else old.label
+        to_l = BE_LABEL if new_owner is BE else new_owner.label
+        if core.busy is None:
+            self.hub.transfer_rows.append((core.cid, from_l, to_l, now, now, initiator))
+        elif core.pending_marks is None:
             # Accounting changes now; the physical handoff happens when the
             # in-flight request completes.
-            if core.pending_marks is None:
-                core.pending_marks = [row]
-            else:
-                core.pending_marks.append(row)
+            core.pending_marks = [(from_l, to_l, now, initiator)]
         else:
-            self.hub.transfer_event(core.cid, row[0], row[1], now, now, initiator)
+            core.pending_marks.append((from_l, to_l, now, initiator))
 
     def _flip_cores(self, src, dst, count, now, initiator):
         """Flip up to `count` of `src`'s cores to `dst`: idle ones first, then
@@ -351,8 +322,8 @@ class Backend:
         for core in wake:
             self.core_step(core, now)
         if took:
-            self.hub.alloc_event(now, tenant.label, old, old + took,
-                                 trigger if took == want else "shortfall")
+            self.hub.alloc_rows.append((now, tenant.label, old, old + took,
+                                        trigger if took == want else "shortfall"))
         return took
 
     def release_cores(self, tenant, count: int, now: int, trigger: str) -> int:
@@ -364,7 +335,7 @@ class Backend:
         self.be_count += released
         for core in redispatch:
             self.core_step(core, now)
-        self.hub.alloc_event(now, tenant.label, old, tenant.num, trigger)
+        self.hub.alloc_rows.append((now, tenant.label, old, tenant.num, trigger))
         return released
 
     def yield_core(self, core, tenant, now):
@@ -374,14 +345,14 @@ class Backend:
         self.be_count += 1
         # Never busy (core_step only steps idle cores): the row is written now.
         self._flip(core, BE, now, tenant.label)
-        self.hub.alloc_event(now, tenant.label, old, old - 1, "yield")
+        self.hub.alloc_rows.append((now, tenant.label, old, old - 1, "yield"))
 
     # -- invariants (used by tests and --validate paths) -------------------------
 
     def check_invariants(self):
-        """Raise AssertionError if core ownership, the alloc trace or a closed
-        loop's population is inconsistent; explicit raises, so `python -O`
-        checks too."""
+        """Raise AssertionError if core ownership, the parked-core lists, the
+        alloc trace or a closed loop's population is inconsistent; explicit
+        raises, so `python -O` checks too."""
         def need(ok, msg):
             if not ok:
                 raise AssertionError(msg)
@@ -390,8 +361,11 @@ class Backend:
         need(owned + self.be_count == self.pool_total,
              f"core conservation broken: {owned} LC + {self.be_count} BE != {self.pool_total}")
         by_owner = {}
+        not_busy = {}
         for c in self.cores:
             by_owner[id(c.owner)] = by_owner.get(id(c.owner), 0) + 1
+            if c.busy is None:
+                not_busy.setdefault(id(c.owner), []).append(c.cid)
         for t in self.lc_tenants:
             if t not in self.pool_lc:
                 need(t.num >= 1, f"{t.label} dropped below 1 core")
@@ -399,14 +373,19 @@ class Backend:
                      f"{t.label}.num={t.num} but owns {by_owner.get(id(t), 0)} cores")
         need(by_owner.get(id(BE), 0) == self.be_count,
              f"BE pool count {self.be_count} but it owns {by_owner.get(id(BE), 0)} cores")
-        if self.hub is not None:   # mean_cores is integrated from the alloc rows
-            replayed = self.hub.lc_cores()
-            for t in self.lc_tenants:
-                need(replayed[t.label] == t.num,
-                     f"{t.label}.num={t.num} but its alloc rows replay to {replayed[t.label]}")
+        # Each owner's parked list is exactly its non-busy cores, in cid order.
+        for label, owner, parked in ((BE_LABEL, BE, self.be_idle),
+                                     *((t.label, t, t.idle) for t in self.lc_tenants)):
+            want = not_busy.get(id(owner), [])
+            need(parked == want,
+                 f"{label} parks cores {parked} but its non-busy cores are {want}")
+        replayed = self.hub.lc_cores()   # mean_cores is integrated from the alloc rows
+        for t in self.lc_tenants:
+            need(replayed[t.label] == t.num,
+                 f"{t.label}.num={t.num} but its alloc rows replay to {replayed[t.label]}")
         for t in self.tenants:
             src = t.source
-            if src is not None and src.spec.mode == "closed_loop":
+            if src.spec.mode == "closed_loop":
                 need(src.in_flight <= src.spec.in_flight_cap,
                      f"{t.label} has {src.in_flight} requests in flight, "
                      f"more than its {src.spec.in_flight_cap}")

@@ -70,7 +70,7 @@ def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
     run_id = cfg.run_id(seed)
     engine = Engine()
     device = Device(cfg.device, make_np_stream(seed, DEVICE_STREAM), engine)
-    hub = MetricsHub(run_id, cfg.interval_ns, cfg.effective_warmup_ns)
+    hub = MetricsHub(run_id, cfg.effective_warmup_ns)
     backend = Backend(engine, device, cfg.pool_total, hub,
                       window_end=cfg.window_end)
     shared_est = None
@@ -109,9 +109,9 @@ def _start_metric_ticks(sim: Simulation):
     def tick(_payload, now):
         for t in lc_tenants:
             est = t.estimator
-            hub.estimator_snapshot(now, t.label, est.mean_ns, est.tail_ns)
+            hub.estimator_rows.append((now, t.label, est.mean_ns, est.tail_ns))
         # A tick at the end runs before completions due at that instant, so
-        # the last interval is left for MetricsHub.finalize to close.
+        # the last interval is left for run_experiment to close.
         if now < end:
             hub.flush_interval(now)
         nxt = now + interval
@@ -181,7 +181,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     finally:
         if was_enabled:
             gc.enable()
-    sim.hub.finalize(cfg.duration_ns)
+    sim.hub.flush_interval(cfg.duration_ns)
     sim.backend.check_invariants()
     report = make_report(sim)
     paths = {}
@@ -259,8 +259,12 @@ def _parse_seeds(text: str):
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError("seed range must be low..high")
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {min(seeds)}")
+    return seeds
 
 
 def _build_arg_parser():

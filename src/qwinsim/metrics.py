@@ -185,11 +185,11 @@ class TenantMetrics:
 
 
 class MetricsHub:
-    """Owns per-tenant metrics, interval rows, and the trace row buffers."""
+    """Owns per-tenant metrics, interval rows, and the trace row lists; the
+    code behind each decision appends its row, in its *_HEADER's column order."""
 
-    def __init__(self, run_id: str, interval_ns: int, warmup_ns: int):
+    def __init__(self, run_id: str, warmup_ns: int):
         self.run_id = run_id
-        self.interval_ns = interval_ns
         self.warmup_ns = warmup_ns
         self.tenants: dict[str, TenantMetrics] = {}
         self.interval_rows: list[tuple] = []
@@ -223,26 +223,6 @@ class MetricsHub:
         for _, label, old, new, _ in self.alloc_rows[self._alloc_read:]:
             cores[label] += new - old
         return cores
-
-    # -- traces ---------------------------------------------------------------
-
-    def alloc_event(self, now: int, tenant: str, old: int, new: int, trigger: str):
-        self.alloc_rows.append((now, tenant, old, new, trigger))
-
-    def window_event(self, tenant: str, wid: int, ql: int, tw: int,
-                     granted: int, policy: str):
-        self.window_rows.append((tenant, wid, ql, tw, granted, policy))
-
-    def policy_event(self, now: int, tenant: str, old: str, new: str, slack_ns: int):
-        self.policy_rows.append((now, tenant, old, new, slack_ns))
-
-    def transfer_event(self, core: int, from_owner: str, to_owner: str,
-                       marked_ns: int, effective_ns: int, initiator: str):
-        self.transfer_rows.append((core, from_owner, to_owner,
-                                   marked_ns, effective_ns, initiator))
-
-    def estimator_snapshot(self, now: int, tenant: str, mean_ns: float, tail_ns: int):
-        self.estimator_rows.append((now, tenant, mean_ns, tail_ns))
 
     # -- interval machinery -----------------------------------------------------
 
@@ -279,16 +259,12 @@ class MetricsHub:
         self._interval_idx += 1
         self._interval_start = now
 
-    def finalize(self, end_ns: int):
-        if end_ns > self._interval_start:
-            self.flush_interval(end_ns)
-
     # -- end-of-run reporting ------------------------------------------------
 
-    def latency_rows(self, extra_quantiles=(0.5, 0.9, 0.99, 0.999)):
+    def latency_rows(self):
         rows = []
         for label, tm in self.tenants.items():
-            qs = list(extra_quantiles)
+            qs = list(LATENCY_QUANTILES)
             if tm.lc and tm.slo_q not in qs:
                 qs.append(tm.slo_q)
             for q in sorted(qs):
@@ -302,6 +278,7 @@ class MetricsHub:
 # CSV emission
 # ---------------------------------------------------------------------------
 
+LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)   # an LC tenant adds its SLO's
 LATENCY_HEADER = "run_id,tenant,class,quantile,cumulative_tail_ns"
 INTERVALS_HEADER = "run_id,interval,tenant,tail_ns,bandwidth_bytes_per_s,mean_cores"
 ALLOC_HEADER = "time_ns,tenant,old_num,new_num,trigger"

@@ -114,7 +114,7 @@ class QwinAllocator:
         slack = t.slo_ns - measured
         new = select_policy(slack, self.params)
         if new != t.policy:
-            self.hub.policy_event(now, t.label, t.policy, new, slack)
+            self.hub.policy_rows.append((now, t.label, t.policy, new, slack))
             t.policy = new
 
     def _budget_for_policy(self, t, win):
@@ -133,15 +133,14 @@ class QwinAllocator:
         queue = t.queue
         if t.win is None and queue:
             win = new_window(t, now)
-            t.windows_established += 1
-            if t.wid % self.params.policy_window == 0:
+            if t.windows_established % self.params.policy_window == 0:
                 self._refresh_policy(t, now)
             t.budget = self._budget_for_policy(t, win)
             est = t.estimator
             demand = calculate_cores(win.ql, win.tw, t.slo_ns,
                                      est.tail_ns, est.mean_ns, self.pool)
             self.adjust_cores(t, demand, now, "window_start")
-            self.hub.window_event(t.label, win.wid, win.ql, win.tw, t.num, t.policy)
+            self.hub.window_rows.append((t.label, win.wid, win.ql, win.tw, t.num, t.policy))
         if queue:
             req = queue.popleft()
             t.wcnt += 1

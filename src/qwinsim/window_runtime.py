@@ -39,15 +39,15 @@ def new_window(tenant, now) -> Window:
     """Establish the tenant's next window over its current queue.
 
     The tenant must have a non-empty queue and no active window.  Updates the
-    tenant's window bookkeeping (wid, wcnt, boundary high-water mark, and the
-    count of next-window members that completed early).
+    tenant's window bookkeeping (windows_established, wcnt, boundary high-water
+    mark, and the count of next-window members that completed early).
     """
     queue = tenant.queue
     if not queue:
         raise ValueError(f"cannot establish a window for {tenant.label}: queue is empty")
     if tenant.win is not None:
         raise ValueError(f"{tenant.label} already has an active window")
-    tenant.wid += 1
+    tenant.windows_established += 1
     tenant.wcnt = 0
     lo = tenant.prev_boundary + 1
     hi = tenant.arrivals
@@ -57,7 +57,7 @@ def new_window(tenant, now) -> Window:
     outstanding = (hi - lo + 1) - tenant.completed_gap
     tenant.completed_gap = 0
     tenant.prev_boundary = hi
-    win = Window(tenant.wid, len(queue), now - queue[0].enqueued_at,
+    win = Window(tenant.windows_established, len(queue), now - queue[0].enqueued_at,
                  lo, hi, outstanding)
     tenant.win = win
     return win

@@ -219,13 +219,9 @@ class WorkloadSource:
             # The whole iodepth*numjobs population arrives at t=0, one event
             # per request so arrival order is well defined.
             for slot in range(self.spec.in_flight_cap):
-                req = self.make_request(0, slot)
-                engine.schedule(0, REQUEST_ARRIVAL, self._arrive, req)
+                engine.schedule(0, REQUEST_ARRIVAL, enqueue, self.make_request(0, slot))
         else:
             self._schedule_next_arrival(0)
-
-    def _arrive(self, req, now):
-        self._enqueue(req, now)
 
     # -- open loop ----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Allocator behaviours: adaptive policy machinery, transfers, and baselines."""
 
 import math
+from bisect import insort
 
 import pytest
 
@@ -85,7 +86,7 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
     eng = Engine()
     dev = Device(device or DeviceParams(capacity=4),
                  make_np_stream(seed, 0), eng)
-    hub = MetricsHub("rig", interval_ns=SEC, warmup_ns=warmup)
+    hub = MetricsHub("rig", warmup_ns=warmup)
     backend = Backend(eng, dev, pool, hub)
     for i, (label, lc, slo) in enumerate(tenants):
         spec = (workloads or {}).get(
@@ -205,19 +206,46 @@ def test_release_writes_old_and_new_count_with_the_callers_trigger():
     backend.check_invariants()
 
 
+class _ProbeRowsLost(list):
+    """An alloc trace that drops every probe row appended to it."""
+
+    def append(self, row):
+        if row[4] != "probe":
+            super().append(row)
+
+
 def test_a_run_whose_probe_rows_are_lost_fails_at_the_end(monkeypatch):
     # The end-of-run check replays the alloc trace: a count change that
     # skips its row fails the run instead of skewing mean_cores.
-    record = MetricsHub.alloc_event
+    init = MetricsHub.__init__
 
-    def drop_probes(self, now, tenant, old, new, trigger):
-        if trigger != "probe":
-            record(self, now, tenant, old, new, trigger)
+    def lossy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.alloc_rows = _ProbeRowsLost()
 
-    monkeypatch.setattr(MetricsHub, "alloc_event", drop_probes)
+    monkeypatch.setattr(MetricsHub, "__init__", lossy_init)
     cfg = parse_config({**scenario("duo"), "duration_s": 0.1, "warmup_s": 0.0})
     with pytest.raises(AssertionError, match="lc0.num=.* but its alloc rows replay to"):
         run_experiment(cfg, write=False)
+
+
+@pytest.mark.parametrize("fault", ["parked cid dropped", "busy cid parked"])
+def test_check_invariants_catches_a_parked_list_out_of_step(fault):
+    # Waking a core removes its cid from its owner's parked list without a
+    # guard, so every non-busy core must be parked there, and only those.
+    eng, backend, hub, alloc = _rig(pool=4)
+    be0 = backend.by_label["be0"]
+    backend.enqueue(be0.source.make_request(0), 0)   # wakes BE core 1
+    backend.check_invariants()
+    lc = backend.by_label["lc0"]
+    if fault == "parked cid dropped":
+        lc.idle.remove(0)
+        match = r"lc0 parks cores \[\] but its non-busy cores are \[0\]"
+    else:
+        insort(backend.be_idle, 1)
+        match = r"be parks cores \[1, 2, 3\] but its non-busy cores are \[2, 3\]"
+    with pytest.raises(AssertionError, match=match):
+        backend.check_invariants()
 
 
 def test_budget_for_policy_per_policy():

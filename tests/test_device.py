@@ -109,7 +109,7 @@ def test_capacity_bounds_concurrency_and_fifo_spills():
     # five requests on five idle cores, a device with two slots.
     eng = Engine()
     dev = Device(DeviceParams(capacity=2), make_np_stream(5, 0), eng)
-    backend = Backend(eng, dev, 5, MetricsHub("dev", interval_ns=SEC, warmup_ns=0))
+    backend = Backend(eng, dev, 5, MetricsHub("dev", warmup_ns=0))
     src = WorkloadSource(WorkloadSpec(mode=OPEN, rate_per_s=1.0),
                          make_stream(5, 1), "be0", dev.params)
     t = backend.add_tenant(Tenant("be0", False), src)
@@ -123,7 +123,7 @@ def test_capacity_bounds_concurrency_and_fifo_spills():
     dev._start = spy
     reqs = [src.make_request(0) for _ in range(5)]
     for r in reqs:
-        backend.enqueue(t, r, 0)
+        backend.enqueue(r, 0)
     assert dev.in_service == 2 and list(dev.fifo) == reqs[2:]
     eng.run_until(10 * SEC)
     assert backend.completed == 5 and dev.in_service == 0 and not dev.fifo

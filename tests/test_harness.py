@@ -292,6 +292,18 @@ def test_module_entry_point_runs_from_anywhere():
     assert "config OK" in r.stdout
 
 
+@pytest.mark.parametrize("seeds", ["--seeds=1,-2", "--seeds=-3..-1"])
+def test_cli_rejects_a_negative_seed_before_running(tmp_path, seeds):
+    r = subprocess.run(
+        [sys.executable, "-m", "qwinsim", "--scenario", "duo", seeds,
+         "--duration", "0.01", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 2
+    assert "seeds must be non-negative, got" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_invariants_holds_under_python_O():
     # -O strips assert statements; the end-of-run check must still fire.
     code = "\n".join((

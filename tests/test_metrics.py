@@ -169,7 +169,7 @@ def test_zero_warmup_folds_from_the_start():
 
 
 def _mini_hub():
-    hub = MetricsHub("run-x", interval_ns=1_000, warmup_ns=0)
+    hub = MetricsHub("run-x", warmup_ns=0)
     hub.register_tenant("lc0", True, 0.999)
     hub.register_tenant("be0", False, 0.999)
     hub.start_cores({"lc0": 1}, 8)
@@ -195,11 +195,11 @@ def test_interval_rows_shape_and_be_pool_mean():
 
 def test_alloc_window_policy_transfer_estimator_rows():
     hub = _mini_hub()
-    hub.alloc_event(500, "lc0", 1, 3, "window_start")
-    hub.window_event("lc0", 1, 12, 2_000, 3, "slo_aware")
-    hub.policy_event(700, "lc0", "aggressive", "slo_aware", 450_000)
-    hub.transfer_event(4, "__be__", "lc0", 500, 750, "lc0")
-    hub.estimator_snapshot(1_000, "lc0", 105_333.5, 260_000)
+    hub.alloc_rows.append((500, "lc0", 1, 3, "window_start"))
+    hub.window_rows.append(("lc0", 1, 12, 2_000, 3, "slo_aware"))
+    hub.policy_rows.append((700, "lc0", "aggressive", "slo_aware", 450_000))
+    hub.transfer_rows.append((4, "__be__", "lc0", 500, 750, "lc0"))
+    hub.estimator_rows.append((1_000, "lc0", 105_333.5, 260_000))
     assert hub.alloc_rows == [(500, "lc0", 1, 3, "window_start")]
     assert hub.window_rows == [("lc0", 1, 12, 2_000, 3, "slo_aware")]
     assert hub.policy_rows == [(700, "lc0", "aggressive", "slo_aware", 450_000)]
@@ -220,7 +220,7 @@ def test_headers_are_pinned():
 def test_write_all_emits_seven_csvs_with_headers(tmp_path):
     hub = _mini_hub()
     hub.tenants["lc0"].record(40_000, 4096, 100)
-    hub.finalize(1_000)
+    hub.flush_interval(1_000)
     paths = write_all(hub, tmp_path / "run")
     assert sorted(paths) == ["alloc_trace.csv", "estimators.csv", "intervals.csv",
                              "latency.csv", "policy_trace.csv", "transfers.csv",
@@ -236,10 +236,10 @@ def test_write_all_emits_seven_csvs_with_headers(tmp_path):
 
 
 def test_latency_rows_add_slo_quantile_when_nonstandard():
-    hub = MetricsHub("run-y", interval_ns=1_000, warmup_ns=0)
+    hub = MetricsHub("run-y", warmup_ns=0)
     hub.register_tenant("lc0", True, 0.95)
     hub.tenants["lc0"].record(40_000, 4096, 100)
-    hub.finalize(1_000)
+    hub.flush_interval(1_000)
     rows = hub.latency_rows()
     qs = [r[3] for r in rows]
     assert qs == sorted(qs)
@@ -247,10 +247,10 @@ def test_latency_rows_add_slo_quantile_when_nonstandard():
 
 
 def test_mean_cores_is_time_weighted():
-    hub = MetricsHub("run-z", interval_ns=1_000, warmup_ns=0)
+    hub = MetricsHub("run-z", warmup_ns=0)
     hub.register_tenant("lc0", True, 0.999)
     hub.start_cores({"lc0": 0}, 8)
-    hub.alloc_event(250, "lc0", 0, 4, "window_start")  # 0 cores for 250ns, then 4
+    hub.alloc_rows.append((250, "lc0", 0, 4, "window_start"))  # 0 cores for 250ns, then 4
     hub.tenants["lc0"].record(1_000, 1, 10)
     hub.flush_interval(1_000)
     row = hub.interval_rows[0]
@@ -418,7 +418,7 @@ def _core_scripts(draw):
 @settings(max_examples=300, deadline=None)
 def test_mean_cores_from_alloc_rows_matches_the_shadow_integral(script):
     pool, counts, ops = script
-    hub = MetricsHub("run-c", interval_ns=1_000, warmup_ns=0)
+    hub = MetricsHub("run-c", warmup_ns=0)
     for label in counts:
         hub.register_tenant(label, True, 0.999)
     hub.register_tenant("be0", False, 0.999)
@@ -450,7 +450,7 @@ def test_mean_cores_from_alloc_rows_matches_the_shadow_integral(script):
         # A grant's row follows the rows its woken cores' first steps write
         # at the same instant, so rows at one instant may come in any order.
         for row in reversed(rows) if reverse else rows:
-            hub.alloc_event(*row)
+            hub.alloc_rows.append(row)
     assert [r[5] for r in hub.interval_rows] == want
     assert hub.lc_cores() == counts
 
@@ -458,9 +458,9 @@ def test_mean_cores_from_alloc_rows_matches_the_shadow_integral(script):
 def test_mean_cores_of_a_hub_never_started():
     # Without start_cores an LC tenant counts from 0 cores and the BE pool
     # has no mean.
-    hub = MetricsHub("run-n", interval_ns=1_000, warmup_ns=0)
+    hub = MetricsHub("run-n", warmup_ns=0)
     hub.register_tenant("lc0", True, 0.999)
     hub.register_tenant("be0", False, 0.999)
-    hub.alloc_event(600, "lc0", 0, 2, "probe")
+    hub.alloc_rows.append((600, "lc0", 0, 2, "probe"))
     hub.flush_interval(1_000)
     assert [r[5] for r in hub.interval_rows] == [repr(0.8), ""]

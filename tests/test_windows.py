@@ -23,7 +23,7 @@ def test_new_window_freezes_queue_and_ranges():
     t = Tenant("lc0", True, slo_ns=4_000_000)
     _enq(t, 100, 5)
     win = new_window(t, 250)
-    assert win.wid == 1 and t.wid == 1
+    assert win.wid == 1 and t.windows_established == 1
     assert win.ql == 5
     assert win.tw == 150                       # head waited 250 - 100
     assert (win.boundary_lo, win.boundary_hi) == (1, 5)
@@ -116,7 +116,7 @@ def _dequeue_mode_run(seed):
     eng = Engine()
     dev = Device(DeviceParams(read_median_us=50.0, capacity=8),
                  make_np_stream(seed, 0), eng)
-    backend = Backend(eng, dev, 8, MetricsHub("dq", interval_ns=SEC, warmup_ns=0),
+    backend = Backend(eng, dev, 8, MetricsHub("dq", warmup_ns=0),
                       window_end="dequeue")
     spec = WorkloadSpec(mode=OPEN, rate_per_s=55_000.0, sizes=((4096, 1.0),),
                         read_ratio=0.9)
