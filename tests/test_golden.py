@@ -2,7 +2,8 @@
 
 Each case runs one built-in scenario for 1 simulated second (seed 1) and
 compares the SHA-256 of its seven CSVs and report.json with the digests in
-golden_digests.json.  Acceptance check 10 only shows that a run repeats within
+golden_digests.json.  Beside the scenario x allocator grid, EXTRA cases
+change one setting of a scenario to reach a path the grid never runs.  Acceptance check 10 only shows that a run repeats within
 one version; this file catches a change that silently alters what the
 simulator outputs.  A change that means to alter outputs regenerates the file
 with `PYTHONPATH=src python tests/test_golden.py` and says why.
@@ -22,10 +23,19 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_digests.json")
 CASES = [(s, k) for s in SCENARIOS for k in ALLOCATORS]
 
+# case id -> (scenario, allocator, top-level config overrides).
+EXTRA = {
+    # Four device slots for eight cores: requests queue in the device FIFO.
+    "duo-qwin-device4": ("duo", "qwin", {"device": {"capacity": 4}}),
+    "burst-duo-qwin-device4": ("burst-duo", "qwin", {"device": {"capacity": 4}}),
+}
+ALL_CASES = {**{f"{s}-{k}": (s, k, {}) for s, k in CASES}, **EXTRA}
 
-def _config(name, kind):
+
+def _config(name, kind, overrides=None):
     d = scenario(name)
     d["duration_s"] = 1.0
+    d.update(overrides or {})
     alloc = {"kind": kind}
     if kind == "static":
         # One core per LC tenant; the rest stay in the BE pool.
@@ -35,8 +45,8 @@ def _config(name, kind):
     return parse_config(d)
 
 
-def run_digests(name, kind, out_dir) -> dict:
-    res = run_experiment(_config(name, kind), out_dir=out_dir)
+def run_digests(name, kind, out_dir, overrides=None) -> dict:
+    res = run_experiment(_config(name, kind, overrides), out_dir=out_dir)
     digests = {}
     for artifact, path in sorted(res.paths.items()):
         with open(path, "rb") as f:
@@ -50,18 +60,18 @@ def golden():
         return json.load(f)
 
 
-@pytest.mark.parametrize("name,kind", CASES, ids=[f"{s}-{k}" for s, k in CASES])
-def test_artifacts_match_golden_digests(name, kind, golden, tmp_path):
-    digests = run_digests(name, kind, str(tmp_path))
+@pytest.mark.parametrize("case", list(ALL_CASES))
+def test_artifacts_match_golden_digests(case, golden, tmp_path):
+    digests = run_digests(*ALL_CASES[case][:2], str(tmp_path), ALL_CASES[case][2])
     assert len(digests) == 8
-    assert digests == golden[f"{name}-{kind}"]
+    assert digests == golden[case]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = {f"{s}-{k}": run_digests(s, k, tmp) for s, k in CASES}
+        table = {case: run_digests(s, k, tmp, o) for case, (s, k, o) in ALL_CASES.items()}
     with open(GOLDEN, "w") as f:
         json.dump(table, f, indent=1, sort_keys=True)
         f.write("\n")
