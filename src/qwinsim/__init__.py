@@ -15,7 +15,7 @@ Typical use:
     print(result.report["tenants"]["lc0"]["tail_ns"])
 """
 
-from .sim_core import Engine, EventKind, SimTime, make_np_stream, make_stream, US, MS, SEC
+from .sim_core import Engine, EventKind, make_np_stream, make_stream, US, MS, SEC
 from .workload import (Burst, PRESETS, PRESET_CLASS, Request, WorkloadSpec,
                        WorkloadSource)
 from .device import Device, DeviceParams, ServiceEstimator

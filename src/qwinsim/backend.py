@@ -13,10 +13,11 @@ purpose and every sub-structure it touches is O(1).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 
 from .sim_core import EventKind
+from .workload import NOT_SCHEDULED
 
 BE = None  # owner sentinel for the shared best-effort pool
 BE_LABEL = "be"
@@ -250,24 +251,53 @@ class Backend:
                 win.outstanding -= 1
                 if win.outstanding == 0 and t.end_on_complete:
                     t.win = None
-        repl = t.source.on_completion(req, now)
-        if repl is not None:
-            # Inline of enqueue() for the closed-loop replacement: the
-            # completing core re-dispatches right below, so only stamp and
-            # append here; wake another core only if one is actually parked.
-            repl.enqueued_at = now
+        src = t.source
+        if src.closed:
+            # The replacement is the completed request, arriving now: draw the
+            # op, then the size, and enqueue inline.  The freed core steps
+            # below, so wake another only if one is parked.
+            op = src.op_const
+            if op is None:
+                op = src.rng.random() < src.read_ratio
+            cum = src.size_cum
+            i = 0 if cum is None else bisect_left(cum, src.rng.random())
+            req.is_read = op
+            req.size = src.size_vals[i]
+            req.mu = src.mu_table[op][i]
+            req.arrive_at = now
+            req.finish_at = NOT_SCHEDULED
+            req.enqueued_at = now
             t.arrivals += 1
-            repl.seq = t.arrivals
-            t.queue.append(repl)
+            req.seq = t.arrivals
+            t.queue.append(req)
             idle = t.wake_idle
             if idle:
                 other = self.cores[idle.pop(0)]
                 self.core_step(other, now)
+        else:
+            src.on_completion(req)
         core.busy = None
         if core.pending_marks is not None:
             for from_l, to_l, marked, initiator in core.pending_marks:
                 self.hub.transfer_rows.append((core.cid, from_l, to_l, marked, now, initiator))
             core.pending_marks = None
+        # Step the freed core as core_step would; one its step yielded to
+        # the BE pool, and a BE core, go through core_step.
+        owner = core.owner
+        if owner is not BE:
+            nxt = self.allocator.lc_step(core, owner, now)
+            if nxt is not None:
+                core.busy = nxt
+                nxt.core = core
+                nxt.dequeued_at = now
+                if dev.in_service < dev.capacity:
+                    dev._start(nxt, now)
+                else:
+                    dev.fifo.append(nxt)
+                return
+            if core.owner is owner:
+                insort(owner.idle, core.cid)
+                return
         self.core_step(core, now)
 
     # -- ownership transfers -----------------------------------------------------
@@ -343,7 +373,7 @@ class Backend:
         old = tenant.num
         tenant.num = old - 1
         self.be_count += 1
-        # Never busy (core_step only steps idle cores): the row is written now.
+        # Never busy (only a core with no request is stepped): the row is written now.
         self._flip(core, BE, now, tenant.label)
         self.hub.alloc_rows.append((now, tenant.label, old, old - 1, "yield"))
 

@@ -163,10 +163,6 @@ class TenantMetrics:
                 nbytes - self._w_bytes)
 
     @property
-    def c_n(self) -> int:
-        return self._cumulative()[1]
-
-    @property
     def c_bytes(self) -> int:
         return self._cumulative()[2]
 

@@ -11,13 +11,10 @@ from __future__ import annotations
 import random
 from enum import IntEnum
 from heapq import heappop, heappush
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-SimTime = int  # nanoseconds
-
-# Handy unit multipliers for building SimTime values.
+# Handy unit multipliers for integer-ns times.
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
@@ -36,14 +33,6 @@ class EventKind(IntEnum):
 # is slower than with an int.
 REQUEST_ARRIVAL = int(EventKind.REQUEST_ARRIVAL)
 IO_COMPLETE = int(EventKind.IO_COMPLETE)
-
-
-class Event(NamedTuple):
-    fire_at: int
-    seq: int
-    kind: int
-    payload: object
-    fn: Callable
 
 
 class SimStats:
@@ -82,16 +71,17 @@ class Engine:
     """Minimal event loop.  Handlers are called as fn(payload, now)."""
 
     def __init__(self):
-        self.now: SimTime = 0
+        self.now = 0
         self.stats = SimStats(self)
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self._seq = 0
 
-    def schedule(self, fire_at: SimTime, kind: int, fn: Callable, payload=None):
+    def schedule(self, fire_at: int, kind: int, fn, payload=None):
         """Queue fn(payload, now) to run at fire_at.
 
-        Events are plain tuples shaped like Event; building one is on the
-        hot path, so the NamedTuple constructor is deliberately avoided.
+        An event is the plain tuple (fire_at, seq, kind, payload, fn): the
+        heap orders by fire_at, then by seq, the insertion counter, and
+        never compares further.
         """
         if fire_at < self.now:
             raise ValueError(f"cannot schedule event at {fire_at} ns; now is {self.now} ns")
@@ -101,7 +91,7 @@ class Engine:
     def pending(self) -> int:
         return len(self._heap)
 
-    def run_until(self, end: SimTime) -> SimStats:
+    def run_until(self, end: int) -> SimStats:
         """Process every event with fire_at <= end; leave later events queued.
 
         Nothing is counted per event but the kinds other than IO_COMPLETE:

@@ -19,6 +19,7 @@ from .sim_core import REQUEST_ARRIVAL, SEC
 
 READ = True
 WRITE = False
+NOT_SCHEDULED = 1 << 62  # Request.finish_at while not in service
 
 CLOSED = "closed_loop"
 OPEN = "open_loop"
@@ -37,8 +38,6 @@ class Request:
         "seq", "slot", "core", "finish_at",
     )
 
-    NOT_SCHEDULED = 1 << 62  # finish_at sentinel: not yet in service
-
     def __init__(self, tenant, is_read, size, arrive_at, slot=-1, mu=None):
         self.tenant = tenant
         self.is_read = is_read
@@ -50,7 +49,7 @@ class Request:
         self.seq = -1          # per-tenant arrival index, stamped at enqueue
         self.slot = slot       # closed-loop job slot, -1 for open loop
         self.core = None       # core currently serving this request
-        self.finish_at = Request.NOT_SCHEDULED  # set once device service starts
+        self.finish_at = NOT_SCHEDULED  # set once device service starts
 
     def __repr__(self):
         op = "R" if self.is_read else "W"
@@ -153,29 +152,29 @@ class WorkloadSource:
         self.spec = spec
         self.rng = rng
         self.tenant = tenant_label
-        self._closed = spec.mode == CLOSED
         self.in_flight = 0
-        self.generated = 0
         self._enqueue = None
         self._free = []              # completed open-loop requests, for reuse
         self._engine = None
-        # Pre-computed op sampler: constant when the mix is pure.
+        # The backend's completion handler draws a closed loop's replacement
+        # from these tables.  The op is constant when the mix is pure.
+        self.closed = spec.mode == CLOSED
         rr = spec.read_ratio
-        self._rr = rr
-        self._op_const = READ if rr >= 1.0 else (WRITE if rr <= 0.0 else None)
-        # Pre-computed size sampler: either a constant or cumulative weights.
+        self.read_ratio = rr
+        self.op_const = READ if rr >= 1.0 else (WRITE if rr <= 0.0 else None)
+        # Size sampler: either a constant or cumulative weights.
         sizes = spec.sizes
-        self._size_vals = [s for s, _ in sizes]
+        self.size_vals = [s for s, _ in sizes]
         if len(sizes) == 1:
-            self._size_cum = None
+            self.size_cum = None
         else:
             total = sum(w for _, w in sizes)
             acc = list(itertools.accumulate(w / total for _, w in sizes))
             acc[-1] = 1.0
-            self._size_cum = acc
+            self.size_cum = acc
         # Log median per [is_read][size index], computed once per source.
-        self._mu = [[math.log(device.median_ns(op, s)) for s in self._size_vals]
-                    for op in (WRITE, READ)]
+        self.mu_table = [[math.log(device.median_ns(op, s)) for s in self.size_vals]
+                         for op in (WRITE, READ)]
         # Open loop: the current phase's rate (requests per ns) and end.  The
         # off phase comes first; without a burst the one phase never ends.
         burst = spec.burst
@@ -188,26 +187,26 @@ class WorkloadSource:
     # -- draws ------------------------------------------------------------
 
     def make_request(self, arrive_at, slot=-1) -> Request:
-        self.generated += 1
         self.in_flight += 1
-        # The op is drawn before the size, as in on_completion.
-        op = self._op_const
+        # The op is drawn before the size, as for a closed-loop replacement.
+        op = self.op_const
         if op is None:
-            op = self.rng.random() < self._rr
-        cum = self._size_cum
+            op = self.rng.random() < self.read_ratio
+        cum = self.size_cum
         i = 0 if cum is None else bisect.bisect_left(cum, self.rng.random())
         free = self._free
         if free:
-            # A completed open-loop request, refreshed as on_completion does.
+            # A completed open-loop request, refreshed as the completion
+            # handler refreshes a closed loop's replacement.
             req = free.pop()
             req.is_read = op
-            req.size = self._size_vals[i]
-            req.mu = self._mu[op][i]
+            req.size = self.size_vals[i]
+            req.mu = self.mu_table[op][i]
             req.arrive_at = arrive_at
-            req.finish_at = Request.NOT_SCHEDULED
+            req.finish_at = NOT_SCHEDULED
             return req
-        return Request(self.tenant, op, self._size_vals[i], arrive_at, slot,
-                       self._mu[op][i])
+        return Request(self.tenant, op, self.size_vals[i], arrive_at, slot,
+                       self.mu_table[op][i])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -268,31 +267,13 @@ class WorkloadSource:
 
     # -- completions ----------------------------------------------------------
 
-    def on_completion(self, req, now):
-        """Closed loop: reuse the completed request as its slot's replacement.
+    def on_completion(self, req):
+        """Open loop: keep the completed request for a later arrival to reuse.
 
-        Reusing the object keeps the hot path allocation-free; nothing holds a
-        reference to a completed request once its latency has been recorded.
-        Returns the replacement (arriving now) or None for open loops, which
-        keep the request for their next arrival instead.  The replacement
-        takes the completed request's place in flight.
+        Nothing holds a reference to a completed request once its latency
+        has been recorded.  A closed loop's replacement is drawn by the
+        backend's completion handler instead, which reuses the request the
+        same way.
         """
-        if not self._closed:
-            self.in_flight -= 1
-            self._free.append(req)
-            return None
-        self.generated += 1
-        # Only fields the enqueue/serve/start path does not overwrite need
-        # refreshing; the stale timestamps are dead the moment this returns.
-        # The op/size draws are inlined -- this runs once per completion.
-        op = self._op_const
-        if op is None:
-            op = self.rng.random() < self._rr
-        cum = self._size_cum
-        i = 0 if cum is None else bisect.bisect_left(cum, self.rng.random())
-        req.is_read = op
-        req.size = self._size_vals[i]
-        req.mu = self._mu[op][i]
-        req.arrive_at = now
-        req.finish_at = Request.NOT_SCHEDULED
-        return req
+        self.in_flight -= 1
+        self._free.append(req)

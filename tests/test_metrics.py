@@ -114,7 +114,7 @@ def test_cumulative_counts_only_post_warmup():
     tm.record(20_000, 4096, now=1_000)    # at the boundary: counts
     tm.record(20_000, 4096, now=1_500)
     tm.flush_interval(2_000)
-    assert tm.c_n == 2
+    assert tm.c_bytes == 2 * 4096
     assert tm.t_n == 4                     # totals see everything
     assert tm.cumulative_quantile(1.0) == EDGES[_bucket(20_000)]
 
@@ -135,7 +135,7 @@ def test_interval_totals_sum_to_run_totals():
     assert sum(n for n, _ in per_interval) == tm.t_n
     assert sum(b for _, b in per_interval) == tm.t_bytes
     # cumulative only saw intervals at/after the warmup boundary
-    assert tm.c_n <= tm.t_n
+    assert tm.c_bytes <= tm.t_bytes
 
 
 def test_fold_flag_toggles_at_warmup_and_totals_stay_exact():
@@ -143,24 +143,24 @@ def test_fold_flag_toggles_at_warmup_and_totals_stay_exact():
     tm = TenantMetrics("lc0", True, 0.999, warmup_ns=1_500)
     tm.record(5_000, 100, now=200)
     tm.flush_interval(1_000)
-    assert tm.c_n == 0                     # interval [1000,2000) straddles
+    assert tm.c_bytes == 0                 # interval [1000,2000) straddles
     tm.record(5_000, 100, now=1_400)       # pre-warmup: cumulative skips it
     tm.record(5_000, 100, now=1_600)       # post-warmup: cumulative takes it
-    assert tm.c_n == 1                     # at once, inside the straddle
+    assert tm.c_bytes == 100               # at once, inside the straddle
     tm.flush_interval(2_000)
     tm.record(5_000, 100, now=2_700)
-    assert tm.c_n == 1                     # intervals now fully post-warmup:
+    assert tm.c_bytes == 100               # intervals now fully post-warmup:
     tm.flush_interval(3_000)               # counted when flushed
-    assert tm.c_n == 2 and tm.t_n == 4
-    assert tm.c_bytes == 200 and tm.t_bytes == 400
+    assert tm.c_bytes == 200 and tm.t_n == 4
+    assert tm.t_bytes == 400
 
 
 def test_zero_warmup_folds_from_the_start():
     tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
     tm.record(5_000, 50, now=1)
-    assert tm.c_n == 0                     # counted when the interval flushes
+    assert tm.c_bytes == 0                 # counted when the interval flushes
     tm.flush_interval(1_000)
-    assert tm.c_n == 1 and tm.t_n == 1
+    assert tm.c_bytes == 50 and tm.t_n == 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,8 @@ def test_one_live_histogram_matches_the_two_histogram_oracle(script):
             assert tm.since_mark(0.999) == oracle.since_mark(0.999)
             tm.mark()
             oracle.mark()
-        assert (tm.c_n, tm.c_bytes, tm.t_n, tm.t_bytes) == \
+        # Sizes may be 0, so the post-warmup count is read beside the bytes.
+        assert (tm._cumulative()[1], tm.c_bytes, tm.t_n, tm.t_bytes) == \
             (oracle.c_n, oracle.c_bytes, oracle.t_n, oracle.t_bytes)
         assert [tm.cumulative_quantile(q) for q in qs] == \
             [oracle.cumulative_quantile(q) for q in qs]

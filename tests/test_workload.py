@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwinsim import (Burst, DeviceParams, Engine, EventKind, PRESETS, PRESET_CLASS,
-                     WorkloadSpec, WorkloadSource, make_stream)
-from qwinsim.workload import CLOSED, OPEN, Request
-from qwinsim.sim_core import SEC
+from qwinsim import (Backend, Burst, Device, DeviceParams, Engine, EventKind,
+                     MetricsHub, PRESETS, PRESET_CLASS, Tenant, WorkloadSpec,
+                     WorkloadSource, make_np_stream, make_stream)
+from qwinsim.workload import CLOSED, NOT_SCHEDULED, OPEN
+from qwinsim.sim_core import MS, SEC
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +76,43 @@ def _drive(spec, seed=1, label="t0", device=DeviceParams()):
     return eng, src, arrived
 
 
+class _RecordingDevice(Device):
+    """Records (request, is_read, size, mu, arrive_at, finish_at, now) as it
+    starts each request, before drawing its service time."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def _start(self, req, now):
+        self.seen.append((req, req.is_read, req.size, req.mu, req.arrive_at,
+                          req.finish_at, now))
+        super()._start(req, now)
+
+
+def _closed_loop_starts(spec, n, seed=1, device=DeviceParams()):
+    """Start records of a closed loop's first n requests, the replacements
+    drawn by the backend's completion handler.  The source is a BE tenant's,
+    served by one core and one device slot, so requests start one at a time
+    in arrival order: the t=0 population first, then the replacements."""
+    eng = Engine()
+    dev = _RecordingDevice(dataclasses.replace(device, capacity=1),
+                           make_np_stream(seed, 0), eng)
+    backend = Backend(eng, dev, 1, MetricsHub("run", 0))
+    backend.add_tenant(Tenant("t0", False),
+                       WorkloadSource(spec, make_stream(seed, 1), "t0", device))
+    backend.start()
+    while len(dev.seen) < n:
+        eng.run_until(eng.now + 100 * MS)
+    return dev.seen[:n]
+
+
+def _closed_loop_replacements(spec, n, seed=1, device=DeviceParams()):
+    """Start records of a closed loop's first n replacements."""
+    cap = spec.in_flight_cap
+    return _closed_loop_starts(spec, cap + n, seed, device)[cap:]
+
+
 def test_closed_loop_emits_exactly_iodepth_x_numjobs_at_t0():
     spec = WorkloadSpec(mode=CLOSED, iodepth=4, numjobs=3)
     eng, src, arrived = _drive(spec)
@@ -86,18 +124,15 @@ def test_closed_loop_emits_exactly_iodepth_x_numjobs_at_t0():
 
 
 def test_closed_loop_recycles_on_completion():
+    # Two in flight on one core: the first request completes as the second
+    # starts, and its replacement starts when the second completes.
     spec = WorkloadSpec(mode=CLOSED, iodepth=2, numjobs=1, read_ratio=0.5)
-    eng, src, arrived = _drive(spec, seed=3)
-    eng.run_until(0)
-    req, _ = arrived[0]
-    req.dequeued_at = 5
-    req.finish_at = 1_000
-    repl = src.on_completion(req, 1_000)
-    assert repl is req                      # the object is recycled
-    assert repl.arrive_at == 1_000
-    assert repl.finish_at == Request.NOT_SCHEDULED
-    assert repl.size in (4096,)
-    assert repl.is_read in (True, False)
+    first, second, repl = _closed_loop_starts(spec, 3, seed=3)
+    assert repl[0] is first[0]              # the object is recycled
+    assert repl[4] == second[6] > 0         # it arrived as the first completed
+    assert repl[5] == NOT_SCHEDULED
+    assert repl[2] in (4096,)
+    assert repl[1] in (True, False)
 
 
 def test_open_loop_never_recycles():
@@ -105,55 +140,33 @@ def test_open_loop_never_recycles():
     eng, src, arrived = _drive(spec)
     eng.run_until(5_000_000)
     req, now = arrived[0]
-    assert src.on_completion(req, now + 100) is None
+    in_flight = src.in_flight
+    assert src.on_completion(req) is None
+    assert src.in_flight == in_flight - 1
+    assert src.make_request(now + 200) is req
 
 
 def test_closed_loop_read_fraction_within_one_percent():
     spec = WorkloadSpec(mode=CLOSED, iodepth=1, numjobs=1, read_ratio=0.9)
-    eng, src, arrived = _drive(spec, seed=11)
-    eng.run_until(0)
-    req = arrived[0][0]
     n = 50_000
-    reads = 0
-    at = 0
-    for _ in range(n):
-        at += 10
-        req.finish_at = at
-        req = src.on_completion(req, at)
-        reads += req.is_read
+    reads = sum(r[1] for r in _closed_loop_replacements(spec, n, seed=11))
     assert abs(reads / n - 0.9) < 0.01
 
 
 def test_size_mix_matches_weights():
     spec = WorkloadSpec(mode=CLOSED, iodepth=1, numjobs=1,
                         sizes=((2048, 0.25), (8192, 0.75)), read_ratio=1.0)
-    eng, src, arrived = _drive(spec, seed=21)
-    eng.run_until(0)
-    req = arrived[0][0]
     n = 40_000
-    small = 0
-    at = 0
-    for _ in range(n):
-        at += 10
-        req.finish_at = at
-        req = src.on_completion(req, at)
-        small += req.size == 2048
-    assert abs(small / n - 0.25) < 0.01
-    assert all(s in (2048, 8192) for s in (req.size,))
+    sizes = [r[2] for r in _closed_loop_replacements(spec, n, seed=21)]
+    assert abs(sizes.count(2048) / n - 0.25) < 0.01
+    assert all(s in (2048, 8192) for s in sizes)
 
 
 def test_pure_read_and_pure_write_specs_are_constant():
     for ratio, want in ((1.0, True), (0.0, False)):
         spec = WorkloadSpec(mode=CLOSED, iodepth=2, numjobs=1, read_ratio=ratio)
-        eng, src, arrived = _drive(spec, seed=5)
-        eng.run_until(0)
-        req = arrived[0][0]
-        at = 0
-        for _ in range(200):
-            at += 10
-            req.finish_at = at
-            req = src.on_completion(req, at)
-            assert req.is_read is want
+        for r in _closed_loop_replacements(spec, 200, seed=5):
+            assert r[1] is want
 
 
 # Read and write medians differ and sizes scale at a non-default exponent, so
@@ -168,9 +181,9 @@ _MU_DEVICE = DeviceParams(read_median_us=80.0, write_median_us=150.0,
                  iodepth=4, numjobs=1),
 ], ids=["C", "K", "J", "write-only"])
 def test_every_request_carries_the_log_median_of_its_op_and_size(spec):
-    def check(req):
-        assert req.mu == math.log(_MU_DEVICE.median_ns(req.is_read, req.size))
-        seen.add((req.is_read, req.size))
+    def check(is_read, size, mu):
+        assert mu == math.log(_MU_DEVICE.median_ns(is_read, size))
+        seen.add((is_read, size))
 
     want = {(op, s) for s, _ in spec.sizes for op in (True, False)
             if (spec.read_ratio > 0 if op else spec.read_ratio < 1)}
@@ -179,18 +192,15 @@ def test_every_request_carries_the_log_median_of_its_op_and_size(spec):
     src = WorkloadSource(dataclasses.replace(spec, mode=OPEN, rate_per_s=1.0),
                          make_stream(9, 1), "t0", _MU_DEVICE)
     for _ in range(3_000):
-        check(src.make_request(0))
+        req = src.make_request(0)
+        check(req.is_read, req.size, req.mu)
     assert seen == want
-    # closed loop: the t=0 population, then on_completion's replacements
+    # closed loop: the t=0 population, then the completion handler's
+    # replacements
     seen = set()
-    eng, src, arrived = _drive(spec, seed=9, device=_MU_DEVICE)
-    eng.run_until(0)
-    for req, _ in arrived:
-        check(req)
-    req = arrived[0][0]
-    for at in range(1, 3_001):
-        req = src.on_completion(req, at)
-        check(req)
+    for _req, is_read, size, mu, *_ in _closed_loop_starts(
+            spec, spec.in_flight_cap + 3_000, seed=9, device=_MU_DEVICE):
+        check(is_read, size, mu)
     assert seen == want
 
 
@@ -338,19 +348,22 @@ def _source_arrivals(spec, seed, n, lag):
     out, live = [], []
 
     def enqueue(req, now):
-        assert req.arrive_at == now and req.finish_at == Request.NOT_SCHEDULED
+        assert req.arrive_at == now and req.finish_at == NOT_SCHEDULED
         assert req.slot == -1 and req.tenant == "t0"
         assert req.mu == math.log(_MU_DEVICE.median_ns(req.is_read, req.size))
         out.append((now, req.is_read, req.size))
         live.append(req)
         if len(live) > lag:
             done = live.pop(0)
-            assert src.on_completion(done, now) is None
+            assert src.on_completion(done) is None
 
     src.start(eng, enqueue)
     while len(out) < n:
         eng.fire()
-    assert src.generated == n + 1 and src.in_flight == n + 1 - max(0, n - lag)
+    # n arrived and one more is drawn; every arrival completed but the
+    # last `lag`.
+    drawn = len(out) + (eng.pending is not None)
+    assert drawn == n + 1 and src.in_flight == drawn - max(0, n - lag)
     return out
 
 
