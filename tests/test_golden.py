@@ -3,16 +3,19 @@
 Each case runs one built-in scenario for 1 simulated second (seed 1) and
 compares the SHA-256 of its seven CSVs and report.json with the digests in
 golden_digests.json.  Beside the scenario x allocator grid, EXTRA cases
-change one setting of a scenario to reach a path the grid never runs.  Acceptance check 10 only shows that a run repeats within
-one version; this file catches a change that silently alters what the
-simulator outputs.  A change that means to alter outputs regenerates the file
+change settings of a scenario to reach a path the grid never runs, and
+REACHES checks from their artifacts that they still do.  Acceptance check 10
+only shows that a run repeats within one version; this file catches a change
+that silently alters what the simulator outputs.  A change that means to alter outputs regenerates the file
 with `PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
+import csv
 import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -23,20 +26,46 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_digests.json")
 CASES = [(s, k) for s in SCENARIOS for k in ALLOCATORS]
 
-# case id -> (scenario, allocator, top-level config overrides).
+# case id -> (scenario, allocator, top-level config overrides); an
+# "allocator" override holds the allocator's own sections.
 EXTRA = {
     # Four device slots for eight cores: requests queue in the device FIFO.
     "duo-qwin-device4": ("duo", "qwin", {"device": {"capacity": 4}}),
     "burst-duo-qwin-device4": ("burst-duo", "qwin", {"device": {"capacity": 4}}),
+    # Policies refresh from since_mark reads, and intervals flush mid-run.
+    "duo-qwin-policy20": ("duo", "qwin", {
+        "interval_s": 0.25,
+        "allocator": {"qwin": {"policy_window": 20, "min_tail_samples": 200}}}),
+    # Feedback grants two cores at a time and later releases some.
+    "duo-cake-step2": ("duo", "cake", {
+        "allocator": {"cake": {"interval_s": 0.1, "step": 2}}}),
 }
 ALL_CASES = {**{f"{s}-{k}": (s, k, {}) for s, k in CASES}, **EXTRA}
+
+
+def _column(paths, artifact, column):
+    with open(paths[artifact], newline="") as f:
+        return Counter(row[column] for row in csv.DictReader(f))
+
+
+# case id -> what its artifacts must show, so that an edit to the case
+# cannot silently drop the path it was added for.
+REACHES = {
+    "duo-qwin-policy20": lambda p: (
+        sum(_column(p, "policy_trace.csv", "tenant").values()) == 14
+        and _column(p, "intervals.csv", "tenant") == {"lc0": 4, "be0": 4}),
+    "duo-cake-step2": lambda p: (
+        _column(p, "alloc_trace.csv", "trigger")
+        == {"feedback_up": 4, "feedback_down": 1}),
+}
 
 
 def _config(name, kind, overrides=None):
     d = scenario(name)
     d["duration_s"] = 1.0
-    d.update(overrides or {})
-    alloc = {"kind": kind}
+    overrides = dict(overrides or {})
+    alloc = {"kind": kind, **overrides.pop("allocator", {})}
+    d.update(overrides)
     if kind == "static":
         # One core per LC tenant; the rest stay in the BE pool.
         alloc["static"] = {"counts": {t["label"]: 1 for t in d["tenants"]
@@ -45,13 +74,14 @@ def _config(name, kind, overrides=None):
     return parse_config(d)
 
 
-def run_digests(name, kind, out_dir, overrides=None) -> dict:
+def run_digests(name, kind, out_dir, overrides=None) -> tuple[dict, dict]:
+    """(artifact -> SHA-256, artifact -> path) of one case's run."""
     res = run_experiment(_config(name, kind, overrides), out_dir=out_dir)
     digests = {}
     for artifact, path in sorted(res.paths.items()):
         with open(path, "rb") as f:
             digests[artifact] = hashlib.sha256(f.read()).hexdigest()
-    return digests
+    return digests, res.paths
 
 
 @pytest.fixture(scope="module")
@@ -62,16 +92,18 @@ def golden():
 
 @pytest.mark.parametrize("case", list(ALL_CASES))
 def test_artifacts_match_golden_digests(case, golden, tmp_path):
-    digests = run_digests(*ALL_CASES[case][:2], str(tmp_path), ALL_CASES[case][2])
+    digests, paths = run_digests(*ALL_CASES[case][:2], str(tmp_path), ALL_CASES[case][2])
     assert len(digests) == 8
     assert digests == golden[case]
+    if case in REACHES:
+        assert REACHES[case](paths), f"{case} no longer reaches its path"
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = {case: run_digests(s, k, tmp, o) for case, (s, k, o) in ALL_CASES.items()}
+        table = {case: run_digests(s, k, tmp, o)[0] for case, (s, k, o) in ALL_CASES.items()}
     with open(GOLDEN, "w") as f:
         json.dump(table, f, indent=1, sort_keys=True)
         f.write("\n")
