@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 
-from .sim_core import EventKind
+from .sim_core import REQUEST_ARRIVAL, EventKind
 from .workload import NOT_SCHEDULED
 
 BE = None  # owner sentinel for the shared best-effort pool
@@ -95,7 +95,6 @@ class Backend:
         self.tenants: list[Tenant] = []
         self.lc_tenants: list[Tenant] = []
         self.be_tenants: list[Tenant] = []
-        self.by_label: dict[str, Tenant] = {}
         self.be_idle: list[int] = list(range(pool_total))
         self.be_count = pool_total   # cores owned by the BE pool
         self._be_rr = 0
@@ -120,7 +119,6 @@ class Backend:
         tenant.end_on_complete = self.window_end == "complete"
         tenant.wake_idle = tenant.idle if tenant.lc else self.be_idle
         self.tenants.append(tenant)
-        self.by_label[tenant.label] = tenant
         if tenant.lc:
             self.lc_tenants.append(tenant)
         else:
@@ -381,8 +379,8 @@ class Backend:
 
     def check_invariants(self):
         """Raise AssertionError if core ownership, the parked-core lists, the
-        alloc trace or a closed loop's population is inconsistent; explicit
-        raises, so `python -O` checks too."""
+        alloc trace or a tenant's requests are inconsistent; explicit raises,
+        so `python -O` checks too."""
         def need(ok, msg):
             if not ok:
                 raise AssertionError(msg)
@@ -413,9 +411,15 @@ class Backend:
         for t in self.lc_tenants:
             need(replayed[t.label] == t.num,
                  f"{t.label}.num={t.num} but its alloc rows replay to {replayed[t.label]}")
+        # Each request a source made and has not retired is queued, on a core
+        # (in service or in the device FIFO) or yet to arrive, so none was
+        # lost or duplicated; a closed loop made no more than its cap.
+        held = [c.busy.tenant for c in self.cores if c.busy is not None]
+        held += [ev[3].tenant for ev in self.engine._heap if ev[2] == REQUEST_ARRIVAL]
         for t in self.tenants:
             src = t.source
-            if src.spec.mode == "closed_loop":
-                need(src.in_flight <= src.spec.in_flight_cap,
-                     f"{t.label} has {src.in_flight} requests in flight, "
-                     f"more than its {src.spec.in_flight_cap}")
+            n = len(t.queue) + held.count(t)
+            need(n == src.in_flight,
+                 f"{t.label} holds {n} requests but its source has {src.in_flight} in flight")
+            need(not src.closed or src.in_flight <= src.spec.in_flight_cap,
+                 f"{t.label} has {src.in_flight} in flight, over its cap {src.spec.in_flight_cap}")

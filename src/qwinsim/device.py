@@ -168,6 +168,7 @@ _LINEAR_BUCKETS = _LINEAR_LIMIT_NS // US          # 100_000
 _LOG_RATIO = 1.05
 _LOG_BUCKETS = math.ceil(math.log(10_000 * MS / _LINEAR_LIMIT_NS) / math.log(_LOG_RATIO))
 _N_BUCKETS = _LINEAR_BUCKETS + _LOG_BUCKETS
+_VACANT = _N_BUCKETS   # a ring entry no sample has filled; above every bucket
 _LOG_INV = 1.0 / math.log(_LOG_RATIO)
 
 
@@ -196,7 +197,7 @@ class ServiceEstimator:
     """
 
     __slots__ = ("alpha", "window", "quantile", "mean", "samples",
-                 "_counts", "_ring", "_pos", "_tail_idx", "_cum", "_need_full",
+                 "_counts", "_ring", "_tail_idx", "_cum", "_need_full",
                  "nominal_mean", "nominal_tail")
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
@@ -212,9 +213,9 @@ class ServiceEstimator:
         self.quantile = quantile
         self.mean = 0.0
         self.samples = 0
-        self._counts = [0] * _N_BUCKETS
-        self._ring = [0] * window    # bucket of each windowed sample
-        self._pos = 0                # next ring slot to overwrite
+        self._counts = [0] * (_N_BUCKETS + 1)   # one list: a temporary copy
+        self._counts[_VACANT] = window          # of 100k slots would raise RSS
+        self._ring = deque([_VACANT] * window)  # windowed buckets, oldest first
         self._tail_idx = 0
         self._cum = 0
         self._need_full = self._need(window)
@@ -229,24 +230,21 @@ class ServiceEstimator:
             self.mean = float(service_ns)
         else:
             self.mean += self.alpha * (service_ns - self.mean)
-        self.samples = samples = samples + 1
+        self.samples = samples + 1
 
         b = (service_ns // US) if service_ns < _LINEAR_LIMIT_NS else _service_bucket(service_ns)
         ring = self._ring
+        old = ring.popleft()
+        ring.append(b)
         counts = self._counts
-        pos = self._pos
-        tail_idx = self._tail_idx
-        if samples > self.window:
-            old = ring[pos]
-            counts[old] -= 1
-            if old <= tail_idx:
-                self._cum -= 1
-        ring[pos] = b
-        pos += 1
-        self._pos = pos if pos < self.window else 0
+        counts[old] -= 1
         counts[b] += 1
+        tail_idx = self._tail_idx   # _cum counts the samples at or below it
         if b <= tail_idx:
-            self._cum += 1
+            if old > tail_idx:
+                self._cum += 1
+        elif old <= tail_idx:
+            self._cum -= 1
 
     @property
     def mean_ns(self) -> float:
@@ -270,6 +268,8 @@ class ServiceEstimator:
         counts = self._counts
         idx = self._tail_idx
         cum = self._cum
+        # The buckets hold min(samples, window) >= need samples, so the walk
+        # up stops before the _VACANT slot.
         while cum < need:
             idx += 1
             cum += counts[idx]

@@ -2,16 +2,21 @@
 
 All latency accounting uses one geometric bucket layout (about 5% relative
 width from 1us to 10s); each completion is counted once, in its tenant's
-live histogram (TenantMetrics.record).  Quantiles follow the rule "smallest
-bucket upper edge whose cumulative fraction reaches q", which bounds the
-error by one bucket width.  Core counts have one record, the alloc trace:
-each interval's mean_cores is integrated from its rows.
+live histogram (TenantMetrics.record logs it, and numpy folds the log in).
+Quantiles follow the rule "smallest bucket upper edge whose cumulative
+fraction reaches q", which bounds the error by one bucket width.  Core
+counts have one record, the alloc trace: each interval's mean_cores is
+integrated from its rows.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
+from itertools import accumulate
+
+import numpy as np
 
 from .sim_core import SEC, US
 
@@ -36,33 +41,15 @@ def _build_edges():
 EDGES = _build_edges()
 N_BUCKETS = len(EDGES)
 _LAST = N_BUCKETS - 1
-
-# Direct-index start for the common latency range: _CELL_FIRST[x >> _CELL_SHIFT]
-# is bisect_left(EDGES, start of x's cell), so a forward step over EDGES from
-# there ends at bisect_left(EDGES, x).  Cells are narrower than the edge
-# spacing from about 85 us up, so the step is 0 or 1 edges there.
-_CELL_SHIFT = 12
-_CELL_LIMIT = 16_384 << _CELL_SHIFT      # about 67 ms; bisect beyond
-_CELL_FIRST = [bisect_left(EDGES, k << _CELL_SHIFT)
-               for k in range(_CELL_LIMIT >> _CELL_SHIFT)]
+_EDGES = np.array(EDGES, dtype=np.int64)
 
 
 def quantile_from_counts(counts, n: int, q: float):
     """Smallest bucket upper edge with cumulative fraction >= q; None if empty."""
     if n <= 0:
         return None
-    need = math.ceil(q * n - 1e-9)
-    if need < 1:
-        need = 1
-    if need > n:
-        need = n
-    cum = 0
-    for idx, c in enumerate(counts):
-        if c:
-            cum += c
-            if cum >= need:
-                return EDGES[idx]
-    return EDGES[_LAST]
+    need = min(max(1, math.ceil(q * n - 1e-9)), n)
+    return EDGES[min(bisect_left(list(accumulate(counts)), need), _LAST)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +57,21 @@ def quantile_from_counts(counts, n: int, q: float):
 # ---------------------------------------------------------------------------
 
 
-_NEVER = 1 << 63   # a completion time no run reaches
+_FOLD_NS = 1 << 27   # record() folds a latency log at least this often (ns)
 
 
 def _minus(counts, base):
-    return [a - b for a, b in zip(counts, base)]
+    """The histogram counts - base, as a list, and the completions in it."""
+    diff = (counts - base).tolist()
+    return diff, sum(diff)
 
 
 class TenantMetrics:
     """Interval, cumulative and since-mark accounting for one tenant.
 
-    record() runs once per completion and counts it in one live histogram
-    (`counts`, `n`, `nbytes`).  Every other view is the difference from a
-    snapshot of it:
+    record() runs once per completion, logs its latency and counts its bytes
+    (`nbytes`).  The log is folded into one live histogram (`counts`) before
+    any view is read.  Every view is the difference from a snapshot:
 
     - the interval: from the snapshot taken at the last flush, whose
       count and bytes are the run totals up to it, `t_n` and `t_bytes`, so
@@ -95,56 +84,59 @@ class TenantMetrics:
       interval feedback allocator read, each marking when it consumes.
     """
 
-    __slots__ = ("label", "lc", "slo_q", "warmup_ns", "_warm_at", "_straddle",
-                 "counts", "n", "nbytes",
-                 "_t_counts", "t_n", "t_bytes",
-                 "_w_counts", "_w_n", "_w_bytes",
-                 "_m_counts", "_m_n")
+    __slots__ = ("label", "lc", "slo_q", "warmup_ns", "_due_at", "_straddle",
+                 "_log", "counts", "nbytes", "_t_counts", "t_n", "t_bytes",
+                 "_w_counts", "_w_bytes", "_m_counts")
 
     def __init__(self, label: str, lc: bool, slo_q: float, warmup_ns: int):
         self.label = label
         self.lc = lc
         self.slo_q = slo_q
         self.warmup_ns = warmup_ns
-        self._warm_at = warmup_ns      # _NEVER once the warmup snapshot is taken
+        self._due_at = min(warmup_ns, _FOLD_NS)   # the next fold in record()
         self._straddle = warmup_ns > 0  # the open interval began before warmup
-        self.counts = [0] * N_BUCKETS
-        self.n = 0
+        self._log = array("q")          # latencies not yet folded into counts
+        self.counts = np.zeros(N_BUCKETS, dtype=np.int64)
         self.nbytes = 0
-        self._t_counts = [0] * N_BUCKETS
+        self._t_counts = self.counts.copy()
         self.t_n = 0
         self.t_bytes = 0
         self._w_counts = None
-        self._w_n = 0
         self._w_bytes = 0
-        self._m_counts = [0] * N_BUCKETS
-        self._m_n = 0
+        self._m_counts = self.counts.copy()
 
     def record(self, latency_ns: int, size: int, now: int):
-        if now >= self._warm_at:
-            self._warm_at = _NEVER
-            self._w_counts = self.counts[:]
-            self._w_n = self.n
-            self._w_bytes = self.nbytes
-        if latency_ns < _CELL_LIMIT:
-            b = _CELL_FIRST[latency_ns >> _CELL_SHIFT]
-            while EDGES[b] < latency_ns:
-                b += 1
-        else:
-            b = bisect_left(EDGES, latency_ns)
-            if b >= N_BUCKETS:
-                b = _LAST
-        self.counts[b] += 1
-        self.n += 1
+        if now >= self._due_at:
+            self._due(now)
+        self._log.append(latency_ns)
         self.nbytes += size
+
+    def _due(self, now: int):
+        """Fold the log; take the warmup snapshot before logging the first
+        completion at or past the boundary."""
+        self._fold()
+        if self._w_counts is None and now >= self.warmup_ns:
+            self._w_counts = self.counts.copy()
+            self._w_bytes = self.nbytes
+        due = now + _FOLD_NS
+        self._due_at = due if self._w_counts is not None else min(due, self.warmup_ns)
+
+    def _fold(self):
+        """Count each logged latency x in bucket min(bisect_left(EDGES, x), _LAST)."""
+        log = self._log
+        if log:
+            self._log = array("q")
+            b = np.searchsorted(_EDGES, np.frombuffer(log, np.int64), side="left")
+            np.minimum(b, _LAST, out=b)
+            self.counts += np.bincount(b, minlength=N_BUCKETS)
 
     def flush_interval(self, now: int):
         """Close the interval ending at `now`; returns its counts/n/bytes."""
-        counts = self.counts
-        interval = (_minus(counts, self._t_counts), self.n - self.t_n,
-                    self.nbytes - self.t_bytes)
-        self._t_counts = counts[:]
-        self.t_n = self.n
+        self._fold()
+        counts, n = _minus(self.counts, self._t_counts)
+        interval = (counts, n, self.nbytes - self.t_bytes)
+        self._t_counts = self.counts.copy()
+        self.t_n += n
         self.t_bytes = self.nbytes
         # The next interval starts at `now`.
         self._straddle = now < self.warmup_ns
@@ -156,11 +148,11 @@ class TenantMetrics:
         if self._w_counts is None:
             return None, 0, 0
         if self._straddle:
-            counts, n, nbytes = self.counts, self.n, self.nbytes
+            self._fold()
+            counts, nbytes = self.counts, self.nbytes
         else:
-            counts, n, nbytes = self._t_counts, self.t_n, self.t_bytes
-        return (_minus(counts, self._w_counts), n - self._w_n,
-                nbytes - self._w_bytes)
+            counts, nbytes = self._t_counts, self.t_bytes
+        return (*_minus(counts, self._w_counts), nbytes - self._w_bytes)
 
     @property
     def c_bytes(self) -> int:
@@ -172,12 +164,13 @@ class TenantMetrics:
 
     def since_mark(self, q: float):
         """(completions since the last mark, their q-quantile or None)."""
-        n = self.n - self._m_n
-        return n, quantile_from_counts(_minus(self.counts, self._m_counts), n, q)
+        self._fold()
+        counts, n = _minus(self.counts, self._m_counts)
+        return n, quantile_from_counts(counts, n, q)
 
     def mark(self):
-        self._m_counts = self.counts[:]
-        self._m_n = self.n
+        self._fold()
+        self._m_counts = self.counts.copy()
 
 
 class MetricsHub:

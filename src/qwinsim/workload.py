@@ -35,10 +35,10 @@ class Request:
     __slots__ = (
         "tenant", "is_read", "size", "mu",
         "arrive_at", "enqueued_at", "dequeued_at",
-        "seq", "slot", "core", "finish_at",
+        "seq", "core", "finish_at",
     )
 
-    def __init__(self, tenant, is_read, size, arrive_at, slot=-1, mu=None):
+    def __init__(self, tenant, is_read, size, arrive_at, mu=None):
         self.tenant = tenant
         self.is_read = is_read
         self.size = size
@@ -47,7 +47,6 @@ class Request:
         self.enqueued_at = -1
         self.dequeued_at = -1
         self.seq = -1          # per-tenant arrival index, stamped at enqueue
-        self.slot = slot       # closed-loop job slot, -1 for open loop
         self.core = None       # core currently serving this request
         self.finish_at = NOT_SCHEDULED  # set once device service starts
 
@@ -186,7 +185,7 @@ class WorkloadSource:
 
     # -- draws ------------------------------------------------------------
 
-    def make_request(self, arrive_at, slot=-1) -> Request:
+    def make_request(self, arrive_at) -> Request:
         self.in_flight += 1
         # The op is drawn before the size, as for a closed-loop replacement.
         op = self.op_const
@@ -205,7 +204,7 @@ class WorkloadSource:
             req.arrive_at = arrive_at
             req.finish_at = NOT_SCHEDULED
             return req
-        return Request(self.tenant, op, self.size_vals[i], arrive_at, slot,
+        return Request(self.tenant, op, self.size_vals[i], arrive_at,
                        self.mu_table[op][i])
 
     # -- lifecycle ---------------------------------------------------------
@@ -217,8 +216,8 @@ class WorkloadSource:
         if self.spec.mode == CLOSED:
             # The whole iodepth*numjobs population arrives at t=0, one event
             # per request so arrival order is well defined.
-            for slot in range(self.spec.in_flight_cap):
-                engine.schedule(0, REQUEST_ARRIVAL, enqueue, self.make_request(0, slot))
+            for _ in range(self.spec.in_flight_cap):
+                engine.schedule(0, REQUEST_ARRIVAL, enqueue, self.make_request(0))
         else:
             self._schedule_next_arrival(0)
 

@@ -345,7 +345,7 @@ def test_05_core_conservation_and_lc_floor(capsys, matrix):
 
 def test_06_policy_regions_exact(capsys):
     sim = build(parse_config(scenario("duo")))
-    t = sim.backend.by_label[LC_LABEL]
+    t = {t.label: t for t in sim.backend.tenants}[LC_LABEL]
     alloc = sim.allocator
     p = alloc.params
     # exact boundaries (non-strict edges stay slo_aware)

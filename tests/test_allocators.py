@@ -19,16 +19,22 @@ from qwinsim.sim_core import MS, SEC, US
 from qwinsim.workload import Request
 
 
+def _by_label(backend):
+    return {t.label: t for t in backend.tenants}
+
+
 def _fill(t, n, now=0):
-    """Stamp n ready-to-dequeue 4 KiB reads straight into a tenant's queue;
-    their mu is that of the rig's default device medians."""
+    """Stamp n ready-to-dequeue 4 KiB reads straight into a tenant's queue,
+    counted as its source's; their mu is that of the rig's default device
+    medians."""
     mu = math.log(DeviceParams().median_ns(True, 4096))
     for _ in range(n):
-        r = Request(t.label, True, 4096, arrive_at=now, mu=mu)
+        r = Request(t, True, 4096, arrive_at=now, mu=mu)
         r.enqueued_at = now
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)
+        t.source.in_flight += 1
 
 
 def _feed(t, latency_ns, count, now=0):
@@ -117,7 +123,7 @@ def test_setup_gives_each_lc_tenant_one_core():
         eng, backend, hub, alloc = _rig(
             allocator=make(),
             tenants=(("lc0", True, 4 * MS), ("lc1", True, 5 * MS), ("be0", False, 0)))
-        lc0, lc1 = backend.by_label["lc0"], backend.by_label["lc1"]
+        lc0, lc1 = _by_label(backend)["lc0"], _by_label(backend)["lc1"]
         assert lc0.num == lc1.num == 1, kind
         assert backend.be_count == 2
         assert backend.cores[0].owner is lc0 and backend.cores[1].owner is lc1
@@ -133,7 +139,7 @@ def test_setup_rejects_more_lc_tenants_than_cores(kind):
 
 def test_adjust_grow_and_shrink_arithmetic():
     eng, backend, hub, alloc = _rig()
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     # queued work plus an active window: granted cores go straight to serving
     # instead of re-planning (or yielding back out of an empty queue)
     _fill(lc, 8)
@@ -150,7 +156,7 @@ def test_adjust_grow_and_shrink_arithmetic():
 
 def test_adjust_beyond_pool_records_shortfall():
     eng, backend, hub, alloc = _rig(pool=4)
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     _fill(lc, 8)
     new_window(lc, 0)
     # the pool only has 3 spare cores; asking for 8 total falls short
@@ -162,7 +168,7 @@ def test_adjust_beyond_pool_records_shortfall():
 
 def test_adjust_noop_emits_no_row():
     eng, backend, hub, alloc = _rig()
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     before = len(hub.alloc_rows)
     alloc.adjust_cores(lc, lc.num, 0, "probe")
     assert len(hub.alloc_rows) == before
@@ -177,7 +183,7 @@ def test_short_baseline_grant_is_written_as_shortfall():
     # cake asks for 2 cores at a violation; the pool has only 1 spare
     eng, backend, hub, alloc = _rig(
         pool=2, allocator=FeedbackAllocator(FeedbackParams(step=2, min_samples=10)))
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     _feed(lc, 10 * MS, 50)
     alloc._tick(None, 100 * US)
     assert hub.alloc_rows == [(100 * US, "lc0", 1, 2, "shortfall")]
@@ -186,7 +192,7 @@ def test_short_baseline_grant_is_written_as_shortfall():
 
 def test_grant_on_an_empty_pool_writes_no_row():
     eng, backend, hub, alloc = _rig(pool=1)
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     assert backend.be_count == 0
     assert backend.grant_cores(lc, 1, 0, "probe") == 0
     assert lc.num == 1 and not hub.alloc_rows
@@ -194,7 +200,7 @@ def test_grant_on_an_empty_pool_writes_no_row():
 
 def test_release_writes_old_and_new_count_with_the_callers_trigger():
     eng, backend, hub, alloc = _rig(pool=4)
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     # queued work and an active window keep the granted cores from yielding
     _fill(lc, 8)
     new_window(lc, 0)
@@ -234,10 +240,10 @@ def test_check_invariants_catches_a_parked_list_out_of_step(fault):
     # Waking a core removes its cid from its owner's parked list without a
     # guard, so every non-busy core must be parked there, and only those.
     eng, backend, hub, alloc = _rig(pool=4)
-    be0 = backend.by_label["be0"]
+    be0 = _by_label(backend)["be0"]
     backend.enqueue(be0.source.make_request(0), 0)   # wakes BE core 1
     backend.check_invariants()
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     if fault == "parked cid dropped":
         lc.idle.remove(0)
         match = r"lc0 parks cores \[\] but its non-busy cores are \[0\]"
@@ -248,9 +254,29 @@ def test_check_invariants_catches_a_parked_list_out_of_step(fault):
         backend.check_invariants()
 
 
+@pytest.mark.parametrize("fault", ["dropped", "duplicated"])
+def test_check_invariants_catches_a_lost_or_duplicated_request(fault):
+    # Each closed loop keeps its whole population, queued or on a core.
+    eng, backend, hub, alloc = _rig(pool=4)
+    backend.start()
+    eng.run_until(10 * MS)
+    backend.check_invariants()
+    lc = _by_label(backend)["lc0"]
+    assert lc.source.in_flight == lc.source.spec.in_flight_cap == 8
+    assert len(lc.queue) == 7
+    if fault == "dropped":
+        lc.queue.pop()
+        match = "lc0 holds 7 requests but its source has 8 in flight"
+    else:
+        lc.queue.append(lc.queue[0])
+        match = "lc0 holds 9 requests but its source has 8 in flight"
+    with pytest.raises(AssertionError, match=match):
+        backend.check_invariants()
+
+
 def test_budget_for_policy_per_policy():
     eng, backend, hub, alloc = _rig()
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     lc.policy = CONSERVATIVE
     assert alloc._budget_for_policy(lc, None) == 0
     lc.policy = AGGRESSIVE
@@ -262,7 +288,7 @@ def test_budget_for_policy_per_policy():
 
 def test_refresh_policy_needs_samples_and_keeps_hist():
     eng, backend, hub, alloc = _rig()
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     lc.policy = AGGRESSIVE
     _feed(lc, 100_000, 500)   # below min_tail_samples
     alloc._refresh_policy(lc, 0)
@@ -272,7 +298,7 @@ def test_refresh_policy_needs_samples_and_keeps_hist():
 
 def test_refresh_policy_switches_on_measured_slack():
     eng, backend, hub, alloc = _rig()
-    lc = backend.by_label["lc0"]                 # slo 4ms
+    lc = _by_label(backend)["lc0"]                 # slo 4ms
     lc.policy = AGGRESSIVE
     # measured tail ~1ms -> slack ~3ms > 1ms threshold -> conservative
     _feed(lc, 1 * MS, 2_000)
@@ -293,7 +319,7 @@ def test_refresh_policy_switches_on_measured_slack():
 
 def test_pinned_policy_never_refreshes():
     eng, backend, hub, alloc = _rig(allocator=QwinAllocator(PolicyParams(pin=AGGRESSIVE)))
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     assert lc.policy == AGGRESSIVE
     _feed(lc, 1 * MS, 5_000)
     alloc._refresh_policy(lc, 0)
@@ -304,7 +330,7 @@ def test_pinned_policy_never_refreshes():
 def test_budget_one_probe_grows_to_the_live_queue_demand():
     # pool 8, so the BE pool has 7 parked cores a probe can take at once
     eng, backend, hub, alloc = _rig(pool=8)
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     assert lc.policy == AGGRESSIVE and lc.budget == 1
     _fill(lc, 1)
     new_window(lc, 0)                 # a one-request window: demand 1
@@ -323,12 +349,13 @@ def test_budget_one_probe_grows_to_the_live_queue_demand():
     # only the first probe grows
     assert [r for r in hub.alloc_rows if r[4] == "probe"] == [
         (now, "lc0", 1, want, "probe")]
+    lc.source.in_flight -= 1          # req was dequeued onto no core: retire it
     backend.check_invariants()
 
 
 def test_tenants_start_aggressive():
     eng, backend, hub, alloc = _rig()
-    assert backend.by_label["lc0"].policy == AGGRESSIVE
+    assert _by_label(backend)["lc0"].policy == AGGRESSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +461,7 @@ def test_static_params_validation():
 def test_static_partition_never_moves():
     eng, backend, hub, alloc = _rig(
         allocator=StaticAllocator(StaticParams({"lc0": 2})))
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     assert lc.num == 2 and backend.be_count == 2
     backend.start()
     eng.run_until(SEC)
@@ -455,7 +482,7 @@ def test_congestion_probe_grows_on_stuck_head_and_reclaims_when_empty():
                             p_spike=0.0),
         tenants=(("lc0", True, 4 * MS),),
         workloads={"lc0": WorkloadSpec(iodepth=4, numjobs=1)})
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     backend.start()
     # 10ms service on a capacity-1 device: the head stays stuck; probes every
     # 50us escalate one core at a time to the whole pool, then the drained
@@ -489,7 +516,7 @@ def _feedback_rig(interval_us=100):
 
 def test_feedback_scales_up_on_violation_and_down_with_headroom():
     eng, backend, hub, alloc = _feedback_rig()
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     # synthetic: violation in the first interval
     _feed(lc, 10 * MS, 50)
     alloc._tick(None, 100 * US)
@@ -509,7 +536,7 @@ def test_feedback_scales_up_on_violation_and_down_with_headroom():
 
 def test_feedback_holds_without_enough_samples():
     eng, backend, hub, alloc = _feedback_rig()
-    lc = backend.by_label["lc0"]
+    lc = _by_label(backend)["lc0"]
     _feed(lc, 10 * MS, 5)       # under min_samples
     alloc._tick(None, 100 * US)
     assert lc.num == 1 and not hub.alloc_rows
@@ -535,11 +562,11 @@ def test_priority_pool_serves_lc_first():
         workloads={"lc0": WorkloadSpec(iodepth=64, numjobs=4),
                    "be0": WorkloadSpec(iodepth=64, numjobs=4,
                                        sizes=((65536, 1.0),))})
-    assert backend.pool_lc == [backend.by_label["lc0"]]
+    assert backend.pool_lc == [_by_label(backend)["lc0"]]
     backend.start()
     eng.run_until(SEC)
-    lc = backend.by_label["lc0"]
-    be = backend.by_label["be0"]
+    lc = _by_label(backend)["lc0"]
+    be = _by_label(backend)["be0"]
     # saturating LC load on a strict-priority pool starves BE almost entirely
     lc_dequeues = lc.arrivals - len(lc.queue)
     be_dequeues = be.arrivals - len(be.queue)

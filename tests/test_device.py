@@ -6,14 +6,15 @@ import statistics
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwinsim import (Backend, Device, DeviceParams, Engine, EventKind,
                      MetricsHub, ServiceEstimator, Tenant, WorkloadSource,
                      WorkloadSpec, make_np_stream, make_stream)
-from qwinsim.device import (_LINEAR_LIMIT_NS, _N_BUCKETS, _service_bucket,
-                            _service_bucket_edge, sample_service_time)
+from qwinsim.device import (_LINEAR_LIMIT_NS, _N_BUCKETS, _VACANT,
+                            _service_bucket, _service_bucket_edge,
+                            sample_service_time)
 from qwinsim.sim_core import SEC, US
 from qwinsim.workload import OPEN, Request
 
@@ -335,7 +336,7 @@ def test_estimator_window_slides():
     for _ in range(100):
         e.update(900_000)
     assert e.tail_ns == _service_bucket_edge(_service_bucket(900_000))
-    assert sum(e._counts) == 100
+    assert sum(e._counts[:_VACANT]) == 100     # the vacant slot is not a bucket
 
 
 class _DequeEstimator:
@@ -389,13 +390,17 @@ _SERVICE_NS = st.one_of(st.integers(1, 2_000_000),                   # linear
 
 
 @settings(max_examples=150, deadline=None)
-@given(window=st.one_of(st.just(1), st.integers(2, 40)),
+@given(window=st.one_of(st.just(1), st.integers(2, 40), st.just(10_000)),
        quantile=st.sampled_from([0.01, 0.5, 0.9, 0.99, 0.999, 1.0]),
        steps=st.lists(st.lists(_SERVICE_NS, min_size=0, max_size=25),
                       min_size=1, max_size=60))
+@example(window=1, quantile=1.0,
+         steps=[[], [5_000], [20 * SEC, 1], [], [_LINEAR_LIMIT_NS] * 3, [1]])
+@example(window=1, quantile=0.01, steps=[[x] for x in (1, 20 * SEC, 1, 999, 1)])
 def test_ring_estimator_matches_deque_reference(window, quantile, steps):
     # Each step is a run of updates followed by a read, so tail reads fall
-    # between updates at every spacing, and short windows wrap many times.
+    # between updates at every spacing (none, or several in a row), short
+    # windows wrap many times, and a long one keeps vacant entries.
     e = ServiceEstimator(alpha=0.05, window=window, quantile=quantile,
                          nominal_mean_ns=7.0, nominal_tail_ns=9)
     ref = _DequeEstimator(0.05, window, quantile)

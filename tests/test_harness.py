@@ -28,6 +28,10 @@ def _short_duo(**over):
     return parse_config(d)
 
 
+def _by_label(sim):
+    return {t.label: t for t in sim.backend.tenants}
+
+
 # ---------------------------------------------------------------------------
 # build(): wiring
 # ---------------------------------------------------------------------------
@@ -37,8 +41,8 @@ def test_build_wires_tenants_estimators_and_allocator():
     cfg = parse_config(scenario("duo"))
     sim = build(cfg, seed=5)
     assert sim.seed == 5 and sim.run_id == "duo-qwin-s5"
-    lc = sim.backend.by_label["lc0"]
-    be = sim.backend.by_label["be0"]
+    lc = _by_label(sim)["lc0"]
+    be = _by_label(sim)["be0"]
     assert lc.lc and not be.lc
     assert be.estimator is None
     # the estimator starts from the device's analytic curve at the tenant's
@@ -59,7 +63,7 @@ def test_build_seeds_nominals_from_dominant_size_and_direction():
                      "read_ratio": 0.4},
         "slo": {"quantile": 0.999, "latency_ms": 4.0}}
     cfg = parse_config(d)
-    est = build(cfg).backend.by_label["lc0"].estimator
+    est = _by_label(build(cfg))["lc0"].estimator
     # mostly-write 64 KiB mix: nominals come from the write curve at 64 KiB
     assert est.mean_ns == cfg.device.nominal_mean_ns(False, 65536)
     assert est.tail_ns == round(cfg.device.nominal_quantile_ns(False, 65536, 0.999))
@@ -68,11 +72,11 @@ def test_build_seeds_nominals_from_dominant_size_and_direction():
 def test_estimator_scope_tenant_vs_device():
     d = scenario("group1")
     per_tenant = build(parse_config(d))
-    ids = {id(per_tenant.backend.by_label[f"lc{i}"].estimator) for i in range(3)}
+    ids = {id(_by_label(per_tenant)[f"lc{i}"].estimator) for i in range(3)}
     assert len(ids) == 3
     d["estimators"] = {"scope": "device"}
     shared = build(parse_config(d))
-    ids = {id(shared.backend.by_label[f"lc{i}"].estimator) for i in range(3)}
+    ids = {id(_by_label(shared)[f"lc{i}"].estimator) for i in range(3)}
     assert len(ids) == 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwinsim import MetricsHub, TenantMetrics, quantile_from_counts
-from qwinsim.metrics import (ALLOC_HEADER, EDGES, ESTIMATORS_HEADER,
+from qwinsim.metrics import (_FOLD_NS, ALLOC_HEADER, EDGES, ESTIMATORS_HEADER,
                              INTERVALS_HEADER, LATENCY_HEADER, N_BUCKETS,
                              POLICY_HEADER, TRANSFERS_HEADER, WINDOWS_HEADER,
                              write_all)
@@ -35,30 +35,37 @@ def test_edges_are_strictly_increasing_and_cover_range():
 
 
 def test_record_bucket_equals_bisect_at_every_transition():
-    # The direct-index lookup changes course only at cell starts, at edges
-    # and at the table limit; checking each of them and its neighbours
-    # covers every transition without an exhaustive loop.
-    from qwinsim.metrics import _CELL_LIMIT, _CELL_SHIFT
+    # The bucket changes only at edges, so each edge and its neighbours
+    # cover every transition without an exhaustive loop.
     tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
-    points = {0, _CELL_LIMIT - 1, _CELL_LIMIT, _CELL_LIMIT + 1}
-    for k in range(_CELL_LIMIT >> _CELL_SHIFT):
-        c = k << _CELL_SHIFT
-        points.update((c - 1, c, c + 1))
+    points = {0}
     for e in EDGES:
         points.update((e - 1, e, e + 1))
-    points.discard(-1)
-    # Each record counts one bucket, so the expected one going up by one
-    # shows it is the bucket record chose.
+    # A flush folds the log, and its interval holds the one latency
+    # recorded since the last, in the bucket record chose.
     def bucket_recorded(x, want):
-        before = tm.counts[want]
         tm.record(x, 0, 0)
-        assert tm.counts[want] == before + 1, x
+        counts, n, _ = tm.flush_interval(0)
+        assert n == 1 and counts[want] == 1, x
 
     for x in sorted(points):
         bucket_recorded(x, _bucket(x))
     for x in (10_000_000_001, EDGES[-1] + 1, 20_000_000_000, 1 << 45):
         bucket_recorded(x, N_BUCKETS - 1)
-    assert tm.n == len(points) + 4
+    assert tm.t_n == len(points) + 4
+
+
+def test_log_is_folded_at_least_once_per_fold_period():
+    # With no view read (interval_s past the end of the run), record()
+    # folds the log itself, so it never holds more than one period's worth.
+    step = _FOLD_NS // 100
+    tm = TenantMetrics("be0", False, 0.999, warmup_ns=150 * step)
+    for k in range(1_000):
+        tm.record(50_000, 1, k * step)
+        assert len(tm._log) <= 101
+    tm.flush_interval(1_000 * step)
+    assert (tm.t_n, tm.t_bytes) == (1_000, 1_000)
+    assert tm._cumulative()[1:] == (850, 850)         # past the warmup snapshot
 
 
 def test_quantile_from_counts_known_small_case():
@@ -361,6 +368,150 @@ def test_one_live_histogram_matches_the_two_histogram_oracle(script):
         assert [tm.cumulative_quantile(q) for q in qs] == \
             [oracle.cumulative_quantile(q) for q in qs]
         assert tm.since_mark(0.9) == oracle.since_mark(0.9)
+
+
+# ---------------------------------------------------------------------------
+# The folded latency log against the per-completion bucket lookup it replaced
+# ---------------------------------------------------------------------------
+
+
+_CELL_SHIFT = 12
+_CELL_LIMIT = 16_384 << _CELL_SHIFT
+_CELL_FIRST = [bisect_left(EDGES, k << _CELL_SHIFT)
+               for k in range(_CELL_LIMIT >> _CELL_SHIFT)]
+_NEVER = 1 << 63
+
+
+def _minus(counts, base):
+    return [a - b for a, b in zip(counts, base)]
+
+
+class _DirectIndexOracle:
+    """The TenantMetrics the latency log replaced, kept as the reference:
+    record() finds each latency's bucket at once, from a direct-index table
+    over 4 us cells below about 67 ms and by bisection above, and counts it
+    in a Python-list live histogram."""
+
+    def __init__(self, warmup_ns):
+        self.warmup_ns = warmup_ns
+        self._warm_at = warmup_ns
+        self._straddle = warmup_ns > 0
+        self.counts = [0] * N_BUCKETS
+        self.n = self.nbytes = 0
+        self._t_counts = [0] * N_BUCKETS
+        self.t_n = self.t_bytes = 0
+        self._w_counts = None
+        self._w_n = self._w_bytes = 0
+        self._m_counts = [0] * N_BUCKETS
+        self._m_n = 0
+
+    def record(self, latency_ns, size, now):
+        if now >= self._warm_at:
+            self._warm_at = _NEVER
+            self._w_counts = self.counts[:]
+            self._w_n = self.n
+            self._w_bytes = self.nbytes
+        if latency_ns < _CELL_LIMIT:
+            b = _CELL_FIRST[latency_ns >> _CELL_SHIFT]
+            while EDGES[b] < latency_ns:
+                b += 1
+        else:
+            b = bisect_left(EDGES, latency_ns)
+            if b >= N_BUCKETS:
+                b = N_BUCKETS - 1
+        self.counts[b] += 1
+        self.n += 1
+        self.nbytes += size
+
+    def flush_interval(self, now):
+        counts = self.counts
+        interval = (_minus(counts, self._t_counts), self.n - self.t_n,
+                    self.nbytes - self.t_bytes)
+        self._t_counts = counts[:]
+        self.t_n = self.n
+        self.t_bytes = self.nbytes
+        self._straddle = now < self.warmup_ns
+        return interval
+
+    def _cumulative(self):
+        if self._w_counts is None:
+            return None, 0, 0
+        if self._straddle:
+            counts, n, nbytes = self.counts, self.n, self.nbytes
+        else:
+            counts, n, nbytes = self._t_counts, self.t_n, self.t_bytes
+        return (_minus(counts, self._w_counts), n - self._w_n,
+                nbytes - self._w_bytes)
+
+    @property
+    def c_bytes(self):
+        return self._cumulative()[2]
+
+    def cumulative_quantile(self, q):
+        counts, n, _ = self._cumulative()
+        return quantile_from_counts(counts, n, q)
+
+    def since_mark(self, q):
+        n = self.n - self._m_n
+        return n, quantile_from_counts(_minus(self.counts, self._m_counts), n, q)
+
+    def mark(self):
+        self._m_counts = self.counts[:]
+        self._m_n = self.n
+
+
+_EDGE_NEIGHBOURS = sorted({x for e in EDGES for x in (e - 1, e, e + 1)})
+_QS = (0.5, 0.9, 0.999, 1.0)
+
+
+@st.composite
+def _log_scripts(draw):
+    """(warmup_ns, ops): completions and every view, at non-decreasing times
+    that step within one fold period and across several."""
+    step = st.one_of(st.just(0), st.integers(1, 5_000),
+                     st.integers(_FOLD_NS - 2, _FOLD_NS + 2),
+                     st.integers(1, 3 * _FOLD_NS))
+    latency = st.one_of(st.sampled_from(_EDGE_NEIGHBOURS),
+                        st.integers(0, 2 * EDGES[-1]))
+    op = st.one_of(
+        st.tuples(st.just("record"), latency, st.integers(0, 1 << 20)),
+        st.tuples(st.sampled_from(["flush", "mark", "c_bytes"])),
+        st.tuples(st.sampled_from(["since_mark", "cumulative_quantile"]),
+                  st.sampled_from(_QS)))
+    now, ops = 0, []
+    for dt, o in draw(st.lists(st.tuples(step, op), max_size=80)):
+        now += dt
+        ops.append((now, o))
+    times = [t for t, _ in ops] or [0]
+    warmup = draw(st.one_of(st.just(0), st.sampled_from(times),
+                            st.integers(0, times[-1] + _FOLD_NS)))
+    return warmup, ops
+
+
+@given(_log_scripts())
+@settings(max_examples=400, deadline=None)
+def test_folded_log_matches_the_direct_index_oracle(script):
+    warmup, ops = script
+    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=warmup)
+    oracle = _DirectIndexOracle(warmup)
+    for now, op in ops:
+        kind = op[0]
+        if kind == "record":
+            tm.record(op[1], op[2], now)
+            oracle.record(op[1], op[2], now)
+        elif kind == "flush":
+            assert tm.flush_interval(now) == oracle.flush_interval(now)
+        elif kind == "mark":
+            tm.mark()
+            oracle.mark()
+        elif kind == "c_bytes":
+            assert tm.c_bytes == oracle.c_bytes
+        else:
+            assert getattr(tm, kind)(op[1]) == getattr(oracle, kind)(op[1])
+    assert tm.flush_interval(ops[-1][0] if ops else 0) == \
+        oracle.flush_interval(ops[-1][0] if ops else 0)
+    assert (tm._cumulative(), tm.t_n, tm.t_bytes) == \
+        (oracle._cumulative(), oracle.t_n, oracle.t_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ def _source_arrivals(spec, seed, n, lag):
 
     def enqueue(req, now):
         assert req.arrive_at == now and req.finish_at == NOT_SCHEDULED
-        assert req.slot == -1 and req.tenant == "t0"
+        assert req.tenant == "t0"
         assert req.mu == math.log(_MU_DEVICE.median_ns(req.is_read, req.size))
         out.append((now, req.is_read, req.size))
         live.append(req)
