@@ -39,13 +39,30 @@ EXTRA = {
     # Feedback grants two cores at a time and later releases some.
     "duo-cake-step2": ("duo", "cake", {
         "allocator": {"cake": {"interval_s": 0.1, "step": 2}}}),
+    # Every window's budget reads the estimator's mean, and the pinned
+    # policies never refresh.
+    "duo-qwin-slo_aware": ("duo", "qwin", {"allocator": {"qwin": {"pin": "slo_aware"}}}),
+    "duo-qwin-conservative": ("duo", "qwin", {"allocator": {"qwin": {"pin": "conservative"}}}),
+    # One estimator for the device, shared by both LC tenants.
+    "policy-duo-qwin-scope-device": ("policy-duo", "qwin", {"estimators": {"scope": "device"}}),
+    # A window ends when its last request is dequeued, not completed.
+    "duo-qwin-dequeue": ("duo", "qwin", {"window_end": "dequeue"}),
 }
 ALL_CASES = {**{f"{s}-{k}": (s, k, {}) for s, k in CASES}, **EXTRA}
 
 
-def _column(paths, artifact, column):
+def _rows(paths, artifact):
     with open(paths[artifact], newline="") as f:
-        return Counter(row[column] for row in csv.DictReader(f))
+        return list(csv.DictReader(f))
+
+
+def _column(paths, artifact, column):
+    return Counter(row[column] for row in _rows(paths, artifact))
+
+
+def _estimator_reads(paths, tenant):
+    return [(r["time_ns"], r["t_io_avg_ns"], r["tail_io_ns"])
+            for r in _rows(paths, "estimators.csv") if r["tenant"] == tenant]
 
 
 # case id -> what its artifacts must show, so that an edit to the case
@@ -57,6 +74,13 @@ REACHES = {
     "duo-cake-step2": lambda p: (
         _column(p, "alloc_trace.csv", "trigger")
         == {"feedback_up": 4, "feedback_down": 1}),
+    "duo-qwin-slo_aware": lambda p: set(_column(p, "windows.csv", "policy")) == {"slo_aware"},
+    "duo-qwin-conservative": lambda p: (
+        set(_column(p, "windows.csv", "policy")) == {"conservative"}),
+    "policy-duo-qwin-scope-device": lambda p: (
+        _estimator_reads(p, "lc0") == _estimator_reads(p, "lc1") != []),
+    # duo-qwin, which ends windows on completion, writes 521 windows.
+    "duo-qwin-dequeue": lambda p: sum(_column(p, "windows.csv", "tenant").values()) > 521,
 }
 
 
