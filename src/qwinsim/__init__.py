@@ -29,8 +29,8 @@ from .baselines import (CongestionAllocator, CongestionParams,
                         PriorityAllocator, StaticAllocator, StaticParams)
 from .config import (AllocatorConfig, ConfigError, EstimatorConfig,
                      ExperimentConfig, SCENARIOS, SloSpec, TenantConfig,
-                     load_config, loads_config, parse_config, scenario)
-from .harness import (RunResult, Simulation, build, compare_allocators,
-                      main, make_report, run_experiment, sweep)
+                     parse_config, scenario)
+from .harness import (RunResult, Simulation, build, main, make_report,
+                      run_experiment, sweep)
 
 __version__ = "0.1.0"

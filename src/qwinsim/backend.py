@@ -208,21 +208,26 @@ class Backend:
         lcs = self.pool_lc
         if lcs:
             n = len(lcs)
-            start = self._lc_rr
-            for k in range(n):
-                t = lcs[(start + k) % n]
+            i = self._lc_rr
+            for _ in range(n):
+                t = lcs[i]
+                i += 1
+                if i == n:
+                    i = 0
                 if t.queue:
-                    self._lc_rr = (start + k + 1) % n
+                    self._lc_rr = i
                     return t.queue.popleft()
         bes = self.be_tenants
         n = len(bes)
-        if n:
-            start = self._be_rr
-            for k in range(n):
-                t = bes[(start + k) % n]
-                if t.queue:
-                    self._be_rr = (start + k + 1) % n
-                    return t.queue.popleft()
+        i = self._be_rr
+        for _ in range(n):
+            t = bes[i]
+            i += 1
+            if i == n:
+                i = 0
+            if t.queue:
+                self._be_rr = i
+                return t.queue.popleft()
         return None
 
     # -- completion side (hot) -------------------------------------------------
@@ -279,24 +284,29 @@ class Backend:
             for from_l, to_l, marked, initiator in core.pending_marks:
                 self.hub.transfer_rows.append((core.cid, from_l, to_l, marked, now, initiator))
             core.pending_marks = None
-        # Step the freed core as core_step would; one its step yielded to
-        # the BE pool, and a BE core, go through core_step.
+        # Step the freed core as core_step would.  A step can move only the
+        # core it runs on, and only by yielding it to the BE pool (a release
+        # never picks a core that is neither busy nor parked).
         owner = core.owner
-        if owner is not BE:
+        if owner is BE:
+            nxt = self._be_dequeue()
+        else:
             nxt = self.allocator.lc_step(core, owner, now)
-            if nxt is not None:
-                core.busy = nxt
-                nxt.core = core
-                nxt.dequeued_at = now
-                if dev.in_service < dev.capacity:
-                    dev._start(nxt, now)
-                else:
-                    dev.fifo.append(nxt)
-                return
-            if core.owner is owner:
-                insort(owner.idle, core.cid)
-                return
-        self.core_step(core, now)
+            if nxt is None:
+                if core.owner is owner:
+                    insort(owner.idle, core.cid)
+                    return
+                nxt = self._be_dequeue()
+        if nxt is None:
+            insort(self.be_idle, core.cid)
+            return
+        core.busy = nxt
+        nxt.core = core
+        nxt.dequeued_at = now
+        if dev.in_service < dev.capacity:
+            dev._start(nxt, now)
+        else:
+            dev.fifo.append(nxt)
 
     # -- ownership transfers -----------------------------------------------------
 

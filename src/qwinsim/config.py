@@ -422,15 +422,6 @@ def read_yaml(stream) -> dict:
     return d or {}
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, "rb") as f:
-        return parse_config(read_yaml(f))
-
-
-def loads_config(text: str) -> ExperimentConfig:
-    return parse_config(read_yaml(text))
-
-
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------

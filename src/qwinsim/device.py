@@ -193,12 +193,13 @@ class ServiceEstimator:
     reaches q of the window".  A pointer into the histogram is nudged
     incrementally on every update, so reads cost O(movement) instead of a
     full rescan; service-time distributions drift slowly, so movement is
-    tiny in practice.
+    tiny in practice, and the pointer's bucket edge is kept between reads.
+    `mean_ns` is a plain attribute: the nominal mean until the first sample.
     """
 
-    __slots__ = ("alpha", "window", "quantile", "mean", "samples",
-                 "_counts", "_ring", "_tail_idx", "_cum", "_need_full",
-                 "nominal_mean", "nominal_tail")
+    __slots__ = ("alpha", "window", "quantile", "mean_ns", "samples",
+                 "_counts", "_ring", "_tail_idx", "_cum", "_edge", "_need_full",
+                 "nominal_tail")
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
                  nominal_mean_ns=100_000.0, nominal_tail_ns=260_000):
@@ -211,25 +212,25 @@ class ServiceEstimator:
         self.alpha = alpha
         self.window = window
         self.quantile = quantile
-        self.mean = 0.0
+        self.mean_ns = float(nominal_mean_ns)   # the nominal mean until a sample
         self.samples = 0
         self._counts = [0] * (_N_BUCKETS + 1)   # one list: a temporary copy
         self._counts[_VACANT] = window          # of 100k slots would raise RSS
         self._ring = deque([_VACANT] * window)  # windowed buckets, oldest first
         self._tail_idx = 0
         self._cum = 0
+        self._edge = _service_bucket_edge(0)    # upper edge of _tail_idx
         self._need_full = self._need(window)
-        self.nominal_mean = float(nominal_mean_ns)
         self.nominal_tail = int(nominal_tail_ns)
 
     def update(self, service_ns: int):
-        # EWMA seeded with the first observation so early windows are not
-        # dragged toward zero.
+        # The first observation replaces the nominal mean outright and seeds
+        # the EWMA.
         samples = self.samples
         if samples == 0:
-            self.mean = float(service_ns)
+            self.mean_ns = float(service_ns)
         else:
-            self.mean += self.alpha * (service_ns - self.mean)
+            self.mean_ns += self.alpha * (service_ns - self.mean_ns)
         self.samples = samples + 1
 
         b = (service_ns // US) if service_ns < _LINEAR_LIMIT_NS else _service_bucket(service_ns)
@@ -245,10 +246,6 @@ class ServiceEstimator:
                 self._cum += 1
         elif old <= tail_idx:
             self._cum -= 1
-
-    @property
-    def mean_ns(self) -> float:
-        return self.mean if self.samples else self.nominal_mean
 
     def _need(self, n: int) -> int:
         """Samples the tail bucket must reach among n: ceil(q*n), at least 1."""
@@ -266,7 +263,7 @@ class ServiceEstimator:
         else:
             return self.nominal_tail
         counts = self._counts
-        idx = self._tail_idx
+        idx = start = self._tail_idx
         cum = self._cum
         # The buckets hold min(samples, window) >= need samples, so the walk
         # up stops before the _VACANT slot.
@@ -276,6 +273,8 @@ class ServiceEstimator:
         while idx > 0 and cum - counts[idx] >= need:
             cum -= counts[idx]
             idx -= 1
-        self._tail_idx = idx
-        self._cum = cum
-        return _service_bucket_edge(idx)
+        if idx != start:   # an unmoved walk leaves _cum and _edge as they are
+            self._tail_idx = idx
+            self._cum = cum
+            self._edge = _service_bucket_edge(idx)
+        return self._edge

@@ -227,16 +227,6 @@ def sweep(cfg: ExperimentConfig, seeds, out_dir: str | None = None,
     return agg
 
 
-def compare_allocators(base: dict, kinds, seeds, out_dir: str | None = None,
-                       write: bool = False) -> dict:
-    """Sweep the same scenario under several allocators; {kind: aggregate}."""
-    out = {}
-    for kind in kinds:
-        cfg = parse_config(_override(base, ("allocator", "kind"), kind))
-        out[kind] = sweep(cfg, seeds, out_dir=out_dir, write=write)
-    return out
-
-
 def _override(d: dict, path: tuple, value) -> dict:
     """A copy of `d` with the key at `path` set to `value`.  A section on the
     way that is not a mapping is left as it is for parse_config to report."""

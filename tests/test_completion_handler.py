@@ -1,7 +1,7 @@
 """The completion handler against the handler it replaced, on whole runs.
 
 `Backend._on_io_complete` draws a closed loop's replacement itself and steps
-the freed core itself when an LC tenant owns it.  `_OracleBackend` keeps the
+the core it frees itself, whoever owns it.  `_OracleBackend` keeps the
 handler as it was before: the source's `on_completion` returned the refreshed
 replacement, and every freed core went through `core_step`.  Both must write
 byte-identical artifacts on any config.
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qwinsim import harness
-from qwinsim.backend import Backend
+from qwinsim.backend import BE, Backend
 from qwinsim.config import ALLOCATORS, SCENARIOS, parse_config, scenario
 from qwinsim.workload import NOT_SCHEDULED
 
@@ -179,3 +179,47 @@ def test_lc_core_yielding_at_completion_then_serving_be():
     cfg = parse_config({**scenario("burst-duo"), "duration_s": 0.3})
     sim = _assert_same_as_oracle(cfg)
     assert sim.backend.yield_then_be > 0
+
+
+def _run_guarded(cfg):
+    """Run cfg with a core_step that fails on the core a completion is
+    freeing; return the simulation and, per completion, the freed core's
+    owner and whether the request was an LC tenant's."""
+    real_handler, real_step = Backend._on_io_complete, Backend.core_step
+    freeing = []
+    owners = []
+
+    def handler(self, req, now):
+        freeing.append(req.core)
+        owners.append((req.core.owner, req.tenant.lc))
+        try:
+            real_handler(self, req, now)
+        finally:
+            freeing.pop()
+
+    def step(self, core, now):
+        assert not freeing or core is not freeing[-1], \
+            f"the handler stepped its freed core {core.cid} through core_step"
+        real_step(self, core, now)
+
+    with mock.patch.object(Backend, "_on_io_complete", handler), \
+            mock.patch.object(Backend, "core_step", step):
+        res = harness.run_experiment(cfg, write=False)
+    return res.sim, owners
+
+
+def test_the_handler_steps_a_freed_be_core_itself():
+    # Open-loop LC beside a BE tenant: many completions free a BE core, and
+    # LC cores yield to the pool when their queue drains.
+    sim, owners = _run_guarded(parse_config({**scenario("burst-duo"), "duration_s": 0.3}))
+    assert owners.count((BE, False)) > 1000
+    assert sim.backend.hub.alloc_rows and any(r[4] == "yield" for r in sim.backend.hub.alloc_rows)
+
+
+def test_the_handler_steps_a_freed_core_of_the_priority_pool_itself():
+    # Under priority the BE pool serves the LC queues first (pool_lc).
+    cfg = parse_config({**scenario("group2"), "duration_s": 0.3,
+                        "allocator": {"kind": "priority"}})
+    sim, owners = _run_guarded(cfg)
+    assert sim.backend.pool_lc
+    assert owners.count((BE, True)) > 1000

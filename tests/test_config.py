@@ -14,7 +14,7 @@ import qwinsim
 from qwinsim import harness
 from qwinsim.config import (ALLOCATORS, SCHEMA, AllocatorConfig, ConfigError,
                             ExperimentConfig, SCENARIOS,
-                            load_config, loads_config, parse_config, scenario)
+                            parse_config, read_yaml, scenario)
 from qwinsim.workload import CLOSED, OPEN, PRESETS
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -186,7 +186,7 @@ def test_nan_sigma_from_yaml_rejected():
         "device:\n"
         "  sigma: .nan\n")
     with pytest.raises(ConfigError, match="sigma must be finite"):
-        loads_config(text)
+        parse_config(read_yaml(text))
 
 
 def test_bad_slo_quantile_and_latency_reported():
@@ -316,8 +316,8 @@ def test_readme_config_block_parses():
     with open(README) as f:
         text = f.read().split("\n## Configuration\n", 1)[1]
     block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
-    cfg = loads_config(block)
-    assert loads_config(cfg.to_yaml()) == cfg
+    cfg = parse_config(read_yaml(block))
+    assert parse_config(read_yaml(cfg.to_yaml())) == cfg
     # The block lists every key the schema accepts.
     shown = {k for p in _paths(yaml.safe_load(block)) for k in p if isinstance(k, str)}
     accepted = {k.name for keys in SCHEMA.values() for k in keys}
@@ -334,7 +334,7 @@ def test_readme_config_block_parses():
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_yaml_round_trip_is_lossless(name):
     cfg = parse_config(scenario(name))
-    again = loads_config(cfg.to_yaml())
+    again = parse_config(read_yaml(cfg.to_yaml()))
     assert again == cfg
 
 
@@ -348,14 +348,15 @@ def test_inline_open_loop_burst_round_trips():
     spec = cfg.tenants[0].spec()
     assert spec.mode == OPEN and spec.burst.rate_per_s == 36000.0
     assert spec.burst.on_ns == 500_000_000 and spec.burst.off_ns == 2_000_000_000
-    assert loads_config(cfg.to_yaml()) == cfg
+    assert parse_config(read_yaml(cfg.to_yaml())) == cfg
 
 
-def test_load_config_reads_yaml_files(tmp_path):
+def test_read_yaml_reads_yaml_files(tmp_path):
     cfg = parse_config(scenario("duo"))
     p = tmp_path / "duo.yaml"
     p.write_text(cfg.to_yaml())
-    assert load_config(p) == cfg
+    with open(p, "rb") as f:
+        assert parse_config(read_yaml(f)) == cfg
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,12 @@ _SERVICE_NS = st.one_of(st.integers(1, 2_000_000),                   # linear
 @example(window=1, quantile=1.0,
          steps=[[], [5_000], [20 * SEC, 1], [], [_LINEAR_LIMIT_NS] * 3, [1]])
 @example(window=1, quantile=0.01, steps=[[x] for x in (1, 20 * SEC, 1, 999, 1)])
+# The tail index stays at 0 (the edge kept since construction), moves away,
+# and comes back to 0.
+@example(window=1, quantile=1.0, steps=[[1], [999], [5_000], [1], [1]])
+@example(window=3, quantile=0.5, steps=[[1, 1, 1], [_LINEAR_LIMIT_NS] * 3, [999] * 3])
+# Reads repeat with no update between them, before and after the first sample.
+@example(window=4, quantile=0.9, steps=[[], [], [200_000], [], [], [300_000, 1], [], []])
 def test_ring_estimator_matches_deque_reference(window, quantile, steps):
     # Each step is a run of updates followed by a read, so tail reads fall
     # between updates at every spacing (none, or several in a row), short
@@ -409,7 +415,11 @@ def test_ring_estimator_matches_deque_reference(window, quantile, steps):
             e.update(x)
             ref.update(x)
             assert e.mean_ns == ref.mean
-        assert e.tail_ns == ref.tail_ns(9)
+        tail = e.tail_ns
+        assert tail == ref.tail_ns(9)
+        if e.samples:
+            # The kept edge is the edge of the index the read left.
+            assert tail == _service_bucket_edge(e._tail_idx)
         assert e.mean_ns == (ref.mean if ref.samples else 7.0)
 
 

@@ -12,8 +12,7 @@ import pytest
 import qwinsim
 from qwinsim.config import ConfigError, parse_config, scenario
 from qwinsim.harness import (_assemble_config, _build_arg_parser, _parse_seeds,
-                             build, compare_allocators, main, run_experiment,
-                             sweep)
+                             build, main, run_experiment, sweep)
 from qwinsim.workload import CLOSED
 
 ARTIFACTS = {"latency.csv", "intervals.csv", "alloc_trace.csv", "windows.csv",
@@ -155,7 +154,7 @@ def test_interval_rows_cover_each_tenant_per_interval(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sweep() and compare_allocators()
+# sweep()
 # ---------------------------------------------------------------------------
 
 
@@ -179,23 +178,6 @@ def test_sweep_results_keep_no_simulation():
     assert len(agg["results"]) == 3
     assert all(r.sim is None for r in agg["results"])
     assert run_experiment(_short_duo(duration_s=0.2), write=False).sim is not None
-
-
-def test_compare_allocators_runs_each_kind():
-    base = scenario("duo")
-    base.update({"duration_s": 0.3, "warmup_s": 0.05,
-                 "allocator": {"static": {"counts": {"lc0": 2}}}})
-    out = compare_allocators(base, ("qwin", "static", "cake"), seeds=[1])
-    assert set(out) == {"qwin", "static", "cake"}
-    for kind, agg in out.items():
-        assert agg["allocator"] == kind
-        assert len(agg["runs"]) == 1
-        assert agg["tenants"]["be0"]["bandwidth_bytes_per_s"][0] >= 0.0
-
-
-def test_compare_allocators_reports_an_allocator_section_that_is_not_a_mapping():
-    with pytest.raises(ConfigError, match="allocator must be a mapping"):
-        compare_allocators(scenario("duo") | {"allocator": "x"}, ["qwin"], [1])
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +213,16 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
     p.write_text("tenants: []\n")
     assert main(["--config", str(p)]) == 2
     assert "at least one tenant" in capsys.readouterr().err
+
+
+def test_cli_flag_reports_a_section_that_is_not_a_mapping(tmp_path, capsys):
+    # --allocator sets a key inside the allocator section; a section that is
+    # not a mapping is left for parse_config to report.
+    p = tmp_path / "bad.yaml"
+    p.write_text("allocator: x\n")
+    assert main(["--scenario", "duo", "--config", str(p), "--allocator", "cake",
+                 "--validate-only"]) == 2
+    assert "allocator must be a mapping" in capsys.readouterr().err
 
 
 def test_cli_requires_scenario_or_config(capsys):
