@@ -212,7 +212,7 @@ class ServiceEstimator:
         self.alpha = alpha
         self.window = window
         self.quantile = quantile
-        self.mean_ns = float(nominal_mean_ns)   # the nominal mean until a sample
+        self.mean_ns = float(nominal_mean_ns)
         self.samples = 0
         self._counts = [0] * (_N_BUCKETS + 1)   # one list: a temporary copy
         self._counts[_VACANT] = window          # of 100k slots would raise RSS

@@ -7,6 +7,7 @@ on the completion path fails here before any timing shows it.  A change that
 removes frames lowers the budget to the new count.
 """
 
+import gc
 import sys
 
 import pytest
@@ -35,11 +36,18 @@ def _count_frames(name):
         if event == "call":
             calls += 1
 
+    # A collection inside the run would call the collector's callbacks (the
+    # test session's Hypothesis registers one) and the finalizers of earlier
+    # garbage, so collect first and pause the collector, as run_experiment
+    # does.
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         sim.engine.run_until(sim.cfg.duration_ns)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return sim.backend.completed, calls
 
 
