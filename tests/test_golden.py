@@ -1,13 +1,14 @@
 """Golden output digests: every scenario under every allocator, pinned across versions.
 
-Each case runs one built-in scenario for 1 simulated second (seed 1) and
-compares the SHA-256 of its seven CSVs and report.json with the digests in
-golden_digests.json.  Beside the scenario x allocator grid, EXTRA cases
-change settings of a scenario to reach a path the grid never runs, and
-REACHES checks from their artifacts that they still do.  Acceptance check 10
-only shows that a run repeats within one version; this file catches a change
-that silently alters what the simulator outputs.  A change that means to alter outputs regenerates the file
-with `PYTHONPATH=src python tests/test_golden.py` and says why.
+Each case runs one built-in scenario (seed 1; 1 simulated second unless it
+overrides `duration_s`) and compares the SHA-256 of its seven CSVs and
+report.json with the digests in golden_digests.json.  Beside the scenario x
+allocator grid, EXTRA cases change settings of a scenario to reach a path the
+grid never runs, and REACHES checks from their artifacts that they still do.
+Acceptance check 10 only shows that a run repeats within one version; this
+file catches a change that silently alters what the simulator outputs.  A
+change that means to alter outputs regenerates the file with
+`PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
 import csv
@@ -47,6 +48,14 @@ EXTRA = {
     "policy-duo-qwin-scope-device": ("policy-duo", "qwin", {"estimators": {"scope": "device"}}),
     # A window ends when its last request is dequeued, not completed.
     "duo-qwin-dequeue": ("duo", "qwin", {"window_end": "dequeue"}),
+    # A baseline reads its estimator only at the metric ticks: four reads,
+    # with more than a 10,000-sample window of completions between two.
+    "duo-priority-interval0.25": ("duo", "priority", {"interval_s": 0.25}),
+    # Every service time is far above 100 ms, so every sample lands in a
+    # geometric bucket, and an 8-sample window wraps between reads.
+    "duo-shenango-slow-device": ("duo", "shenango", {
+        "duration_s": 3.0, "interval_s": 0.25, "estimators": {"hist_window": 8},
+        "device": {"read_median_us": 500_000.0, "write_median_us": 500_000.0}}),
 }
 ALL_CASES = {**{f"{s}-{k}": (s, k, {}) for s, k in CASES}, **EXTRA}
 
@@ -81,6 +90,9 @@ REACHES = {
         _estimator_reads(p, "lc0") == _estimator_reads(p, "lc1") != []),
     # duo-qwin, which ends windows on completion, writes 521 windows.
     "duo-qwin-dequeue": lambda p: sum(_column(p, "windows.csv", "tenant").values()) > 521,
+    "duo-priority-interval0.25": lambda p: len(_estimator_reads(p, "lc0")) > 1,
+    "duo-shenango-slow-device": lambda p: (
+        min(int(tail) for _, _, tail in _estimator_reads(p, "lc0")) >= 100_000_000),
 }
 
 
