@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from operator import attrgetter
 
 from .sim_core import REQUEST_ARRIVAL, EventKind
 from .workload import NOT_SCHEDULED
@@ -339,7 +340,7 @@ class Backend:
         if moved < count:
             busy = [c for c in self.cores
                     if c.owner is src and c.busy is not None]
-            busy.sort(key=lambda c: (c.busy.finish_at, c.cid))
+            busy.sort(key=attrgetter("busy.finish_at", "cid"))
             for core in busy[:count - moved]:
                 self._flip(core, dst, now, initiator)
                 moved += 1

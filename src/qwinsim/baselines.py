@@ -59,6 +59,7 @@ class StaticAllocator(_PlainLcStep):
     """Fixed partition; cores never move."""
 
     Params = StaticParams
+    reads_estimators = False
 
     def __init__(self, params: StaticParams):
         self.params = params
@@ -80,6 +81,7 @@ class PriorityAllocator:
     No core is ever owned by an LC tenant, so lc_step is never called."""
 
     Params = None
+    reads_estimators = False
 
     def setup(self, backend):
         backend.allocator = self
@@ -125,6 +127,7 @@ class CongestionAllocator(_PeriodicAllocator):
     add one core; if the queue is empty, drop back to one core at once."""
 
     Params = CongestionParams
+    reads_estimators = False
 
     @property
     def period(self):
@@ -167,6 +170,7 @@ class FeedbackAllocator(_PeriodicAllocator):
     SLO: too slow -> add cores, comfortably fast -> shed one (never below 1)."""
 
     Params = FeedbackParams
+    reads_estimators = False
 
     @property
     def period(self):

@@ -25,7 +25,8 @@ from .workload import Burst, PRESETS, PRESET_CLASS, WorkloadSpec, CLOSED, OPEN
 
 # Allocator kind -> class.  A class with a Params dataclass is configured by
 # the allocator section of the same name; its setup(backend) is its one entry
-# point.
+# point.  Its reads_estimators says whether lc_step reads the LC service-time
+# estimators; those of one that does not are deferred (see ServiceEstimator).
 ALLOCATORS = {
     "qwin": QwinAllocator,
     "static": StaticAllocator,

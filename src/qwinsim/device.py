@@ -14,6 +14,7 @@ observes: dequeue-to-completion, including any device-internal queueing.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from math import exp
@@ -170,6 +171,9 @@ _LOG_BUCKETS = math.ceil(math.log(10_000 * MS / _LINEAR_LIMIT_NS) / math.log(_LO
 _N_BUCKETS = _LINEAR_BUCKETS + _LOG_BUCKETS
 _VACANT = _N_BUCKETS   # a ring entry no sample has filled; above every bucket
 _LOG_INV = 1.0 / math.log(_LOG_RATIO)
+# A deferred estimator settles its log every 65,536 updates, so a run that
+# reads rarely still holds at most window + 65,536 samples.
+_SETTLE_MASK = (1 << 16) - 1
 
 
 def _service_bucket(ns: int) -> int:
@@ -190,19 +194,27 @@ class ServiceEstimator:
     """EWMA mean + sliding-window histogram quantile of service times.
 
     The quantile is "the smallest bucket upper edge whose cumulative count
-    reaches q of the window".  A pointer into the histogram is nudged
-    incrementally on every update, so reads cost O(movement) instead of a
-    full rescan; service-time distributions drift slowly, so movement is
-    tiny in practice, and the pointer's bucket edge is kept between reads.
-    `mean_ns` is a plain attribute: the nominal mean until the first sample.
+    reaches q of the window".  `mean_ns` is a plain attribute: the nominal
+    mean until the first sample.  The tail has two schedules, one for each
+    kind of reader:
+
+    - incremental (the default): a pointer into the histogram is nudged on
+      every update, so a read costs O(movement) instead of a full rescan.
+      Service-time distributions drift slowly, so movement is tiny, and the
+      pointer's bucket edge is kept between reads.  The qwin allocator reads
+      on nearly every dequeue, so this is the cheap schedule for it.
+    - deferred: an update only logs the sample, and a read takes the order
+      statistic of the window in one numpy pass.  An allocator that never
+      reads the estimator leaves it to the metric tick, once per interval,
+      and needs neither the pointer nor the 110,001 histogram counts.
     """
 
     __slots__ = ("alpha", "window", "quantile", "mean_ns", "samples",
                  "_counts", "_ring", "_tail_idx", "_cum", "_edge", "_need_full",
-                 "nominal_tail")
+                 "_log", "_win", "nominal_tail")
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
-                 nominal_mean_ns=100_000.0, nominal_tail_ns=260_000):
+                 nominal_mean_ns=100_000.0, nominal_tail_ns=260_000, deferred=False):
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         if window < 1:
@@ -214,14 +226,20 @@ class ServiceEstimator:
         self.quantile = quantile
         self.mean_ns = float(nominal_mean_ns)
         self.samples = 0
+        self._need_full = self._need(window)
+        self.nominal_tail = int(nominal_tail_ns)
+        if deferred:
+            self._log = array("q")    # samples since the last settle
+            self._win = array("q")    # the window as of that settle, oldest first
+            self._counts = self._ring = None
+            return
+        self._log = self._win = None
         self._counts = [0] * (_N_BUCKETS + 1)   # one list: a temporary copy
         self._counts[_VACANT] = window          # of 100k slots would raise RSS
         self._ring = deque([_VACANT] * window)  # windowed buckets, oldest first
         self._tail_idx = 0
         self._cum = 0
         self._edge = _service_bucket_edge(0)    # upper edge of _tail_idx
-        self._need_full = self._need(window)
-        self.nominal_tail = int(nominal_tail_ns)
 
     def update(self, service_ns: int):
         # The first observation replaces the nominal mean outright and seeds
@@ -232,9 +250,14 @@ class ServiceEstimator:
         else:
             self.mean_ns += self.alpha * (service_ns - self.mean_ns)
         self.samples = samples + 1
+        ring = self._ring
+        if ring is None:   # deferred: the next read takes the tail from the log
+            self._log.append(service_ns)
+            if not samples & _SETTLE_MASK:   # bounds the log between rare reads
+                self._settle()
+            return
 
         b = (service_ns // US) if service_ns < _LINEAR_LIMIT_NS else _service_bucket(service_ns)
-        ring = self._ring
         old = ring.popleft()
         ring.append(b)
         counts = self._counts
@@ -253,6 +276,15 @@ class ServiceEstimator:
         need = math.ceil(self.quantile * n - 1e-9)
         return need if need > 1 else 1
 
+    def _settle(self):
+        """Deferred: move the log into the window, keeping its last `window` samples."""
+        win = self._win
+        win.extend(self._log)
+        del self._log[:]
+        excess = len(win) - self.window
+        if excess > 0:
+            del win[:excess]
+
     @property
     def tail_ns(self) -> int:
         samples = self.samples
@@ -263,6 +295,14 @@ class ServiceEstimator:
         else:
             return self.nominal_tail
         counts = self._counts
+        if counts is None:
+            # Deferred.  _service_bucket never decreases, so the smallest
+            # bucket whose cumulative count reaches `need` is the bucket of
+            # the need-th smallest sample x: every sample in a lower bucket
+            # is below x, and fewer than `need` samples are.
+            self._settle()
+            x = np.partition(np.frombuffer(self._win, np.int64), need - 1)[need - 1]
+            return _service_bucket_edge(_service_bucket(int(x)))
         idx = start = self._tail_idx
         cum = self._cum
         # The buckets hold min(samples, window) >= need samples, so the walk

@@ -61,7 +61,8 @@ def _make_estimator(cfg: ExperimentConfig, spec, slo_q: float) -> ServiceEstimat
     return ServiceEstimator(
         alpha=e.ewma_alpha, window=e.hist_window, quantile=q,
         nominal_mean_ns=cfg.device.nominal_mean_ns(is_read, size),
-        nominal_tail_ns=round(cfg.device.nominal_quantile_ns(is_read, size, q)))
+        nominal_tail_ns=round(cfg.device.nominal_quantile_ns(is_read, size, q)),
+        deferred=not ALLOCATORS[cfg.allocator.kind].reads_estimators)
 
 
 def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:

@@ -79,6 +79,7 @@ class QwinAllocator:
     """Per-LC-core adaptive allocation (window demand + probes + policy)."""
 
     Params = PolicyParams
+    reads_estimators = True   # lc_step reads the mean and tail at windows and probes
 
     def __init__(self, params: PolicyParams | None = None):
         self.params = params or PolicyParams()

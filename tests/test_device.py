@@ -423,6 +423,65 @@ def test_ring_estimator_matches_deque_reference(window, quantile, steps):
         assert e.mean_ns == (ref.mean if ref.samples else 7.0)
 
 
+# Service times at the layout's edges: below 1 us, either side of the
+# 100 ms linear/geometric boundary, and past the last bucket at 10 s.
+_EDGE_NS = st.one_of(st.integers(1, 999),
+                     st.integers(_LINEAR_LIMIT_NS - 3_000, _LINEAR_LIMIT_NS + 6_000_000),
+                     st.integers(10 * SEC - 1_000, 30 * SEC),
+                     st.integers(1, 2_000_000))
+# A step is runs of (sample, repeat count) followed by a read; the long runs
+# let a 10,000-sample window wrap several times without drawing every sample.
+_RUNS = st.lists(st.tuples(_EDGE_NS, st.one_of(st.integers(1, 3), st.integers(1, 12_000))),
+                 min_size=0, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.one_of(st.just(1), st.just(2), st.integers(3, 30), st.just(10_000)),
+       quantile=st.one_of(st.sampled_from([1e-9, 1e-4, 0.01, 0.5, 0.999, 1.0]),
+                          st.floats(0.0, 1.0, exclude_min=True)),
+       steps=st.lists(_RUNS, min_size=1, max_size=12))
+# Reads before any sample, repeated reads, and a window of one that wraps on
+# every sample.
+@example(window=1, quantile=1.0, steps=[[], [], [(999, 1)], [], [(20 * SEC, 2), (1, 1)], []])
+# Every sample in a geometric bucket, the window wrapping between reads.
+@example(window=3, quantile=0.5,
+         steps=[[(_LINEAR_LIMIT_NS, 2)], [(_LINEAR_LIMIT_NS + 5_000_000, 4)], [(11 * SEC, 3)]])
+# A 10,000-sample window read while it fills, then after several wraps, and
+# more than 65,536 samples between two reads, so the log settles in update.
+@example(window=10_000, quantile=0.999,
+         steps=[[(300_000, 4_000)], [(1, 9_000)], [(_LINEAR_LIMIT_NS - 1, 40_000)], [],
+                [(150_000, 60_000), (2_000, 10_000)]])
+def test_deferred_estimator_matches_incremental_and_deque_reference(window, quantile, steps):
+    # The deferred schedule takes the tail from the raw window at each read;
+    # the incremental one walks its pointer.  Both must give the same edge as
+    # the deque oracle at every read, with the same EWMA.
+    deferred = ServiceEstimator(alpha=0.05, window=window, quantile=quantile,
+                                nominal_mean_ns=7.0, nominal_tail_ns=9, deferred=True)
+    incremental = ServiceEstimator(alpha=0.05, window=window, quantile=quantile,
+                                   nominal_mean_ns=7.0, nominal_tail_ns=9)
+    ref = _DequeEstimator(0.05, window, quantile)
+    for runs in steps:
+        for x, n in runs:
+            for _ in range(n):
+                deferred.update(x)
+                incremental.update(x)
+                ref.update(x)
+        tail = deferred.tail_ns
+        assert tail == incremental.tail_ns == ref.tail_ns(9) and type(tail) is int
+        assert deferred.mean_ns == incremental.mean_ns
+        assert len(deferred._win) <= window and not deferred._log
+
+
+def test_deferred_estimator_log_stays_bounded_between_reads():
+    # A run whose only reader ticks rarely must not keep every sample since
+    # the last read.
+    e = ServiceEstimator(window=10, deferred=True)
+    for i in range(200_000):
+        e.update(1_000 + i % 7)
+    assert len(e._log) <= 65_536 and len(e._win) <= 10
+    assert e.tail_ns == _service_bucket_edge(_service_bucket(1_006))
+
+
 def test_estimator_validation():
     with pytest.raises(ValueError):
         ServiceEstimator(alpha=0.0)

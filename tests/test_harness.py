@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
 import qwinsim
-from qwinsim.config import ConfigError, parse_config, scenario
+from qwinsim.config import ALLOCATORS, ConfigError, parse_config, scenario
+from qwinsim.device import _service_bucket, _service_bucket_edge
 from qwinsim.harness import (_assemble_config, _build_arg_parser, _parse_seeds,
                              build, main, run_experiment, sweep)
 from qwinsim.workload import CLOSED
@@ -77,6 +79,35 @@ def test_estimator_scope_tenant_vs_device():
     shared = build(parse_config(d))
     ids = {id(_by_label(shared)[f"lc{i}"].estimator) for i in range(3)}
     assert len(ids) == 1
+
+
+# Allocator kind -> whether its LC estimators defer the tail to the reads:
+# only qwin reads them between metric ticks.
+DEFERRED = {"qwin": False, "static": True, "priority": True, "shenango": True,
+            "cake": True}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFERRED))
+def test_only_allocators_that_never_read_estimators_defer_them(kind):
+    assert set(DEFERRED) == set(ALLOCATORS)
+    d = scenario("group1")
+    d.update({"duration_s": 0.2, "interval_s": 0.1,
+              "estimators": {"hist_window": 50},
+              "allocator": {"kind": kind,
+                            "static": {"counts": {"lc0": 2, "lc1": 2, "lc2": 1}}}})
+    sim = run_experiment(parse_config(d), write=False).sim
+    for t in sim.backend.lc_tenants:
+        est = t.estimator
+        assert est.samples > est.window
+        tail = est.tail_ns
+        if DEFERRED[kind]:
+            # No histogram and no ring; a read leaves the last window of samples.
+            assert est._counts is None and est._ring is None
+            assert len(est._win) == est.window and not est._log
+            assert tail == _service_bucket_edge(_service_bucket(sorted(est._win)[est._need_full - 1]))
+        else:
+            assert est._log is None and est._win is None
+            assert len(est._counts) > 100_000 and isinstance(est._ring, deque)
 
 
 # ---------------------------------------------------------------------------
