@@ -27,6 +27,13 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_digests.json")
 CASES = [(s, k) for s in SCENARIOS for k in ALLOCATORS]
 
+# Inline tenants for the cases that change a scenario's workloads.
+_C = {"label": "lc0", "class": "lc", "workload": "C",
+      "slo": {"quantile": 0.999, "latency_ms": 4.0}}
+_ONE_BE = {"label": "be0", "class": "be",
+           "workload": {"mode": "closed_loop", "sizes": [[65536, 1.0]], "read_ratio": 0.9,
+                        "iodepth": 1, "numjobs": 1}}
+
 # case id -> (scenario, allocator, top-level config overrides); an
 # "allocator" override holds the allocator's own sections.
 EXTRA = {
@@ -56,6 +63,32 @@ EXTRA = {
     "duo-shenango-slow-device": ("duo", "shenango", {
         "duration_s": 3.0, "interval_s": 0.25, "estimators": {"hist_window": 8},
         "device": {"read_median_us": 500_000.0, "write_median_us": 500_000.0}}),
+    # One BE request for a pool of seven cores: the pool runs dry and its
+    # cores park; under qwin a grant takes a parked BE core and wakes it.
+    "duo-qwin-one-be-request": ("duo", "qwin", {"tenants": [_C, _ONE_BE]}),
+    "duo-static-one-be-request": ("duo", "static", {"tenants": [_C, _ONE_BE]}),
+    # Four cores for two requests: a closed-loop completion wakes a parked
+    # core of its own tenant for the replacement.
+    "duo-static-lc-surplus": ("duo", "static", {
+        "tenants": [{**_C, "workload": {"mode": "closed_loop", "sizes": [[4096, 1.0]],
+                                        "read_ratio": 0.9, "iodepth": 2, "numjobs": 1}},
+                    {"label": "be0", "class": "be", "workload": "H"}],
+        "allocator": {"static": {"counts": {"lc0": 4}}}}),
+    # Bursts of 0.1 s every 0.3 s, so the open loop steps through its
+    # phases within the run; one interval per 0.1 s.
+    "burst-duo-qwin-short-bursts": ("burst-duo", "qwin", {
+        "interval_s": 0.1,
+        "tenants": [{"label": "lc0", "class": "lc",
+                     "workload": {"mode": "open_loop", "rate_per_s": 12000.0,
+                                  "sizes": [[4096, 1.0]], "read_ratio": 0.9,
+                                  "burst": {"on_s": 0.1, "off_s": 0.2,
+                                            "rate_per_s": 48000.0}},
+                     "slo": {"quantile": 0.999, "latency_ms": 4.0}},
+                    {"label": "be0", "class": "be", "workload": "H"}]}),
+    # An SLO quantile that latency.csv does not list by default.
+    "duo-qwin-slo-q0.995": ("duo", "qwin", {
+        "tenants": [{**_C, "slo": {"quantile": 0.995, "latency_ms": 4.0}},
+                    {"label": "be0", "class": "be", "workload": "H"}]}),
 }
 ALL_CASES = {**{f"{s}-{k}": (s, k, {}) for s, k in CASES}, **EXTRA}
 
@@ -72,6 +105,32 @@ def _column(paths, artifact, column):
 def _estimator_reads(paths, tenant):
     return [(r["time_ns"], r["t_io_avg_ns"], r["tail_io_ns"])
             for r in _rows(paths, "estimators.csv") if r["tenant"] == tenant]
+
+
+def _in_flight(paths, tenant):
+    """The tenant's mean requests in flight by Little's law: its completions
+    per second over the run times its median post-warmup latency."""
+    with open(paths["report.json"]) as f:
+        report = json.load(f)
+    p50 = next(float(r["cumulative_tail_ns"]) for r in _rows(paths, "latency.csv")
+               if r["tenant"] == tenant and r["quantile"] == "0.5")
+    return report["tenants"][tenant]["requests"] / report["duration_s"] * p50 / 1e9
+
+
+def _min_cores(paths, tenant):
+    return min(float(r["mean_cores"]) for r in _rows(paths, "intervals.csv")
+               if r["tenant"] == tenant)
+
+
+def _parks(paths, tenant):
+    """The tenant keeps more than one request fewer in flight than it has
+    cores in any interval, so some of its cores sit parked."""
+    return _in_flight(paths, tenant) + 1 < _min_cores(paths, tenant)
+
+
+def _bandwidths(paths, tenant):
+    return [float(r["bandwidth_bytes_per_s"]) for r in _rows(paths, "intervals.csv")
+            if r["tenant"] == tenant]
 
 
 # case id -> what its artifacts must show, so that an edit to the case
@@ -93,6 +152,20 @@ REACHES = {
     "duo-priority-interval0.25": lambda p: len(_estimator_reads(p, "lc0")) > 1,
     "duo-shenango-slow-device": lambda p: (
         min(int(tail) for _, _, tail in _estimator_reads(p, "lc0")) >= 100_000_000),
+    # A transfer out of the BE pool that takes effect when marked is a
+    # parked BE core, granted and woken at once.
+    "duo-qwin-one-be-request": lambda p: any(
+        r["from_owner"] == "be" and r["marked_ns"] == r["effective_ns"]
+        for r in _rows(p, "transfers.csv")),
+    "duo-static-one-be-request": lambda p: _parks(p, "be0"),
+    "duo-static-lc-surplus": lambda p: _parks(p, "lc0"),
+    # The burst intervals (every third from the third) carry over twice the
+    # bandwidth of any other.
+    "burst-duo-qwin-short-bursts": lambda p: (
+        min(_bandwidths(p, "lc0")[2::3])
+        > 2 * max(b for i, b in enumerate(_bandwidths(p, "lc0")) if i % 3 != 2)),
+    "duo-qwin-slo-q0.995": lambda p: any(
+        r["tenant"] == "lc0" and r["quantile"] == "0.995" for r in _rows(p, "latency.csv")),
 }
 
 
@@ -104,8 +177,8 @@ def _config(name, kind, overrides=None):
     d.update(overrides)
     if kind == "static":
         # One core per LC tenant; the rest stay in the BE pool.
-        alloc["static"] = {"counts": {t["label"]: 1 for t in d["tenants"]
-                                      if t["class"] == "lc"}}
+        alloc.setdefault("static", {"counts": {t["label"]: 1 for t in d["tenants"]
+                                               if t["class"] == "lc"}})
     d["allocator"] = alloc
     return parse_config(d)
 
