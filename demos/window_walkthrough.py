@@ -17,7 +17,6 @@ US = 1_000
 def enqueue(t, now, n):
     for _ in range(n):
         r = Request(t.label, True, 4096, arrive_at=now)
-        r.enqueued_at = now
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)

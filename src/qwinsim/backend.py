@@ -163,8 +163,8 @@ class Backend:
     # -- enqueue side ---------------------------------------------------------
 
     def enqueue(self, req, now):
+        """Admit a request at its arrival instant (`now` is `req.arrive_at`)."""
         tenant = req.tenant
-        req.enqueued_at = now
         tenant.arrivals += 1
         req.seq = tenant.arrivals
         tenant.queue.append(req)
@@ -270,7 +270,6 @@ class Backend:
             req.mu = src.mu_table[op][i]
             req.arrive_at = now
             req.finish_at = NOT_SCHEDULED
-            req.enqueued_at = now
             t.arrivals += 1
             req.seq = t.arrivals
             t.queue.append(req)

@@ -437,42 +437,39 @@ def _be(label, preset):
     return {"label": label, "class": "be", "workload": preset}
 
 
+# Scenario name -> a builder of its tenant list (fresh on every call).
+_TENANTS = {
+    "duo": lambda: [_lc("lc0", "C", 4.0), _be("be0", "H")],
+    # Open-loop LC with a 4x burst one second out of every five.
+    "burst-duo": lambda: [
+        {"label": "lc0", "class": "lc",
+         "workload": {"mode": OPEN, "rate_per_s": 12000.0,
+                      "sizes": [[4096, 1.0]], "read_ratio": 0.9,
+                      "burst": {"on_s": 1.0, "off_s": 4.0,
+                                "rate_per_s": 48000.0}},
+         "slo": {"quantile": 0.999, "latency_ms": 4.0}},
+        _be("be0", "H"),
+    ],
+    "group1": lambda: [_lc("lc0", "B", 2.5), _lc("lc1", "C", 4.0),
+                       _lc("lc2", "D", 5.5),
+                       _be("be0", "F"), _be("be1", "G"), _be("be2", "H")],
+    "group2": lambda: [_lc("lc0", "K", 4.0), _lc("lc1", "K", 5.5),
+                       _lc("lc2", "K", 7.0),
+                       _be("be0", "F"), _be("be1", "G"), _be("be2", "H")],
+    "group3": lambda: [_lc("lc0", "J", 4.0), _lc("lc1", "J", 5.5),
+                       _lc("lc2", "J", 7.0),
+                       _be("be0", "F"), _be("be1", "G"), _be("be2", "H")],
+    "policy-duo": lambda: [_lc("lc0", "C", 3.0), _lc("lc1", "P", 5.0),
+                           _be("be0", "H")],
+}
+SCENARIOS = tuple(_TENANTS)
+
+
 def scenario(name: str) -> dict:
     """Return a named scenario as a plain config mapping (overridable).
 
     Keys it leaves out take their defaults: seed 1, 60 s in 1 s intervals,
     8 cores and the qwin allocator."""
-    if name == "duo":
-        tenants = [_lc("lc0", "C", 4.0), _be("be0", "H")]
-    elif name == "burst-duo":
-        # Open-loop LC with a 4x burst one second out of every five.
-        tenants = [
-            {"label": "lc0", "class": "lc",
-             "workload": {"mode": OPEN, "rate_per_s": 12000.0,
-                          "sizes": [[4096, 1.0]], "read_ratio": 0.9,
-                          "burst": {"on_s": 1.0, "off_s": 4.0,
-                                    "rate_per_s": 48000.0}},
-             "slo": {"quantile": 0.999, "latency_ms": 4.0}},
-            _be("be0", "H"),
-        ]
-    elif name == "group1":
-        tenants = [_lc("lc0", "B", 2.5), _lc("lc1", "C", 4.0),
-                   _lc("lc2", "D", 5.5),
-                   _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
-    elif name == "group2":
-        tenants = [_lc("lc0", "K", 4.0), _lc("lc1", "K", 5.5),
-                   _lc("lc2", "K", 7.0),
-                   _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
-    elif name == "group3":
-        tenants = [_lc("lc0", "J", 4.0), _lc("lc1", "J", 5.5),
-                   _lc("lc2", "J", 7.0),
-                   _be("be0", "F"), _be("be1", "G"), _be("be2", "H")]
-    elif name == "policy-duo":
-        tenants = [_lc("lc0", "C", 3.0), _lc("lc1", "P", 5.0),
-                   _be("be0", "H")]
-    else:
+    if name not in _TENANTS:
         raise KeyError(f"unknown scenario {name!r} (known: {', '.join(SCENARIOS)})")
-    return {"name": name, "tenants": tenants}
-
-
-SCENARIOS = ("duo", "burst-duo", "group1", "group2", "group3", "policy-duo")
+    return {"name": name, "tenants": _TENANTS[name]()}

@@ -22,6 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .metrics import quantile_need
 from .sim_core import IO_COMPLETE, MS, US
 
 _INV_CDF = NormalDist().inv_cdf
@@ -119,9 +120,6 @@ class Device:
         self.in_service = 0
         self.fifo = deque()
         self.on_complete_fn = None   # set by the backend at wiring time
-        self._sigma = params.sigma
-        self._p_spike = params.p_spike
-        self._m_spike = params.m_spike
         self._z = None               # block of sigma * N(0,1) draws
         self._k = None               # block of spike multipliers
         self._zi = DRAW_BLOCK        # exhausted -> refill on first use
@@ -143,10 +141,11 @@ class Device:
             # is below p_spike and 1.0 elsewhere; x * 1.0 is x in IEEE
             # arithmetic, so the product equals the branch.  The 1.0s are one
             # shared object.
-            self._z = (self.rng.standard_normal(DRAW_BLOCK) * self._sigma).tolist()
+            p = self.params
+            self._z = (self.rng.standard_normal(DRAW_BLOCK) * p.sigma).tolist()
             k = [1.0] * DRAW_BLOCK
-            for j in np.flatnonzero(self.rng.random(DRAW_BLOCK) < self._p_spike).tolist():
-                k[j] = self._m_spike
+            for j in np.flatnonzero(self.rng.random(DRAW_BLOCK) < p.p_spike).tolist():
+                k[j] = p.m_spike
             self._k = k
             self._refills += 1
             i = 0
@@ -226,7 +225,7 @@ class ServiceEstimator:
         self.quantile = quantile
         self.mean_ns = float(nominal_mean_ns)
         self.samples = 0
-        self._need_full = self._need(window)
+        self._need_full = quantile_need(quantile, window)
         self.nominal_tail = int(nominal_tail_ns)
         if deferred:
             self._log = array("q")    # samples since the last settle
@@ -270,12 +269,6 @@ class ServiceEstimator:
         elif old <= tail_idx:
             self._cum -= 1
 
-    def _need(self, n: int) -> int:
-        """Samples the tail bucket must reach among n: ceil(q*n), at least 1."""
-        # The epsilon guards against float dust on exact multiples.
-        need = math.ceil(self.quantile * n - 1e-9)
-        return need if need > 1 else 1
-
     def _settle(self):
         """Deferred: move the log into the window, keeping its last `window` samples."""
         win = self._win
@@ -291,7 +284,7 @@ class ServiceEstimator:
         if samples >= self.window:
             need = self._need_full
         elif samples:
-            need = self._need(samples)
+            need = quantile_need(self.quantile, samples)
         else:
             return self.nominal_tail
         counts = self._counts

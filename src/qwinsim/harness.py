@@ -2,7 +2,7 @@
 
 One run produces a directory of CSVs (latency, intervals, alloc_trace, windows,
 policy_trace, transfers, estimators) plus a report.json summarizing SLO
-verdicts and bandwidth.  Sweeps run seeds sequentially and aggregate.
+verdicts and bandwidth.  A sweep runs seeds one after another.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .backend import Backend, Tenant
 from .config import (ALLOCATORS, PIN_KEY, ConfigError, ExperimentConfig, SCENARIOS,
@@ -43,18 +44,10 @@ class Simulation:
     allocator: object
 
 
-def _dominant_size(spec) -> int:
-    best_s, best_w = spec.sizes[0]
-    for s, w in spec.sizes[1:]:
-        if w > best_w:
-            best_s, best_w = s, w
-    return best_s
-
-
 def _make_estimator(cfg: ExperimentConfig, spec, slo_q: float) -> ServiceEstimator:
     # Until real completions arrive, the estimator answers with the device's
     # analytic mean/tail at the tenant's dominant request shape.
-    size = _dominant_size(spec)
+    size = max(spec.sizes, key=itemgetter(1))[0]   # the first of the heaviest
     is_read = spec.read_ratio >= 0.5
     e = cfg.estimators
     q = slo_q if e.scope == "tenant" else 0.999
@@ -199,8 +192,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
 
 
 def sweep(cfg: ExperimentConfig, seeds, out_dir: str | None = None,
-          write: bool = True) -> dict:
-    """Run the same config across seeds; aggregate SLO verdicts and bandwidth."""
+          write: bool = True) -> list[RunResult]:
+    """Run the same config across seeds, in order; each result keeps its
+    report and paths but not its Simulation."""
     results = []
     for s in seeds:
         r = run_experiment(cfg, seed=s, out_dir=out_dir, write=write)
@@ -210,22 +204,7 @@ def sweep(cfg: ExperimentConfig, seeds, out_dir: str | None = None,
         r.sim = None
         gc.collect()
         results.append(r)
-    agg: dict = {"name": cfg.name, "allocator": cfg.allocator_id(),
-                 "seeds": list(seeds), "runs": {}, "tenants": {}}
-    for r in results:
-        agg["runs"][r.run_id] = r.report["slo_met_all"]
-    for tc in cfg.tenants:
-        entries = [r.report["tenants"][tc.label] for r in results]
-        t_agg = {
-            "class": entries[0]["class"],
-            "bandwidth_bytes_per_s": [e["bandwidth_bytes_per_s"] for e in entries],
-        }
-        if tc.tenant_class == "lc":
-            t_agg["tail_ns"] = [e["tail_ns"] for e in entries]
-            t_agg["slo_met_count"] = sum(bool(e["slo_met"]) for e in entries)
-        agg["tenants"][tc.label] = t_agg
-    agg["results"] = results
-    return agg
+    return results
 
 
 def _override(d: dict, path: tuple, value) -> dict:
@@ -337,13 +316,12 @@ def main(argv=None) -> int:
               f"{cfg.pool_total} cores)")
         return 0
     if args.seeds:
-        agg = sweep(cfg, args.seeds, out_dir=args.out)
-        for r in agg["results"]:
+        results = sweep(cfg, args.seeds, out_dir=args.out)
+        for r in results:
             _print_report(r.report, sys.stdout)
-        for label, t in agg["tenants"].items():
-            if t["class"] == "lc":
-                print(f"{label}: SLO met in {t['slo_met_count']}/"
-                      f"{len(agg['seeds'])} seeds")
+        for tc in cfg.lc_tenants():
+            met = sum(r.report["tenants"][tc.label]["slo_met"] for r in results)
+            print(f"{tc.label}: SLO met in {met}/{len(results)} seeds")
         return 0
     result = run_experiment(cfg, out_dir=args.out)
     _print_report(result.report, sys.stdout)

@@ -44,11 +44,18 @@ _LAST = N_BUCKETS - 1
 _EDGES = np.array(EDGES, dtype=np.int64)
 
 
+def quantile_need(q: float, n: int) -> int:
+    """Samples at or below the q-quantile of n: ceil(q*n), at least 1."""
+    # The epsilon guards against float dust on exact multiples.
+    need = math.ceil(q * n - 1e-9)
+    return need if need > 1 else 1
+
+
 def quantile_from_counts(counts, n: int, q: float):
     """Smallest bucket upper edge with cumulative fraction >= q; None if empty."""
     if n <= 0:
         return None
-    need = min(max(1, math.ceil(q * n - 1e-9)), n)
+    need = min(quantile_need(q, n), n)
     return EDGES[min(bisect_left(list(accumulate(counts)), need), _LAST)]
 
 
@@ -84,12 +91,11 @@ class TenantMetrics:
       interval feedback allocator read, each marking when it consumes.
     """
 
-    __slots__ = ("label", "lc", "slo_q", "warmup_ns", "_due_at", "_straddle",
+    __slots__ = ("lc", "slo_q", "warmup_ns", "_due_at", "_straddle",
                  "_log", "counts", "nbytes", "_t_counts", "t_n", "t_bytes",
                  "_w_counts", "_w_bytes", "_m_counts")
 
-    def __init__(self, label: str, lc: bool, slo_q: float, warmup_ns: int):
-        self.label = label
+    def __init__(self, lc: bool, slo_q: float, warmup_ns: int):
         self.lc = lc
         self.slo_q = slo_q
         self.warmup_ns = warmup_ns
@@ -194,7 +200,7 @@ class MetricsHub:
         self._pool_total = None
 
     def register_tenant(self, label: str, lc: bool, slo_q: float) -> TenantMetrics:
-        tm = TenantMetrics(label, lc, slo_q, self.warmup_ns)
+        tm = TenantMetrics(lc, slo_q, self.warmup_ns)
         self.tenants[label] = tm
         if lc:
             self._cores[label] = 0

@@ -147,10 +147,10 @@ class QwinAllocator:
             t.wcnt += 1
             win = t.win
             if win is not None:
-                if not t.end_on_complete and req.seq <= win.boundary_hi:
-                    win.remaining_dequeues -= 1
-                    if win.remaining_dequeues == 0:
-                        t.win = None
+                # The window opened over the whole queue, so its last member
+                # is the one with index boundary_hi.
+                if not t.end_on_complete and req.seq == win.boundary_hi:
+                    t.win = None
                 budget = t.budget
                 if budget and t.wcnt % budget == 0 and t.win is not None:
                     t.probes_attempted += 1
@@ -159,7 +159,7 @@ class QwinAllocator:
                     # already owned there is nothing to compute.
                     if queue and t.num < self.pool:
                         est = t.estimator
-                        tmp = calculate_cores(len(queue), now - queue[0].enqueued_at,
+                        tmp = calculate_cores(len(queue), now - queue[0].arrive_at,
                                               t.slo_ns, est.tail_ns, est.mean_ns,
                                               self.pool)
                         if tmp > t.num:

@@ -18,8 +18,7 @@ import math
 
 
 class Window:
-    __slots__ = ("wid", "ql", "tw", "boundary_lo", "boundary_hi",
-                 "outstanding", "remaining_dequeues")
+    __slots__ = ("wid", "ql", "tw", "boundary_lo", "boundary_hi", "outstanding")
 
     def __init__(self, wid, ql, tw, boundary_lo, boundary_hi, outstanding):
         self.wid = wid
@@ -28,7 +27,6 @@ class Window:
         self.boundary_lo = boundary_lo
         self.boundary_hi = boundary_hi
         self.outstanding = outstanding
-        self.remaining_dequeues = ql
 
     def __repr__(self):
         return (f"<win {self.wid} ql={self.ql} tw={self.tw} "
@@ -57,7 +55,7 @@ def new_window(tenant, now) -> Window:
     outstanding = (hi - lo + 1) - tenant.completed_gap
     tenant.completed_gap = 0
     tenant.prev_boundary = hi
-    win = Window(tenant.windows_established, len(queue), now - queue[0].enqueued_at,
+    win = Window(tenant.windows_established, len(queue), now - queue[0].arrive_at,
                  lo, hi, outstanding)
     tenant.win = win
     return win

@@ -34,7 +34,7 @@ class Request:
 
     __slots__ = (
         "tenant", "is_read", "size", "mu",
-        "arrive_at", "enqueued_at", "dequeued_at",
+        "arrive_at", "dequeued_at",
         "seq", "core", "finish_at",
     )
 
@@ -44,7 +44,6 @@ class Request:
         self.size = size
         self.mu = mu
         self.arrive_at = arrive_at
-        self.enqueued_at = -1
         self.dequeued_at = -1
         self.seq = -1          # per-tenant arrival index, stamped at enqueue
         self.core = None       # core currently serving this request

@@ -474,7 +474,7 @@ def test_11_histogram_quantiles_within_one_bucket(capsys):
     rng = np.random.default_rng(42)
     # The per-tenant histogram a run records into, read after a flush as
     # the cumulative tail is.
-    tm = TenantMetrics(LC_LABEL, True, 0.999, warmup_ns=0)
+    tm = TenantMetrics(True, 0.999, warmup_ns=0)
     samples = [max(1, int(ns)) for ns in
                rng.lognormal(mean=math.log(200_000), sigma=0.5, size=50_000)]
     for ns in samples:

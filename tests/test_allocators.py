@@ -30,7 +30,6 @@ def _fill(t, n, now=0):
     mu = math.log(DeviceParams().median_ns(True, 4096))
     for _ in range(n):
         r = Request(t, True, 4096, arrive_at=now, mu=mu)
-        r.enqueued_at = now
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)

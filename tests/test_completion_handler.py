@@ -64,7 +64,6 @@ class _OracleBackend(Backend):
                     t.win = None
         repl = _oracle_on_completion(t.source, req, now)
         if repl is not None:
-            repl.enqueued_at = now
             t.arrivals += 1
             repl.seq = t.arrivals
             t.queue.append(repl)

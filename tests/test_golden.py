@@ -30,6 +30,7 @@ CASES = [(s, k) for s in SCENARIOS for k in ALLOCATORS]
 # Inline tenants for the cases that change a scenario's workloads.
 _C = {"label": "lc0", "class": "lc", "workload": "C",
       "slo": {"quantile": 0.999, "latency_ms": 4.0}}
+_H = {"label": "be0", "class": "be", "workload": "H"}
 _ONE_BE = {"label": "be0", "class": "be",
            "workload": {"mode": "closed_loop", "sizes": [[65536, 1.0]], "read_ratio": 0.9,
                         "iodepth": 1, "numjobs": 1}}
@@ -72,7 +73,7 @@ EXTRA = {
     "duo-static-lc-surplus": ("duo", "static", {
         "tenants": [{**_C, "workload": {"mode": "closed_loop", "sizes": [[4096, 1.0]],
                                         "read_ratio": 0.9, "iodepth": 2, "numjobs": 1}},
-                    {"label": "be0", "class": "be", "workload": "H"}],
+                    _H],
         "allocator": {"static": {"counts": {"lc0": 4}}}}),
     # Bursts of 0.1 s every 0.3 s, so the open loop steps through its
     # phases within the run; one interval per 0.1 s.
@@ -84,11 +85,11 @@ EXTRA = {
                                   "burst": {"on_s": 0.1, "off_s": 0.2,
                                             "rate_per_s": 48000.0}},
                      "slo": {"quantile": 0.999, "latency_ms": 4.0}},
-                    {"label": "be0", "class": "be", "workload": "H"}]}),
+                    _H]}),
     # An SLO quantile that latency.csv does not list by default.
     "duo-qwin-slo-q0.995": ("duo", "qwin", {
         "tenants": [{**_C, "slo": {"quantile": 0.995, "latency_ms": 4.0}},
-                    {"label": "be0", "class": "be", "workload": "H"}]}),
+                    _H]}),
 }
 ALL_CASES = {**{f"{s}-{k}": (s, k, {}) for s, k in CASES}, **EXTRA}
 
@@ -117,15 +118,11 @@ def _in_flight(paths, tenant):
     return report["tenants"][tenant]["requests"] / report["duration_s"] * p50 / 1e9
 
 
-def _min_cores(paths, tenant):
-    return min(float(r["mean_cores"]) for r in _rows(paths, "intervals.csv")
-               if r["tenant"] == tenant)
-
-
 def _parks(paths, tenant):
     """The tenant keeps more than one request fewer in flight than it has
     cores in any interval, so some of its cores sit parked."""
-    return _in_flight(paths, tenant) + 1 < _min_cores(paths, tenant)
+    return _in_flight(paths, tenant) + 1 < min(
+        float(r["mean_cores"]) for r in _rows(paths, "intervals.csv") if r["tenant"] == tenant)
 
 
 def _bandwidths(paths, tenant):

@@ -189,25 +189,20 @@ def test_interval_rows_cover_each_tenant_per_interval(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_aggregates_across_seeds():
-    agg = sweep(_short_duo(), seeds=[1, 2], write=False)
-    assert agg["seeds"] == [1, 2]
-    assert agg["allocator"] == "qwin"
-    assert set(agg["runs"]) == {"duo-qwin-s1", "duo-qwin-s2"}
-    assert all(isinstance(v, bool) for v in agg["runs"].values())
-    lc, be = agg["tenants"]["lc0"], agg["tenants"]["be0"]
-    assert len(lc["tail_ns"]) == 2
-    assert 0 <= lc["slo_met_count"] <= 2
-    assert len(be["bandwidth_bytes_per_s"]) == 2
-    assert all(r.paths == {} for r in agg["results"])
+def test_sweep_returns_one_run_per_seed_in_order():
+    results = sweep(_short_duo(), seeds=[2, 1], write=False)
+    assert [r.run_id for r in results] == ["duo-qwin-s2", "duo-qwin-s1"]
+    assert [r.report["seed"] for r in results] == [2, 1]
+    assert all(r.paths == {} for r in results)
+    assert all(r.sim is None for r in results)
 
 
 def test_sweep_results_keep_no_simulation():
     # Each Simulation is dropped (and collected) once its report is taken,
     # so a sweep's memory does not grow with the seed count.
-    agg = sweep(_short_duo(duration_s=0.2), seeds=[1, 2, 3], write=False)
-    assert len(agg["results"]) == 3
-    assert all(r.sim is None for r in agg["results"])
+    results = sweep(_short_duo(duration_s=0.2), seeds=[1, 2, 3], write=False)
+    assert len(results) == 3
+    assert all(r.sim is None for r in results)
     assert run_experiment(_short_duo(duration_s=0.2), write=False).sim is not None
 
 

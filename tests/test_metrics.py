@@ -37,7 +37,7 @@ def test_edges_are_strictly_increasing_and_cover_range():
 def test_record_bucket_equals_bisect_at_every_transition():
     # The bucket changes only at edges, so each edge and its neighbours
     # cover every transition without an exhaustive loop.
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
+    tm = TenantMetrics(True, 0.999, warmup_ns=0)
     points = {0}
     for e in EDGES:
         points.update((e - 1, e, e + 1))
@@ -59,7 +59,7 @@ def test_log_is_folded_at_least_once_per_fold_period():
     # With no view read (interval_s past the end of the run), record()
     # folds the log itself, so it never holds more than one period's worth.
     step = _FOLD_NS // 100
-    tm = TenantMetrics("be0", False, 0.999, warmup_ns=150 * step)
+    tm = TenantMetrics(False, 0.999, warmup_ns=150 * step)
     for k in range(1_000):
         tm.record(50_000, 1, k * step)
         assert len(tm._log) <= 101
@@ -92,7 +92,7 @@ def test_quantile_exact_multiple_has_no_float_dust():
 
 def test_histogram_within_one_bucket_of_exact_quantile():
     rng = random.Random(55)
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
+    tm = TenantMetrics(True, 0.999, warmup_ns=0)
     samples = []
     for _ in range(30_000):
         x = int(rng.lognormvariate(math.log(200_000), 0.5))
@@ -115,7 +115,7 @@ def test_histogram_within_one_bucket_of_exact_quantile():
 
 
 def test_cumulative_counts_only_post_warmup():
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=1_000)
+    tm = TenantMetrics(True, 0.999, warmup_ns=1_000)
     tm.record(10_000, 4096, now=500)      # pre-warmup
     tm.record(10_000, 4096, now=999)      # pre-warmup
     tm.record(20_000, 4096, now=1_000)    # at the boundary: counts
@@ -127,7 +127,7 @@ def test_cumulative_counts_only_post_warmup():
 
 
 def test_interval_totals_sum_to_run_totals():
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=2_500)
+    tm = TenantMetrics(True, 0.999, warmup_ns=2_500)
     rng = random.Random(2)
     now = 0
     per_interval = []
@@ -147,7 +147,7 @@ def test_interval_totals_sum_to_run_totals():
 
 def test_fold_flag_toggles_at_warmup_and_totals_stay_exact():
     # warmup at 1500 cuts the second interval [1000, 2000) in half
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=1_500)
+    tm = TenantMetrics(True, 0.999, warmup_ns=1_500)
     tm.record(5_000, 100, now=200)
     tm.flush_interval(1_000)
     assert tm.c_bytes == 0                 # interval [1000,2000) straddles
@@ -163,7 +163,7 @@ def test_fold_flag_toggles_at_warmup_and_totals_stay_exact():
 
 
 def test_zero_warmup_folds_from_the_start():
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=0)
+    tm = TenantMetrics(True, 0.999, warmup_ns=0)
     tm.record(5_000, 50, now=1)
     assert tm.c_bytes == 0                 # counted when the interval flushes
     tm.flush_interval(1_000)
@@ -345,7 +345,7 @@ def _metric_scripts(draw):
 @settings(max_examples=400, deadline=None)
 def test_one_live_histogram_matches_the_two_histogram_oracle(script):
     warmup, ops = script
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=warmup)
+    tm = TenantMetrics(True, 0.999, warmup_ns=warmup)
     oracle = _TwoHistogramOracle(warmup)
     qs = (0.5, 0.9, 0.999, 1.0)
     for now, op in ops:
@@ -506,7 +506,7 @@ def _log_scripts(draw):
 @settings(max_examples=400, deadline=None)
 def test_folded_log_matches_the_direct_index_oracle(script):
     warmup, ops = script
-    tm = TenantMetrics("lc0", True, 0.999, warmup_ns=warmup)
+    tm = TenantMetrics(True, 0.999, warmup_ns=warmup)
     oracle = _DirectIndexOracle(warmup)
     for now, op in ops:
         kind = op[0]

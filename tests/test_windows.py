@@ -13,7 +13,6 @@ from qwinsim.workload import OPEN, Request
 def _enq(t, now, n=1):
     for _ in range(n):
         r = Request(t.label, True, 4096, arrive_at=now)
-        r.enqueued_at = now
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)
