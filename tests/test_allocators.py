@@ -572,3 +572,30 @@ def test_priority_pool_serves_lc_first():
     assert lc_dequeues > 20_000
     assert be_dequeues < lc_dequeues * 0.05
     backend.check_invariants()
+
+
+def test_priority_pool_dequeue_order_round_robins_each_group():
+    # The pool serves the LC tenants round-robin before any BE tenant, and
+    # each group resumes where it left off, also after calls that found
+    # every LC queue empty.
+    from qwinsim import PriorityAllocator
+    eng, backend, hub, alloc = _rig(
+        allocator=PriorityAllocator(),
+        tenants=(("lc0", True, 4 * MS), ("lc1", True, 4 * MS),
+                 ("be0", False, 0), ("be1", False, 0)))
+    t = _by_label(backend)
+    for label, n in (("lc0", 2), ("lc1", 1), ("be0", 2), ("be1", 2)):
+        _fill(t[label], n)
+
+    def served(calls):
+        out = []
+        for _ in range(calls):
+            req = backend._be_dequeue()
+            out.append(None if req is None else (req.tenant.label, req.seq))
+        return out
+
+    assert served(5) == [("lc0", 1), ("lc1", 1), ("lc0", 2),
+                         ("be0", 1), ("be1", 1)]
+    _fill(t["lc0"], 1)
+    _fill(t["lc1"], 1)
+    assert served(5) == [("lc1", 2), ("lc0", 3), ("be0", 2), ("be1", 2), None]
