@@ -23,8 +23,6 @@ from .workload import NOT_SCHEDULED
 BE = None  # owner sentinel for the shared best-effort pool
 BE_LABEL = "be"
 
-INIT_POLICY = "aggressive"  # newly registered LC tenants start aggressive
-
 
 class Core:
     __slots__ = ("cid", "owner", "busy", "pending_marks")
@@ -62,7 +60,7 @@ class Tenant:
         self.win = None
         self.wcnt = 0
         self.budget = 1
-        self.policy = INIT_POLICY
+        self.policy = None
         self.num = 0
         self.estimator = None
         self.metrics = None
@@ -98,9 +96,8 @@ class Backend:
         self.be_tenants: list[Tenant] = []
         self.be_idle: list[int] = list(range(pool_total))
         self.be_count = pool_total   # cores owned by the BE pool
-        self._be_rr = 0
-        self._lc_rr = 0
-        self.pool_lc: list[Tenant] = []  # LC tenants the BE pool serves first
+        # The tenant groups the BE pool serves, in order: [tenants, next index].
+        self.pool_tiers: list[list] = [[self.be_tenants, 0]]
         self.allocator = None
         device.on_complete_fn = self._on_io_complete
 
@@ -204,31 +201,19 @@ class Backend:
             dev.fifo.append(req)
 
     def _be_dequeue(self):
-        # LC queues the pool serves first (priority mode only), then BE
-        # queues, round-robin among the tenants of each class.
-        lcs = self.pool_lc
-        if lcs:
-            n = len(lcs)
-            i = self._lc_rr
+        # The pool's tenant groups in order (under priority the LC group
+        # comes first), round-robin among the tenants of each group.
+        for tier in self.pool_tiers:
+            ts, i = tier
+            n = len(ts)
             for _ in range(n):
-                t = lcs[i]
+                t = ts[i]
                 i += 1
                 if i == n:
                     i = 0
                 if t.queue:
-                    self._lc_rr = i
+                    tier[1] = i
                     return t.queue.popleft()
-        bes = self.be_tenants
-        n = len(bes)
-        i = self._be_rr
-        for _ in range(n):
-            t = bes[i]
-            i += 1
-            if i == n:
-                i = 0
-            if t.queue:
-                self._be_rr = i
-                return t.queue.popleft()
         return None
 
     # -- completion side (hot) -------------------------------------------------
@@ -405,7 +390,7 @@ class Backend:
             if c.busy is None:
                 not_busy.setdefault(id(c.owner), []).append(c.cid)
         for t in self.lc_tenants:
-            if t not in self.pool_lc:
+            if t.wake_idle is t.idle:   # not served by the BE pool
                 need(t.num >= 1, f"{t.label} dropped below 1 core")
                 need(by_owner.get(id(t), 0) == t.num,
                      f"{t.label}.num={t.num} but owns {by_owner.get(id(t), 0)} cores")

@@ -85,7 +85,7 @@ class PriorityAllocator:
 
     def setup(self, backend):
         backend.allocator = self
-        backend.pool_lc = list(backend.lc_tenants)
+        backend.pool_tiers.insert(0, [list(backend.lc_tenants), 0])
         for t in backend.lc_tenants:
             t.wake_idle = backend.be_idle
 

@@ -126,9 +126,6 @@ class ExperimentConfig:
     def lc_tenants(self):
         return [t for t in self.tenants if t.tenant_class == LC]
 
-    def be_tenants(self):
-        return [t for t in self.tenants if t.tenant_class == BE_CLASS]
-
     def allocator_id(self) -> str:
         if self.allocator.kind == "qwin" and self.allocator.qwin.pin:
             return f"qwin-{self.allocator.qwin.pin}"

@@ -311,19 +311,20 @@ def main(argv=None) -> int:
         print(f"cannot read config: {e}", file=sys.stderr)
         return 2
     if args.validate_only:
+        n_lc = len(cfg.lc_tenants())
         print(f"config OK: {cfg.run_id()} "
-              f"({len(cfg.lc_tenants())} lc + {len(cfg.be_tenants())} be tenants, "
+              f"({n_lc} lc + {len(cfg.tenants) - n_lc} be tenants, "
               f"{cfg.pool_total} cores)")
         return 0
     if args.seeds:
-        results = sweep(cfg, args.seeds, out_dir=args.out)
+        results = sweep(cfg, args.seeds)
         for r in results:
             _print_report(r.report, sys.stdout)
         for tc in cfg.lc_tenants():
             met = sum(r.report["tenants"][tc.label]["slo_met"] for r in results)
             print(f"{tc.label}: SLO met in {met}/{len(results)} seeds")
         return 0
-    result = run_experiment(cfg, out_dir=args.out)
+    result = run_experiment(cfg)
     _print_report(result.report, sys.stdout)
     out_dir = os.path.dirname(result.paths["report.json"])
     print(f"artifacts: {out_dir}")

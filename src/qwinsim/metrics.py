@@ -85,13 +85,12 @@ class TenantMetrics:
       interval rows sum to them exactly;
     - the cumulative, the measurement the SLO verdict is judged on: from the
       snapshot taken just before the first completion at or past the warmup
-      boundary.  It holds the intervals flushed since; an interval that
-      straddles the boundary counts each post-warmup completion at once;
+      boundary, up to now;
     - since the last mark(): what the adaptive policy refresh and the
       interval feedback allocator read, each marking when it consumes.
     """
 
-    __slots__ = ("lc", "slo_q", "warmup_ns", "_due_at", "_straddle",
+    __slots__ = ("lc", "slo_q", "warmup_ns", "_due_at",
                  "_log", "counts", "nbytes", "_t_counts", "t_n", "t_bytes",
                  "_w_counts", "_w_bytes", "_m_counts")
 
@@ -100,7 +99,6 @@ class TenantMetrics:
         self.slo_q = slo_q
         self.warmup_ns = warmup_ns
         self._due_at = min(warmup_ns, _FOLD_NS)   # the next fold in record()
-        self._straddle = warmup_ns > 0  # the open interval began before warmup
         self._log = array("q")          # latencies not yet folded into counts
         self.counts = np.zeros(N_BUCKETS, dtype=np.int64)
         self.nbytes = 0
@@ -144,21 +142,14 @@ class TenantMetrics:
         self._t_counts = self.counts.copy()
         self.t_n += n
         self.t_bytes = self.nbytes
-        # The next interval starts at `now`.
-        self._straddle = now < self.warmup_ns
         return interval
 
     def _cumulative(self):
-        """Post-warmup counts/n/bytes: up to the last flush, or up to now
-        while the open interval straddles the warmup boundary."""
+        """Post-warmup counts/n/bytes, from the warmup snapshot up to now."""
         if self._w_counts is None:
             return None, 0, 0
-        if self._straddle:
-            self._fold()
-            counts, nbytes = self.counts, self.nbytes
-        else:
-            counts, nbytes = self._t_counts, self.t_bytes
-        return (*_minus(counts, self._w_counts), nbytes - self._w_bytes)
+        self._fold()
+        return (*_minus(self.counts, self._w_counts), self.nbytes - self._w_bytes)
 
     @property
     def c_bytes(self) -> int:

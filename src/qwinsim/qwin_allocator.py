@@ -85,7 +85,6 @@ class QwinAllocator:
         self.params = params or PolicyParams()
         self.params.validate()
         self.backend = None
-        self.hub = None
         self.pool = 0
 
     # -- wiring ------------------------------------------------------------
@@ -93,12 +92,11 @@ class QwinAllocator:
     def setup(self, backend):
         backend.allocator = self
         self.backend = backend
-        self.hub = backend.hub
         self.pool = backend.pool_total
         backend.assign_lc_cores()
         pin = self.params.pin
         for t in backend.lc_tenants:
-            t.policy = pin if pin is not None else t.policy
+            t.policy = pin if pin is not None else AGGRESSIVE
             t.budget = self._budget_for_policy(t, None)
 
     # -- policy ----------------------------------------------------------------
@@ -115,7 +113,7 @@ class QwinAllocator:
         slack = t.slo_ns - measured
         new = select_policy(slack, self.params)
         if new != t.policy:
-            self.hub.policy_rows.append((now, t.label, t.policy, new, slack))
+            self.backend.hub.policy_rows.append((now, t.label, t.policy, new, slack))
             t.policy = new
 
     def _budget_for_policy(self, t, win):
@@ -141,7 +139,7 @@ class QwinAllocator:
             demand = calculate_cores(win.ql, win.tw, t.slo_ns,
                                      est.tail_ns, est.mean_ns, self.pool)
             self.adjust_cores(t, demand, now, "window_start")
-            self.hub.window_rows.append((t.label, win.wid, win.ql, win.tw, t.num, t.policy))
+            self.backend.hub.window_rows.append((t.label, win.wid, win.ql, win.tw, t.num, t.policy))
         if queue:
             req = queue.popleft()
             t.wcnt += 1

@@ -561,7 +561,9 @@ def test_priority_pool_serves_lc_first():
         workloads={"lc0": WorkloadSpec(iodepth=64, numjobs=4),
                    "be0": WorkloadSpec(iodepth=64, numjobs=4,
                                        sizes=((65536, 1.0),))})
-    assert backend.pool_lc == [_by_label(backend)["lc0"]]
+    assert backend.pool_tiers == [[[_by_label(backend)["lc0"]], 0],
+                                  [[_by_label(backend)["be0"]], 0]]
+    assert backend.pool_tiers[1][0] is backend.be_tenants
     backend.start()
     eng.run_until(SEC)
     lc = _by_label(backend)["lc0"]

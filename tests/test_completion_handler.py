@@ -216,9 +216,9 @@ def test_the_handler_steps_a_freed_be_core_itself():
 
 
 def test_the_handler_steps_a_freed_core_of_the_priority_pool_itself():
-    # Under priority the BE pool serves the LC queues first (pool_lc).
+    # Under priority the BE pool serves the LC group first (pool_tiers).
     cfg = parse_config({**scenario("group2"), "duration_s": 0.3,
                         "allocator": {"kind": "priority"}})
     sim, owners = _run_guarded(cfg)
-    assert sim.backend.pool_lc
+    assert sim.backend.pool_tiers[0][0] == sim.backend.lc_tenants
     assert owners.count((BE, True)) > 1000

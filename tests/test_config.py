@@ -373,7 +373,8 @@ def test_scenario_catalog():
 
     g1 = parse_config(scenario("group1"))
     assert len(g1.tenants) == 6
-    assert len(g1.lc_tenants()) == 3 and len(g1.be_tenants()) == 3
+    assert len(g1.lc_tenants()) == 3
+    assert sum(t.tenant_class == "be" for t in g1.tenants) == 3
 
     burst = parse_config(scenario("burst-duo"))
     spec = burst.tenants[0].spec()

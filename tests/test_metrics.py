@@ -150,14 +150,14 @@ def test_fold_flag_toggles_at_warmup_and_totals_stay_exact():
     tm = TenantMetrics(True, 0.999, warmup_ns=1_500)
     tm.record(5_000, 100, now=200)
     tm.flush_interval(1_000)
-    assert tm.c_bytes == 0                 # interval [1000,2000) straddles
+    assert tm.c_bytes == 0                 # nothing recorded past warmup yet
     tm.record(5_000, 100, now=1_400)       # pre-warmup: cumulative skips it
     tm.record(5_000, 100, now=1_600)       # post-warmup: cumulative takes it
-    assert tm.c_bytes == 100               # at once, inside the straddle
+    assert tm.c_bytes == 100               # as soon as it is recorded
     tm.flush_interval(2_000)
     tm.record(5_000, 100, now=2_700)
-    assert tm.c_bytes == 100               # intervals now fully post-warmup:
-    tm.flush_interval(3_000)               # counted when flushed
+    assert tm.c_bytes == 200               # also inside a later interval
+    tm.flush_interval(3_000)               # and a flush changes nothing
     assert tm.c_bytes == 200 and tm.t_n == 4
     assert tm.t_bytes == 400
 
@@ -165,7 +165,7 @@ def test_fold_flag_toggles_at_warmup_and_totals_stay_exact():
 def test_zero_warmup_folds_from_the_start():
     tm = TenantMetrics(True, 0.999, warmup_ns=0)
     tm.record(5_000, 50, now=1)
-    assert tm.c_bytes == 0                 # counted when the interval flushes
+    assert tm.c_bytes == 50                # counted as soon as it is recorded
     tm.flush_interval(1_000)
     assert tm.c_bytes == 50 and tm.t_n == 1
 
@@ -271,13 +271,13 @@ def test_mean_cores_is_time_weighted():
 
 class _TwoHistogramOracle:
     """The accounting one live histogram replaced, kept as the reference:
-    interval counts folded into a separate cumulative histogram at each
-    flush (per completion while an interval straddles the warmup boundary),
-    beside a probe histogram counted per completion and reset when read."""
+    interval counts in a histogram reset at each flush, a separate
+    cumulative histogram counted per completion at or past the warmup
+    boundary, and a probe histogram counted per completion and reset when
+    read."""
 
     def __init__(self, warmup_ns):
         self.warmup_ns = warmup_ns
-        self.fold = warmup_ns == 0
         self.i_counts, self.i_n, self.i_bytes = [0] * N_BUCKETS, 0, 0
         self.c_counts, self.c_n, self.c_bytes = [0] * N_BUCKETS, 0, 0
         self.t_n = self.t_bytes = 0
@@ -288,7 +288,7 @@ class _TwoHistogramOracle:
         self.i_counts[b] += 1
         self.i_n += 1
         self.i_bytes += size
-        if not self.fold and now >= self.warmup_ns:
+        if now >= self.warmup_ns:
             self.c_counts[b] += 1
             self.c_n += 1
             self.c_bytes += size
@@ -297,15 +297,9 @@ class _TwoHistogramOracle:
 
     def flush_interval(self, now):
         counts, n, nbytes = self.i_counts, self.i_n, self.i_bytes
-        if self.fold:
-            for i, v in enumerate(counts):
-                self.c_counts[i] += v
-            self.c_n += n
-            self.c_bytes += nbytes
         self.t_n += n
         self.t_bytes += nbytes
         self.i_counts, self.i_n, self.i_bytes = [0] * N_BUCKETS, 0, 0
-        self.fold = now >= self.warmup_ns
         return counts, n, nbytes
 
     def cumulative_quantile(self, q):
@@ -409,7 +403,6 @@ class _DirectIndexOracle:
     def __init__(self, warmup_ns):
         self.warmup_ns = warmup_ns
         self._warm_at = warmup_ns
-        self._straddle = warmup_ns > 0
         self.counts = [0] * N_BUCKETS
         self.n = self.nbytes = 0
         self._t_counts = [0] * N_BUCKETS
@@ -444,18 +437,13 @@ class _DirectIndexOracle:
         self._t_counts = counts[:]
         self.t_n = self.n
         self.t_bytes = self.nbytes
-        self._straddle = now < self.warmup_ns
         return interval
 
     def _cumulative(self):
         if self._w_counts is None:
             return None, 0, 0
-        if self._straddle:
-            counts, n, nbytes = self.counts, self.n, self.nbytes
-        else:
-            counts, n, nbytes = self._t_counts, self.t_n, self.t_bytes
-        return (_minus(counts, self._w_counts), n - self._w_n,
-                nbytes - self._w_bytes)
+        return (_minus(self.counts, self._w_counts), self.n - self._w_n,
+                self.nbytes - self._w_bytes)
 
     @property
     def c_bytes(self):
