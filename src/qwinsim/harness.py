@@ -191,13 +191,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     return RunResult(run_id=sim.run_id, report=report, paths=paths, sim=sim)
 
 
-def sweep(cfg: ExperimentConfig, seeds, out_dir: str | None = None,
-          write: bool = True) -> list[RunResult]:
+def sweep(cfg: ExperimentConfig, seeds, write: bool = True) -> list[RunResult]:
     """Run the same config across seeds, in order; each result keeps its
     report and paths but not its Simulation."""
     results = []
     for s in seeds:
-        r = run_experiment(cfg, seed=s, out_dir=out_dir, write=write)
+        r = run_experiment(cfg, seed=s, write=write)
         # A Simulation is a reference cycle (the device calls back into the
         # backend that owns it), so dropping it frees nothing until a
         # collection runs; without one, memory grows with the seed count.
