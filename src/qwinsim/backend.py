@@ -17,7 +17,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from operator import attrgetter
 
-from .sim_core import REQUEST_ARRIVAL, EventKind
+from .sim_core import REQUEST_ARRIVAL
 from .workload import NOT_SCHEDULED
 
 BE = None  # owner sentinel for the shared best-effort pool
@@ -47,7 +47,7 @@ class Tenant:
                  "estimator", "metrics", "idle", "wake_idle", "probes_attempted",
                  "end_on_complete", "windows_established", "last_head_seq")
 
-    def __init__(self, label, lc, slo_q=0.999, slo_ns=0, end_on_complete=True):
+    def __init__(self, label, lc, slo_q=0.999, slo_ns=0):
         self.label = label
         self.lc = lc
         self.slo_q = slo_q
@@ -67,7 +67,7 @@ class Tenant:
         self.idle = []            # sorted cids of this tenant's parked cores
         self.wake_idle = None     # the parked-core list an arrival wakes from
         self.probes_attempted = 0
-        self.end_on_complete = end_on_complete
+        self.end_on_complete = True   # set from the backend's window_end
         self.windows_established = 0
         self.last_head_seq = -1   # congestion-probe baseline state
 
@@ -124,38 +124,30 @@ class Backend:
         tenant.metrics = self.hub.register_tenant(tenant.label, tenant.lc, tenant.slo_q)
         return tenant
 
-    def assign_core(self, core: Core, tenant: Tenant):
-        """Move a BE-pool core to an LC tenant before the run; no trace rows,
-        no handoff."""
-        self.be_idle.remove(core.cid)
-        self.be_count -= 1
-        core.owner = tenant
-        insort(tenant.idle, core.cid)
-        tenant.num += 1
-
-    def assign_lc_cores(self):
-        """Give each LC tenant one core, in tenant order, before the run."""
-        if len(self.lc_tenants) > self.pool_total:
-            raise ValueError("more LC tenants than cores in the pool")
-        for core, t in zip(self.cores, self.lc_tenants):
-            self.assign_core(core, t)
+    def assign_lc_cores(self, counts=None):
+        """Hand out the starting cores before the run, in tenant order and cid
+        order: `counts[label]` to each LC tenant, or one each; the BE pool
+        keeps the rest.  No trace rows, no handoff."""
+        cid = 0
+        for t in self.lc_tenants:
+            n = 1 if counts is None else counts[t.label]
+            if cid + n > self.pool_total:
+                raise ValueError("more LC tenants than cores in the pool")
+            for core in self.cores[cid:cid + n]:
+                core.owner = t
+            t.idle.extend(range(cid, cid + n))
+            t.num = n
+            cid += n
+        del self.be_idle[:cid]
+        self.be_count -= cid
 
     def start(self):
-        """Publish initial core counts and kick every core at t=0."""
+        """Publish the starting core counts and start every tenant's source.
+        Every core starts parked; an arrival wakes one that may serve it."""
         self.hub.start_cores({t.label: t.num for t in self.lc_tenants},
                              self.pool_total)
         for t in self.tenants:
             t.source.start(self.engine, self.enqueue)
-        for core in self.cores:
-            self.engine.schedule(0, EventKind.CORE_WAKE, self._core_wake, core)
-
-    def _core_wake(self, core, now):
-        # A parked core is woken through here; it may have been re-parked or
-        # put to work since the wake was scheduled, in which case do nothing.
-        if core.busy is None:
-            owner = core.owner
-            (self.be_idle if owner is BE else owner.idle).remove(core.cid)
-            self.core_step(core, now)
 
     # -- enqueue side ---------------------------------------------------------
 
@@ -374,8 +366,9 @@ class Backend:
 
     def check_invariants(self):
         """Raise AssertionError if core ownership, the parked-core lists, the
-        alloc trace or a tenant's requests are inconsistent; explicit raises,
-        so `python -O` checks too."""
+        alloc trace or a tenant's requests are inconsistent, or a core is
+        parked beside work it may serve; explicit raises, so `python -O`
+        checks too."""
         def need(ok, msg):
             if not ok:
                 raise AssertionError(msg)
@@ -396,12 +389,20 @@ class Backend:
                      f"{t.label}.num={t.num} but owns {by_owner.get(id(t), 0)} cores")
         need(by_owner.get(id(BE), 0) == self.be_count,
              f"BE pool count {self.be_count} but it owns {by_owner.get(id(BE), 0)} cores")
-        # Each owner's parked list is exactly its non-busy cores, in cid order.
-        for label, owner, parked in ((BE_LABEL, BE, self.be_idle),
-                                     *((t.label, t, t.idle) for t in self.lc_tenants)):
+        # Each owner's parked list is exactly its non-busy cores, in cid
+        # order, and no core stays parked while a queue it may serve holds a
+        # request.
+        pooled = [t for ts, _ in self.pool_tiers for t in ts]
+        for label, owner, parked, serves in (
+                (BE_LABEL, BE, self.be_idle, pooled),
+                *((t.label, t, t.idle, (t,)) for t in self.lc_tenants)):
             want = not_busy.get(id(owner), [])
             need(parked == want,
                  f"{label} parks cores {parked} but its non-busy cores are {want}")
+            for t in serves:
+                need(not (parked and t.queue),
+                     f"{label} parks cores {parked} while {t.label} queues "
+                     f"{len(t.queue)} requests")
         replayed = self.hub.lc_cores()   # mean_cores is integrated from the alloc rows
         for t in self.lc_tenants:
             need(replayed[t.label] == t.num,

@@ -25,34 +25,22 @@ class _PlainLcStep:
 
 @dataclass(frozen=True)
 class StaticParams:
-    # label -> core count; may include "be" for the leftover pool explicitly.
+    # LC tenant label -> core count; the BE pool keeps the rest.
     counts: dict = field(default_factory=dict)
 
     def validate(self, pool_total: int, lc_labels: list):
-        counts = dict(self.counts)
-        be = counts.pop("be", None)
-        unknown = set(counts) - set(lc_labels)
+        unknown = set(self.counts) - set(lc_labels)
         if unknown:
             raise ValueError(f"static counts name unknown LC tenants: {sorted(unknown)}")
-        missing = set(lc_labels) - set(counts)
+        missing = set(lc_labels) - set(self.counts)
         if missing:
             raise ValueError(f"static counts missing LC tenants: {sorted(missing)}")
-        for label, n in counts.items():
+        for label, n in self.counts.items():
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"static count for {label} must be an integer >= 1")
-        lc_sum = sum(counts.values())
-        if be is None:
-            be = pool_total - lc_sum
-            if be < 0:
-                raise ValueError(
-                    f"static counts sum to {lc_sum} > pool total {pool_total}")
-        else:
-            if not isinstance(be, int) or be < 0:
-                raise ValueError("static 'be' count must be an integer >= 0")
-            if lc_sum + be != pool_total:
-                raise ValueError(
-                    f"static counts sum to {lc_sum}+{be} != pool total {pool_total}")
-        return counts, be
+        lc_sum = sum(self.counts.values())
+        if lc_sum > pool_total:
+            raise ValueError(f"static counts sum to {lc_sum} > pool total {pool_total}")
 
 
 class StaticAllocator(_PlainLcStep):
@@ -66,13 +54,8 @@ class StaticAllocator(_PlainLcStep):
 
     def setup(self, backend):
         backend.allocator = self
-        counts, _be = self.params.validate(
-            backend.pool_total, [t.label for t in backend.lc_tenants])
-        cid = 0
-        for t in backend.lc_tenants:
-            for _ in range(counts[t.label]):
-                backend.assign_core(backend.cores[cid], t)
-                cid += 1
+        self.params.validate(backend.pool_total, [t.label for t in backend.lc_tenants])
+        backend.assign_lc_cores(self.params.counts)
 
 
 class PriorityAllocator:

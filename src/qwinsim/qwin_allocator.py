@@ -97,7 +97,6 @@ class QwinAllocator:
         pin = self.params.pin
         for t in backend.lc_tenants:
             t.policy = pin if pin is not None else AGGRESSIVE
-            t.budget = self._budget_for_policy(t, None)
 
     # -- policy ----------------------------------------------------------------
 
@@ -123,8 +122,7 @@ class QwinAllocator:
         if policy == AGGRESSIVE:
             return 1
         est = t.estimator
-        tw = win.tw if win is not None else 0
-        return compute_budget(t.slo_ns, est.tail_ns, tw, est.mean_ns)
+        return compute_budget(t.slo_ns, est.tail_ns, win.tw, est.mean_ns)
 
     # -- Algorithm: one LC core iteration ------------------------------------------
 

@@ -23,9 +23,8 @@ SEC = 1_000_000_000
 class EventKind(IntEnum):
     REQUEST_ARRIVAL = 0
     IO_COMPLETE = 1
-    CORE_WAKE = 2
-    METRIC_TICK = 3
-    POLICY_PROBE = 4
+    METRIC_TICK = 2
+    POLICY_PROBE = 3
 
 
 # Plain-int kinds for the schedulers on the hot path: looking up an IntEnum

@@ -162,6 +162,9 @@ def test_adjust_beyond_pool_records_shortfall():
     alloc.adjust_cores(lc, 8, 0, "probe")
     assert lc.num == 4                       # everything the pool had
     assert hub.alloc_rows[-1][4] == "shortfall"
+    # _fill wakes no core: step the parked one as an arrival would
+    backend.core_step(backend.cores[lc.idle.pop(0)], 0)
+    assert len(lc.queue) == 4
     backend.check_invariants()
 
 
@@ -253,6 +256,23 @@ def test_check_invariants_catches_a_parked_list_out_of_step(fault):
         backend.check_invariants()
 
 
+@pytest.mark.parametrize("kind, queued, match", [
+    ("qwin", "lc0", r"lc0 parks cores \[0\] while lc0 queues 1 requests"),
+    ("qwin", "be0", r"be parks cores \[1, 2, 3\] while be0 queues 1 requests"),
+    ("priority", "lc0", r"be parks cores \[0, 1, 2, 3\] while lc0 queues 1 requests"),
+], ids=["lc core", "be core", "priority pool"])
+def test_check_invariants_catches_a_core_parked_beside_work(kind, queued, match):
+    # An arrival wakes a parked core that may serve it, so no core stays
+    # parked while such a queue holds a request; _fill wakes none.
+    from qwinsim import PriorityAllocator
+    eng, backend, hub, alloc = _rig(
+        pool=4, allocator=PriorityAllocator() if kind == "priority" else None)
+    backend.check_invariants()
+    _fill(_by_label(backend)[queued], 1)
+    with pytest.raises(AssertionError, match=match):
+        backend.check_invariants()
+
+
 @pytest.mark.parametrize("fault", ["dropped", "duplicated"])
 def test_check_invariants_catches_a_lost_or_duplicated_request(fault):
     # Each closed loop keeps its whole population, queued or on a core.
@@ -276,13 +296,16 @@ def test_check_invariants_catches_a_lost_or_duplicated_request(fault):
 def test_budget_for_policy_per_policy():
     eng, backend, hub, alloc = _rig()
     lc = _by_label(backend)["lc0"]
+    _fill(lc, 1)
+    win = new_window(lc, 0)           # its head arrived now: no wait
+    assert win.tw == 0
     lc.policy = CONSERVATIVE
-    assert alloc._budget_for_policy(lc, None) == 0
+    assert alloc._budget_for_policy(lc, win) == 0
     lc.policy = AGGRESSIVE
-    assert alloc._budget_for_policy(lc, None) == 1
+    assert alloc._budget_for_policy(lc, win) == 1
     lc.policy = SLO_AWARE
     want = compute_budget(lc.slo_ns, lc.estimator.tail_ns, 0, lc.estimator.mean_ns)
-    assert alloc._budget_for_policy(lc, None) == want
+    assert alloc._budget_for_policy(lc, win) == want
 
 
 def test_refresh_policy_needs_samples_and_keeps_hist():
@@ -451,10 +474,9 @@ def test_static_params_validation():
         StaticParams({"lc0": 0}).validate(4, ["lc0"])
     with pytest.raises(ValueError):
         StaticParams({"lc0": 5}).validate(4, ["lc0"])
-    with pytest.raises(ValueError):
-        StaticParams({"lc0": 2, "be": 3}).validate(4, ["lc0"])
-    counts, be = StaticParams({"lc0": 3}).validate(4, ["lc0"])
-    assert counts == {"lc0": 3} and be == 1
+    with pytest.raises(ValueError, match=r"unknown LC tenants: \['be'\]"):
+        StaticParams({"lc0": 2, "be": 2}).validate(4, ["lc0"])
+    StaticParams({"lc0": 4}).validate(4, ["lc0"])
 
 
 def test_static_partition_never_moves():

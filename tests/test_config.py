@@ -156,6 +156,17 @@ def test_static_counts_validated_against_pool():
                                          "static": {"counts": {"lc0": 9}}}))
 
 
+def test_static_counts_name_lc_tenants_only(tmp_path):
+    # The BE pool keeps the cores the LC tenants leave; "be" is no tenant.
+    static = {"kind": "static", "static": {"counts": {"lc0": 2, "be": 3}}}
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_minimal(allocator=static))
+    assert ei.value.errors == ["allocator.static: static counts name unknown LC tenants: ['be']"]
+    r = _cli(tmp_path, yaml.safe_dump(_minimal(allocator=static)))
+    assert r.returncode == 2
+    assert "allocator.static" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_more_lc_tenants_than_cores_rejected():
     d = {"pool": {"total": 2}, "tenants": [
         {"label": f"lc{i}", "class": "lc", "workload": "C",

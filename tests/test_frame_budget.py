@@ -20,9 +20,9 @@ BUDGET = {
     # 9.72 frames per completion: every freed core is stepped in the
     # completion handler, estimator reads enter only tail_ns, and the busy
     # cores a transfer takes are sorted without a Python key function.
-    "burst-duo": (5_535, 53_788),
+    "burst-duo": (5_535, 53_778),
     # 7.24 frames per completion.
-    "duo": (14_338, 103_813),
+    "duo": (14_338, 103_805),
 }
 
 

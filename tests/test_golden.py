@@ -8,7 +8,8 @@ grid never runs, and REACHES checks from their artifacts that they still do.
 Acceptance check 10 only shows that a run repeats within one version; this
 file catches a change that silently alters what the simulator outputs.  A
 change that means to alter outputs regenerates the file with
-`PYTHONPATH=src python tests/test_golden.py` and says why.
+`PYTHONPATH=src python tests/test_golden.py` (which first prints, for each
+artifact, how many cases' digests changed) and says why.
 """
 
 import csv
@@ -210,6 +211,13 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {case: run_digests(s, k, tmp, o)[0] for case, (s, k, o) in ALL_CASES.items()}
+    with open(GOLDEN) as f:
+        committed = json.load(f)
+    # How many cases' digests of each artifact this rewrite changes.
+    for artifact in sorted({a for d in table.values() for a in d}):
+        changed = sum(committed.get(case, {}).get(artifact) != d.get(artifact)
+                      for case, d in table.items())
+        print(f"{artifact}: {changed} changed", file=sys.stderr)
     with open(GOLDEN, "w") as f:
         json.dump(table, f, indent=1, sort_keys=True)
         f.write("\n")
