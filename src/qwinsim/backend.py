@@ -44,8 +44,9 @@ class Tenant:
     __slots__ = ("label", "lc", "slo_q", "slo_ns", "queue", "source",
                  "arrivals", "prev_boundary", "completed_gap",
                  "win", "wcnt", "budget", "policy", "num",
-                 "estimator", "metrics", "idle", "wake_idle", "probes_attempted",
-                 "end_on_complete", "windows_established", "last_head_seq")
+                 "estimator", "log_sample", "metrics", "idle", "wake_idle",
+                 "probes_attempted", "end_on_complete", "windows_established",
+                 "last_head_seq")
 
     def __init__(self, label, lc, slo_q=0.999, slo_ns=0):
         self.label = label
@@ -63,6 +64,7 @@ class Tenant:
         self.policy = None
         self.num = 0
         self.estimator = None
+        self.log_sample = None    # a deferred estimator's intake (see add_tenant)
         self.metrics = None
         self.idle = []            # sorted cids of this tenant's parked cores
         self.wake_idle = None     # the parked-core list an arrival wakes from
@@ -122,6 +124,12 @@ class Backend:
         else:
             self.be_tenants.append(tenant)
         tenant.metrics = self.hub.register_tenant(tenant.label, tenant.lc, tenant.slo_q)
+        if estimator is not None and estimator.log_sample is not None:
+            # Deferred: the handler appends each sample to the estimator's
+            # log, and the tenant's metrics fold settles it, which bounds the
+            # log between the rare reads.
+            tenant.log_sample = estimator.log_sample
+            tenant.metrics.on_fold = estimator.settle
         return tenant
 
     def assign_lc_cores(self, counts=None):
@@ -221,9 +229,10 @@ class Backend:
         t = req.tenant
         t.metrics.record(now - req.arrive_at, req.size, now)
         if t.lc:
-            est = t.estimator
-            if est is not None:
-                est.update(now - req.dequeued_at)
+            if t.log_sample is None:
+                t.estimator.update(now - req.dequeued_at)
+            else:
+                t.log_sample(now - req.dequeued_at)
             win = t.win
             seq = req.seq
             if seq > t.prev_boundary:

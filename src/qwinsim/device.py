@@ -170,9 +170,6 @@ _LOG_BUCKETS = math.ceil(math.log(10_000 * MS / _LINEAR_LIMIT_NS) / math.log(_LO
 _N_BUCKETS = _LINEAR_BUCKETS + _LOG_BUCKETS
 _VACANT = _N_BUCKETS   # a ring entry no sample has filled; above every bucket
 _LOG_INV = 1.0 / math.log(_LOG_RATIO)
-# A deferred estimator settles its log every 65,536 updates, so a run that
-# reads rarely still holds at most window + 65,536 samples.
-_SETTLE_MASK = (1 << 16) - 1
 
 
 def _service_bucket(ns: int) -> int:
@@ -197,20 +194,30 @@ class ServiceEstimator:
     mean until the first sample.  The tail has two schedules, one for each
     kind of reader:
 
-    - incremental (the default): a pointer into the histogram is nudged on
-      every update, so a read costs O(movement) instead of a full rescan.
-      Service-time distributions drift slowly, so movement is tiny, and the
-      pointer's bucket edge is kept between reads.  The qwin allocator reads
-      on nearly every dequeue, so this is the cheap schedule for it.
-    - deferred: an update only logs the sample, and a read takes the order
-      statistic of the window in one numpy pass.  An allocator that never
-      reads the estimator leaves it to the metric tick, once per interval,
-      and needs neither the pointer nor the 110,001 histogram counts.
+    - incremental (the default): `update` advances the EWMA and nudges a
+      pointer into the histogram, so a read costs O(movement) instead of a
+      full rescan.  Service-time distributions drift slowly, so movement is
+      tiny, and the pointer's bucket edge is kept between reads.  The qwin
+      allocator reads on nearly every dequeue, so this is the cheap schedule
+      for it.
+    - deferred: a sample is one C-level `array.append` on the log, through
+      `log_sample` (the completion handler holds it on the tenant), so no
+      Python frame runs per sample.  `settle` folds the log into the EWMA,
+      the sample count and the window, sample by sample in arrival order, so
+      `mean_ns` takes the same float values `update` would give it.  A
+      `tail_ns` read settles and then takes the order statistic of the
+      window in one numpy pass; `mean_ns` and `samples` are current only
+      after a settle, so a reader takes `tail_ns` first.  The owning
+      tenant's `TenantMetrics` also settles at each of its folds (every
+      2^27 simulated ns), which bounds the log to one fold period of samples
+      when reads are rare.  An allocator that never reads the estimator
+      leaves the reads to the metric tick, once per interval, and needs
+      neither the pointer nor the 110,001 histogram counts.
     """
 
     __slots__ = ("alpha", "window", "quantile", "mean_ns", "samples",
                  "_counts", "_ring", "_tail_idx", "_cum", "_edge", "_need_full",
-                 "_log", "_win", "nominal_tail")
+                 "_log", "_win", "log_sample", "nominal_tail")
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
                  nominal_mean_ns=100_000.0, nominal_tail_ns=260_000, deferred=False):
@@ -230,9 +237,10 @@ class ServiceEstimator:
         if deferred:
             self._log = array("q")    # samples since the last settle
             self._win = array("q")    # the window as of that settle, oldest first
+            self.log_sample = self._log.append   # the deferred intake
             self._counts = self._ring = None
             return
-        self._log = self._win = None
+        self._log = self._win = self.log_sample = None
         self._counts = [0] * (_N_BUCKETS + 1)   # one list: a temporary copy
         self._counts[_VACANT] = window          # of 100k slots would raise RSS
         self._ring = deque([_VACANT] * window)  # windowed buckets, oldest first
@@ -241,6 +249,7 @@ class ServiceEstimator:
         self._edge = _service_bucket_edge(0)    # upper edge of _tail_idx
 
     def update(self, service_ns: int):
+        """Take one sample (incremental schedule only)."""
         # The first observation replaces the nominal mean outright and seeds
         # the EWMA.
         samples = self.samples
@@ -249,14 +258,8 @@ class ServiceEstimator:
         else:
             self.mean_ns += self.alpha * (service_ns - self.mean_ns)
         self.samples = samples + 1
-        ring = self._ring
-        if ring is None:   # deferred: the next read takes the tail from the log
-            self._log.append(service_ns)
-            if not samples & _SETTLE_MASK:   # bounds the log between rare reads
-                self._settle()
-            return
-
         b = (service_ns // US) if service_ns < _LINEAR_LIMIT_NS else _service_bucket(service_ns)
+        ring = self._ring
         old = ring.popleft()
         ring.append(b)
         counts = self._counts
@@ -269,17 +272,33 @@ class ServiceEstimator:
         elif old <= tail_idx:
             self._cum -= 1
 
-    def _settle(self):
-        """Deferred: move the log into the window, keeping its last `window` samples."""
+    def settle(self):
+        """Deferred: fold the log into the EWMA and the sample count as
+        `update` would, and into the window, keeping its last `window` samples."""
+        log = self._log
+        if not log:
+            return
+        mean = self.mean_ns
+        alpha = self.alpha
+        it = iter(log)
+        if not self.samples:
+            mean = float(next(it))
+        for x in it:
+            mean += alpha * (x - mean)
+        self.mean_ns = mean
+        self.samples += len(log)
         win = self._win
-        win.extend(self._log)
-        del self._log[:]
+        win.extend(log)
+        del log[:]   # in place: log_sample stays bound to this array
         excess = len(win) - self.window
         if excess > 0:
             del win[:excess]
 
     @property
     def tail_ns(self) -> int:
+        counts = self._counts
+        if counts is None:
+            self.settle()
         samples = self.samples
         if samples >= self.window:
             need = self._need_full
@@ -287,13 +306,11 @@ class ServiceEstimator:
             need = quantile_need(self.quantile, samples)
         else:
             return self.nominal_tail
-        counts = self._counts
         if counts is None:
             # Deferred.  _service_bucket never decreases, so the smallest
             # bucket whose cumulative count reaches `need` is the bucket of
             # the need-th smallest sample x: every sample in a lower bucket
             # is below x, and fewer than `need` samples are.
-            self._settle()
             x = np.partition(np.frombuffer(self._win, np.int64), need - 1)[need - 1]
             return _service_bucket_edge(_service_bucket(int(x)))
         idx = start = self._tail_idx

@@ -103,7 +103,8 @@ def _start_metric_ticks(sim: Simulation):
     def tick(_payload, now):
         for t in lc_tenants:
             est = t.estimator
-            hub.estimator_rows.append((now, t.label, est.mean_ns, est.tail_ns))
+            tail = est.tail_ns   # first: a deferred estimator settles its mean here
+            hub.estimator_rows.append((now, t.label, est.mean_ns, tail))
         # A tick at the end runs before completions due at that instant, so
         # the last interval is left for run_experiment to close.
         if now < end:
@@ -244,9 +245,10 @@ def _build_arg_parser():
     p.add_argument("--config", help="YAML experiment config")
     p.add_argument("--scenario", choices=SCENARIOS,
                    help="start from a named built-in scenario")
-    p.add_argument("--seed", type=int, help="single run seed")
-    p.add_argument("--seeds", type=_parse_seeds,
-                   help="seed sweep: N..M (inclusive) or comma list")
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, help="single run seed")
+    seed.add_argument("--seeds", type=_parse_seeds,
+                      help="seed sweep: N..M (inclusive) or comma list")
     p.add_argument("--allocator", choices=ALLOCATORS,
                    help="core allocation policy to run")
     p.add_argument("--pin", choices=POLICIES,

@@ -90,7 +90,7 @@ class TenantMetrics:
       interval feedback allocator read, each marking when it consumes.
     """
 
-    __slots__ = ("lc", "slo_q", "warmup_ns", "_due_at",
+    __slots__ = ("lc", "slo_q", "warmup_ns", "_due_at", "on_fold",
                  "_log", "counts", "nbytes", "_t_counts", "t_n", "t_bytes",
                  "_w_counts", "_w_bytes", "_m_counts")
 
@@ -99,6 +99,7 @@ class TenantMetrics:
         self.slo_q = slo_q
         self.warmup_ns = warmup_ns
         self._due_at = min(warmup_ns, _FOLD_NS)   # the next fold in record()
+        self.on_fold = None   # called at each fold in record(), if set
         self._log = array("q")          # latencies not yet folded into counts
         self.counts = np.zeros(N_BUCKETS, dtype=np.int64)
         self.nbytes = 0
@@ -119,6 +120,8 @@ class TenantMetrics:
         """Fold the log; take the warmup snapshot before logging the first
         completion at or past the boundary."""
         self._fold()
+        if self.on_fold is not None:
+            self.on_fold()
         if self._w_counts is None and now >= self.warmup_ns:
             self._w_counts = self.counts.copy()
             self._w_bytes = self.nbytes

@@ -51,9 +51,10 @@ class _OracleBackend(Backend):
         t = req.tenant
         t.metrics.record(now - req.arrive_at, req.size, now)
         if t.lc:
-            est = t.estimator
-            if est is not None:
-                est.update(now - req.dequeued_at)
+            if t.log_sample is None:
+                t.estimator.update(now - req.dequeued_at)
+            else:
+                t.log_sample(now - req.dequeued_at)
             win = t.win
             seq = req.seq
             if seq > t.prev_boundary:

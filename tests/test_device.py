@@ -15,6 +15,7 @@ from qwinsim import (Backend, Device, DeviceParams, Engine, EventKind,
 from qwinsim.device import (_LINEAR_LIMIT_NS, _N_BUCKETS, _VACANT,
                             _service_bucket, _service_bucket_edge,
                             sample_service_time)
+from qwinsim.metrics import _FOLD_NS, TenantMetrics
 from qwinsim.sim_core import SEC, US
 from qwinsim.workload import OPEN, Request
 
@@ -447,14 +448,15 @@ _RUNS = st.lists(st.tuples(_EDGE_NS, st.one_of(st.integers(1, 3), st.integers(1,
 @example(window=3, quantile=0.5,
          steps=[[(_LINEAR_LIMIT_NS, 2)], [(_LINEAR_LIMIT_NS + 5_000_000, 4)], [(11 * SEC, 3)]])
 # A 10,000-sample window read while it fills, then after several wraps, and
-# more than 65,536 samples between two reads, so the log settles in update.
+# more than 65,536 samples between two reads, all settled by the second.
 @example(window=10_000, quantile=0.999,
          steps=[[(300_000, 4_000)], [(1, 9_000)], [(_LINEAR_LIMIT_NS - 1, 40_000)], [],
                 [(150_000, 60_000), (2_000, 10_000)]])
 def test_deferred_estimator_matches_incremental_and_deque_reference(window, quantile, steps):
-    # The deferred schedule takes the tail from the raw window at each read;
-    # the incremental one walks its pointer.  Both must give the same edge as
-    # the deque oracle at every read, with the same EWMA.
+    # The deferred schedule logs each sample through its intake and takes
+    # the tail from the raw window at each read; the incremental one walks
+    # its pointer.  Both must give the same edge as the deque oracle at every
+    # read, and the read settles the same EWMA.
     deferred = ServiceEstimator(alpha=0.05, window=window, quantile=quantile,
                                 nominal_mean_ns=7.0, nominal_tail_ns=9, deferred=True)
     incremental = ServiceEstimator(alpha=0.05, window=window, quantile=quantile,
@@ -463,23 +465,35 @@ def test_deferred_estimator_matches_incremental_and_deque_reference(window, quan
     for runs in steps:
         for x, n in runs:
             for _ in range(n):
-                deferred.update(x)
+                deferred.log_sample(x)
                 incremental.update(x)
                 ref.update(x)
         tail = deferred.tail_ns
         assert tail == incremental.tail_ns == ref.tail_ns(9) and type(tail) is int
         assert deferred.mean_ns == incremental.mean_ns
+        assert deferred.samples == incremental.samples
         assert len(deferred._win) <= window and not deferred._log
 
 
 def test_deferred_estimator_log_stays_bounded_between_reads():
     # A run whose only reader ticks rarely must not keep every sample since
-    # the last read.
+    # the last read: the tenant's metrics fold settles the log, as
+    # Backend.add_tenant wires it, so across 20 fold periods with no read it
+    # never holds more than one period's samples.
     e = ServiceEstimator(window=10, deferred=True)
-    for i in range(200_000):
-        e.update(1_000 + i % 7)
-    assert len(e._log) <= 65_536 and len(e._win) <= 10
-    assert e.tail_ns == _service_bucket_edge(_service_bucket(1_006))
+    ref = ServiceEstimator(window=10)
+    tm = TenantMetrics(True, 0.999, warmup_ns=0)
+    tm.on_fold = e.settle
+    step = -(-_FOLD_NS // 1_000)   # a fold every 1,000 samples
+    for i in range(20_000):
+        x = 1_000 + i % 7
+        tm.record(x, 0, i * step)   # the completion handler's order
+        e.log_sample(x)
+        ref.update(x)
+        assert len(e._log) <= 1_000 and len(e._win) <= 10
+    assert e.samples == 19_000   # settled at the last fold, before its sample
+    assert e.tail_ns == ref.tail_ns == _service_bucket_edge(_service_bucket(1_006))
+    assert (e.samples, e.mean_ns) == (20_000, ref.mean_ns)
 
 
 def test_estimator_validation():

@@ -15,19 +15,25 @@ import pytest
 from qwinsim.config import parse_config, scenario
 from qwinsim.harness import _start_metric_ticks, build
 
-# scenario -> (completions, most call events) over 0.2 s of seed 1 under qwin.
+# case -> (config, completions, most call events) over 0.2 s of seed 1.
 BUDGET = {
-    # 9.72 frames per completion: every freed core is stepped in the
-    # completion handler, estimator reads enter only tail_ns, and the busy
-    # cores a transfer takes are sorted without a Python key function.
-    "burst-duo": (5_535, 53_778),
-    # 7.24 frames per completion.
-    "duo": (14_338, 103_805),
+    # 9.72 frames per completion under qwin: every freed core is stepped in
+    # the completion handler, estimator reads enter only tail_ns, and the
+    # busy cores a transfer takes are sorted without a Python key function.
+    "burst-duo": (scenario("burst-duo"), 5_535, 53_778),
+    # 7.24 frames per completion under qwin.
+    "duo": (scenario("duo"), 14_338, 103_805),
+    # 5.07 frames per completion under static: a deferred estimator takes
+    # each LC sample with one C-level append, so no frame runs for it.
+    "group2-static": ({**scenario("group2"),
+                       "allocator": {"kind": "static", "static": {
+                           "counts": {"lc0": 2, "lc1": 2, "lc2": 1}}}},
+                      5_799, 29_423),
 }
 
 
-def _count_frames(name):
-    sim = build(parse_config({**scenario(name), "duration_s": 0.2}), 1)
+def _count_frames(cfg):
+    sim = build(parse_config({**cfg, "duration_s": 0.2}), 1)
     _start_metric_ticks(sim)
     sim.backend.start()
     calls = 0
@@ -54,8 +60,8 @@ def _count_frames(name):
 
 @pytest.mark.parametrize("name", list(BUDGET))
 def test_frames_per_run_stay_within_budget(name):
-    completions, calls = _count_frames(name)
-    want_completions, budget = BUDGET[name]
+    cfg, want_completions, budget = BUDGET[name]
+    completions, calls = _count_frames(cfg)
     assert completions == want_completions
     assert calls <= budget, (f"{name}: {calls} Python frames for {completions} "
                              f"completions, budget {budget}")

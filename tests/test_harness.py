@@ -12,7 +12,7 @@ import pytest
 
 import qwinsim
 from qwinsim.config import ALLOCATORS, ConfigError, parse_config, scenario
-from qwinsim.device import _service_bucket, _service_bucket_edge
+from qwinsim.device import ServiceEstimator, _service_bucket, _service_bucket_edge
 from qwinsim.harness import (_assemble_config, _build_arg_parser, _parse_seeds,
                              build, main, run_experiment, sweep)
 from qwinsim.workload import CLOSED
@@ -332,6 +332,42 @@ def test_cli_rejects_a_negative_seed_before_running(tmp_path, seeds):
     assert "seeds must be non-negative, got" in r.stderr
     assert "Traceback" not in r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rejects_seed_beside_seeds_before_running(tmp_path):
+    # One flag would be ignored, so the two are mutually exclusive.
+    r = subprocess.run(
+        [sys.executable, "-m", "qwinsim", "--scenario", "duo", "--seed", "5",
+         "--seeds", "1..2", "--duration", "0.01", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 2
+    assert "not allowed with argument" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_deferred_estimator_log_stays_bounded_in_a_run_read_only_at_its_end(monkeypatch):
+    # interval_s above duration_s: the metric tick reads the estimators once,
+    # at the end, so only the metrics folds settle their logs before it.  A
+    # settle then finds at most one fold period (2^27 ns) of one LC tenant's
+    # completions, about 1,200 here; unsettled, each log would grow to all
+    # of its tenant's samples.
+    sizes = []
+    settle = ServiceEstimator.settle
+
+    def spy(est):
+        sizes.append(len(est._log))
+        settle(est)
+
+    monkeypatch.setattr(ServiceEstimator, "settle", spy)
+    d = scenario("group2")
+    d.update({"duration_s": 2.0, "interval_s": 3.0,
+              "allocator": {"kind": "static",
+                            "static": {"counts": {"lc0": 2, "lc1": 2, "lc2": 1}}}})
+    sim = run_experiment(parse_config(d), write=False).sim
+    assert len(sim.hub.estimator_rows) == 3   # one read per LC tenant
+    assert min(t.estimator.samples for t in sim.backend.lc_tenants) > 6 * 1_300
+    assert max(sizes) <= 1_300
 
 
 def test_check_invariants_holds_under_python_O():
