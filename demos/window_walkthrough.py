@@ -16,7 +16,7 @@ US = 1_000
 
 def enqueue(t, now, n):
     for _ in range(n):
-        r = Request(t.label, True, 4096, arrive_at=now)
+        r = Request(t.label, 4096, arrive_at=now)
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)

@@ -64,7 +64,7 @@ class Tenant:
         self.policy = None
         self.num = 0
         self.estimator = None
-        self.log_sample = None    # a deferred estimator's intake (see add_tenant)
+        self.log_sample = None    # LC: the estimator's intake (see add_tenant)
         self.metrics = None
         self.idle = []            # sorted cids of this tenant's parked cores
         self.wake_idle = None     # the parked-core list an arrival wakes from
@@ -124,12 +124,10 @@ class Backend:
         else:
             self.be_tenants.append(tenant)
         tenant.metrics = self.hub.register_tenant(tenant.label, tenant.lc, tenant.slo_q)
-        if estimator is not None and estimator.log_sample is not None:
-            # Deferred: the handler appends each sample to the estimator's
-            # log, and the tenant's metrics fold settles it, which bounds the
-            # log between the rare reads.
+        if estimator is not None:
             tenant.log_sample = estimator.log_sample
-            tenant.metrics.on_fold = estimator.settle
+            if estimator.deferred:   # each metrics fold settles, bounding the log
+                tenant.metrics.on_fold = estimator.settle
         return tenant
 
     def assign_lc_cores(self, counts=None):
@@ -152,8 +150,7 @@ class Backend:
     def start(self):
         """Publish the starting core counts and start every tenant's source.
         Every core starts parked; an arrival wakes one that may serve it."""
-        self.hub.start_cores({t.label: t.num for t in self.lc_tenants},
-                             self.pool_total)
+        self.hub.start_cores({t.label: t.num for t in self.lc_tenants})
         for t in self.tenants:
             t.source.start(self.engine, self.enqueue)
 
@@ -174,21 +171,21 @@ class Backend:
     # -- dispatch ------------------------------------------------------------
 
     def core_step(self, core, now):
-        """Give an un-parked, not-busy core its next piece of work."""
-        while True:
-            owner = core.owner
-            if owner is BE:
-                req = self._be_dequeue()
-                if req is None:
-                    insort(self.be_idle, core.cid)
-                    return
-                break
+        """Give an un-parked, not-busy core its next piece of work.  A step
+        can move only the core it runs on, and only by yielding it to the BE
+        pool (a release never picks a core that is neither busy nor parked)."""
+        owner = core.owner
+        if owner is BE:
+            req = self._be_dequeue()
+        else:
             req = self.allocator.lc_step(core, owner, now)
-            if req is not None:
-                break
-            if core.owner is not owner:
-                continue  # the step yielded this core to the BE pool
-            insort(owner.idle, core.cid)
+            if req is None:
+                if core.owner is owner:
+                    insort(owner.idle, core.cid)
+                    return
+                req = self._be_dequeue()   # the step yielded this core
+        if req is None:
+            insort(self.be_idle, core.cid)
             return
         # Serve: hand the dequeued request to the device (inline: hot path).
         core.busy = req
@@ -229,10 +226,7 @@ class Backend:
         t = req.tenant
         t.metrics.record(now - req.arrive_at, req.size, now)
         if t.lc:
-            if t.log_sample is None:
-                t.estimator.update(now - req.dequeued_at)
-            else:
-                t.log_sample(now - req.dequeued_at)
+            t.log_sample(now - req.dequeued_at)
             win = t.win
             seq = req.seq
             if seq > t.prev_boundary:
@@ -244,14 +238,13 @@ class Backend:
         src = t.source
         if src.closed:
             # The replacement is the completed request, arriving now: draw the
-            # op, then the size, and enqueue inline.  The freed core steps
-            # below, so wake another only if one is parked.
+            # op (carried in mu), then the size, and enqueue inline.  The freed
+            # core steps below, so wake another only if one is parked.
             op = src.op_const
             if op is None:
                 op = src.rng.random() < src.read_ratio
             cum = src.size_cum
             i = 0 if cum is None else bisect_left(cum, src.rng.random())
-            req.is_read = op
             req.size = src.size_vals[i]
             req.mu = src.mu_table[op][i]
             req.arrive_at = now
@@ -270,9 +263,7 @@ class Backend:
             for from_l, to_l, marked, initiator in core.pending_marks:
                 self.hub.transfer_rows.append((core.cid, from_l, to_l, marked, now, initiator))
             core.pending_marks = None
-        # Step the freed core as core_step would.  A step can move only the
-        # core it runs on, and only by yielding it to the BE pool (a release
-        # never picks a core that is neither busy nor parked).
+        # Step the freed core as core_step does.
         owner = core.owner
         if owner is BE:
             nxt = self._be_dequeue()
@@ -312,24 +303,24 @@ class Backend:
             core.pending_marks.append((from_l, to_l, now, initiator))
 
     def _flip_cores(self, src, dst, count, now, initiator):
-        """Flip up to `count` of `src`'s cores to `dst`: idle ones first, then
-        busy ones, soonest completion first.  Returns the idle cores flipped
-        and the number flipped."""
+        """Flip `count` of `src`'s cores to `dst`: idle ones first, then busy
+        ones, soonest completion first.  Returns the idle cores flipped.
+        `src` owns that many idle or busy cores: a grant takes at most the
+        pool's, and a release leaves its tenant a core, the one it may be
+        stepping on (check_invariants catches a slip)."""
         idle = self.be_idle if src is BE else src.idle
         flipped = []
         while len(flipped) < count and idle:
             core = self.cores[idle.pop(0)]
             self._flip(core, dst, now, initiator)
             flipped.append(core)
-        moved = len(flipped)
-        if moved < count:
+        if len(flipped) < count:
             busy = [c for c in self.cores
                     if c.owner is src and c.busy is not None]
             busy.sort(key=attrgetter("busy.finish_at", "cid"))
-            for core in busy[:count - moved]:
+            for core in busy[:count - len(flipped)]:
                 self._flip(core, dst, now, initiator)
-                moved += 1
-        return flipped, moved
+        return flipped
 
     def grant_cores(self, tenant, want: int, now: int, trigger: str) -> int:
         """Move up to `want` BE-pool cores to an LC tenant; returns the grant.
@@ -337,30 +328,29 @@ class Backend:
         grant = want if want <= self.be_count else self.be_count
         if grant <= 0:
             return 0
-        wake, took = self._flip_cores(BE, tenant, grant, now, tenant.label)
-        self.be_count -= took
+        wake = self._flip_cores(BE, tenant, grant, now, tenant.label)
+        self.be_count -= grant
         old = tenant.num
-        tenant.num = old + took
+        tenant.num = old + grant
         # Granted idle cores go to work for their new owner immediately; the
         # row follows any rows their first steps write.
         for core in wake:
             self.core_step(core, now)
-        if took:
-            self.hub.alloc_rows.append((now, tenant.label, old, old + took,
-                                        trigger if took == want else "shortfall"))
-        return took
+        self.hub.alloc_rows.append((now, tenant.label, old, old + grant,
+                                    trigger if grant == want else "shortfall"))
+        return grant
 
     def release_cores(self, tenant, count: int, now: int, trigger: str) -> int:
         """Return `count` of tenant's cores to the BE pool (idle first); the
         alloc row names `trigger`."""
-        redispatch, released = self._flip_cores(tenant, BE, count, now, tenant.label)
+        redispatch = self._flip_cores(tenant, BE, count, now, tenant.label)
         old = tenant.num
-        tenant.num = old - released
-        self.be_count += released
+        tenant.num = old - count
+        self.be_count += count
         for core in redispatch:
             self.core_step(core, now)
         self.hub.alloc_rows.append((now, tenant.label, old, tenant.num, trigger))
-        return released
+        return count
 
     def yield_core(self, core, tenant, now):
         """Voluntary single-core yield by the core's own tenant (hot-ish)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from operator import itemgetter
 from typing import NamedTuple
 
 import yaml
@@ -125,6 +126,16 @@ class ExperimentConfig:
 
     def lc_tenants(self):
         return [t for t in self.tenants if t.tenant_class == LC]
+
+    def estimator_seed(self, tc) -> tuple:
+        """An LC tenant's estimator quantile, and its cold-start mean and tail:
+        the device's analytic values at the tenant's dominant request shape."""
+        spec = tc.spec()
+        size = max(spec.sizes, key=itemgetter(1))[0]   # the first of the heaviest
+        read = spec.read_ratio >= 0.5
+        q = tc.slo.quantile if self.estimators.scope == "tenant" else 0.999
+        d = self.device
+        return q, d.nominal_mean_ns(read, size), d.nominal_quantile_ns(read, size, q)
 
     def allocator_id(self) -> str:
         if self.allocator.kind == "qwin" and self.allocator.qwin.pin:
@@ -403,6 +414,14 @@ def parse_config(d: dict) -> ExperimentConfig:
             cfg.allocator.static.validate(cfg.pool_total, lc_labels)
         except ValueError as e:
             errors.append(f"allocator.static: {e}")
+    for t in () if errors else cfg.tenants:   # every value build derives from the device
+        try:
+            v = [cfg.device.median_ns(op, s) for s, _ in t.spec().sizes for op in (False, True)]
+            v += cfg.estimator_seed(t)[1:] if t.tenant_class == LC else ()
+        except (OverflowError, ZeroDivisionError):
+            v = [math.inf]
+        if not all(0 < x < math.inf for x in v):
+            errors.append(f"device: a service time of tenant {t.label} is not finite and > 0")
     if errors:
         raise ConfigError(errors)
     return cfg

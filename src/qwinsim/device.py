@@ -109,8 +109,6 @@ class Device:
     position in the current block.
     """
 
-    DRAW_BLOCK = DRAW_BLOCK
-
     def __init__(self, params: DeviceParams, rng, engine):
         params.validate()
         self.params = params
@@ -191,17 +189,17 @@ class ServiceEstimator:
 
     The quantile is "the smallest bucket upper edge whose cumulative count
     reaches q of the window".  `mean_ns` is a plain attribute: the nominal
-    mean until the first sample.  The tail has two schedules, one for each
-    kind of reader:
+    mean until the first sample.  `log_sample` takes one sample under
+    either schedule (the completion handler holds it on the tenant), and the
+    tail has two schedules, one for each kind of reader:
 
-    - incremental (the default): `update` advances the EWMA and nudges a
-      pointer into the histogram, so a read costs O(movement) instead of a
-      full rescan.  Service-time distributions drift slowly, so movement is
-      tiny, and the pointer's bucket edge is kept between reads.  The qwin
-      allocator reads on nearly every dequeue, so this is the cheap schedule
-      for it.
-    - deferred: a sample is one C-level `array.append` on the log, through
-      `log_sample` (the completion handler holds it on the tenant), so no
+    - incremental (the default): `log_sample` is the bound `update`, which
+      advances the EWMA and nudges a pointer into the histogram, so a read
+      costs O(movement) instead of a full rescan.  Service-time
+      distributions drift slowly, so movement is tiny, and the pointer's
+      bucket edge is kept between reads.  The qwin allocator reads on nearly
+      every dequeue, so this is the cheap schedule for it.
+    - deferred: `log_sample` is the log's C-level `array.append`, so no
       Python frame runs per sample.  `settle` folds the log into the EWMA,
       the sample count and the window, sample by sample in arrival order, so
       `mean_ns` takes the same float values `update` would give it.  A
@@ -217,7 +215,7 @@ class ServiceEstimator:
 
     __slots__ = ("alpha", "window", "quantile", "mean_ns", "samples",
                  "_counts", "_ring", "_tail_idx", "_cum", "_edge", "_need_full",
-                 "_log", "_win", "log_sample", "nominal_tail")
+                 "_log", "_win", "deferred", "log_sample", "nominal_tail")
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
                  nominal_mean_ns=100_000.0, nominal_tail_ns=260_000, deferred=False):
@@ -234,13 +232,15 @@ class ServiceEstimator:
         self.samples = 0
         self._need_full = quantile_need(quantile, window)
         self.nominal_tail = int(nominal_tail_ns)
+        self.deferred = deferred
         if deferred:
             self._log = array("q")    # samples since the last settle
             self._win = array("q")    # the window as of that settle, oldest first
-            self.log_sample = self._log.append   # the deferred intake
+            self.log_sample = self._log.append
             self._counts = self._ring = None
             return
-        self._log = self._win = self.log_sample = None
+        self._log = self._win = None
+        self.log_sample = self.update   # bound here, after any patch of the class
         self._counts = [0] * (_N_BUCKETS + 1)   # one list: a temporary copy
         self._counts[_VACANT] = window          # of 100k slots would raise RSS
         self._ring = deque([_VACANT] * window)  # windowed buckets, oldest first

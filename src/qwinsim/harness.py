@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .backend import Backend, Tenant
 from .config import (ALLOCATORS, PIN_KEY, ConfigError, ExperimentConfig, SCENARIOS,
@@ -44,27 +43,13 @@ class Simulation:
     allocator: object
 
 
-def _make_estimator(cfg: ExperimentConfig, spec, slo_q: float) -> ServiceEstimator:
-    # Until real completions arrive, the estimator answers with the device's
-    # analytic mean/tail at the tenant's dominant request shape.
-    size = max(spec.sizes, key=itemgetter(1))[0]   # the first of the heaviest
-    is_read = spec.read_ratio >= 0.5
-    e = cfg.estimators
-    q = slo_q if e.scope == "tenant" else 0.999
-    return ServiceEstimator(
-        alpha=e.ewma_alpha, window=e.hist_window, quantile=q,
-        nominal_mean_ns=cfg.device.nominal_mean_ns(is_read, size),
-        nominal_tail_ns=round(cfg.device.nominal_quantile_ns(is_read, size, q)),
-        deferred=not ALLOCATORS[cfg.allocator.kind].reads_estimators)
-
-
 def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
     """Wire engine, device, tenants, and allocator for one run."""
     seed = cfg.seed if seed is None else seed
     run_id = cfg.run_id(seed)
     engine = Engine()
     device = Device(cfg.device, make_np_stream(seed, DEVICE_STREAM), engine)
-    hub = MetricsHub(run_id, cfg.effective_warmup_ns)
+    hub = MetricsHub(run_id, cfg.effective_warmup_ns, cfg.pool_total)
     backend = Backend(engine, device, cfg.pool_total, hub,
                       window_end=cfg.window_end)
     shared_est = None
@@ -76,7 +61,12 @@ def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
         if lc:
             est = shared_est
             if est is None:
-                est = _make_estimator(cfg, spec, tc.slo.quantile)
+                # Until real completions arrive, it answers with its seed.
+                q, mean, tail = cfg.estimator_seed(tc)
+                est = ServiceEstimator(
+                    alpha=cfg.estimators.ewma_alpha, window=cfg.estimators.hist_window,
+                    quantile=q, nominal_mean_ns=mean, nominal_tail_ns=round(tail),
+                    deferred=not ALLOCATORS[cfg.allocator.kind].reads_estimators)
                 if cfg.estimators.scope == "device":
                     shared_est = est
             tenant = Tenant(tc.label, True, slo_q=tc.slo.quantile,

@@ -177,9 +177,10 @@ class MetricsHub:
     """Owns per-tenant metrics, interval rows, and the trace row lists; the
     code behind each decision appends its row, in its *_HEADER's column order."""
 
-    def __init__(self, run_id: str, warmup_ns: int):
+    def __init__(self, run_id: str, warmup_ns: int, pool_total: int):
         self.run_id = run_id
         self.warmup_ns = warmup_ns
+        self.pool_total = pool_total
         self.tenants: dict[str, TenantMetrics] = {}
         self.interval_rows: list[tuple] = []
         self.alloc_rows: list[tuple] = []
@@ -191,7 +192,6 @@ class MetricsHub:
         self._interval_start = 0
         self._cores: dict[str, int] = {}   # LC core counts at _interval_start
         self._alloc_read = 0               # alloc rows folded into _cores
-        self._pool_total = None
 
     def register_tenant(self, label: str, lc: bool, slo_q: float) -> TenantMetrics:
         tm = TenantMetrics(lc, slo_q, self.warmup_ns)
@@ -200,11 +200,9 @@ class MetricsHub:
             self._cores[label] = 0
         return tm
 
-    def start_cores(self, counts: dict, pool_total: int):
-        """Take the LC core counts at t=0, before any alloc row, and the
-        pool size."""
+    def start_cores(self, counts: dict):
+        """Take the LC core counts at t=0, before any alloc row."""
         self._cores.update(counts)
-        self._pool_total = pool_total
 
     def lc_cores(self) -> dict:
         """Each LC tenant's core count, replayed from the alloc rows."""
@@ -227,9 +225,7 @@ class MetricsHub:
             area[label] += (new - old) * (now - t)
         self._cores = self.lc_cores()
         self._alloc_read = len(self.alloc_rows)
-        be_mean = None
-        if self._pool_total is not None:
-            be_mean = (self._pool_total * length - sum(area.values())) / length
+        be_mean = (self.pool_total * length - sum(area.values())) / length
         secs = length / SEC
         for label, tm in self.tenants.items():
             counts, n, nbytes = tm.flush_interval(now)
@@ -243,7 +239,7 @@ class MetricsHub:
                 self.run_id, self._interval_idx, label,
                 tail if tail is not None else "",
                 repr(nbytes / secs),
-                repr(mean_cores) if mean_cores is not None else "",
+                repr(mean_cores),
             ))
         self._interval_idx += 1
         self._interval_start = now

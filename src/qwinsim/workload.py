@@ -28,19 +28,18 @@ OPEN = "open_loop"
 class Request:
     """One I/O request.  Timestamps are integer ns; -1 means "not yet".
 
-    mu is the log of the device's median service time for this op and size;
-    the device draws the service time around it.
+    mu, the request's one record of its op, is the log of the device's median
+    service time for this op and size; the device draws around it.
     """
 
     __slots__ = (
-        "tenant", "is_read", "size", "mu",
+        "tenant", "size", "mu",
         "arrive_at", "dequeued_at",
         "seq", "core", "finish_at",
     )
 
-    def __init__(self, tenant, is_read, size, arrive_at, mu=None):
+    def __init__(self, tenant, size, arrive_at, mu=None):
         self.tenant = tenant
-        self.is_read = is_read
         self.size = size
         self.mu = mu
         self.arrive_at = arrive_at
@@ -50,8 +49,7 @@ class Request:
         self.finish_at = NOT_SCHEDULED  # set once device service starts
 
     def __repr__(self):
-        op = "R" if self.is_read else "W"
-        return f"<Req {self.tenant}#{self.seq} {op}{self.size} t={self.arrive_at}>"
+        return f"<Req {self.tenant}#{self.seq} {self.size}B t={self.arrive_at}>"
 
 
 @dataclass(frozen=True)
@@ -197,13 +195,12 @@ class WorkloadSource:
             # A completed open-loop request, refreshed as the completion
             # handler refreshes a closed loop's replacement.
             req = free.pop()
-            req.is_read = op
             req.size = self.size_vals[i]
             req.mu = self.mu_table[op][i]
             req.arrive_at = arrive_at
             req.finish_at = NOT_SCHEDULED
             return req
-        return Request(self.tenant, op, self.size_vals[i], arrive_at,
+        return Request(self.tenant, self.size_vals[i], arrive_at,
                        self.mu_table[op][i])
 
     # -- lifecycle ---------------------------------------------------------

@@ -182,7 +182,7 @@ def _window_partition_trace(seed):
     eng = Engine()
     dev = Device(DeviceParams(read_median_us=50.0, capacity=8),
                  make_np_stream(seed, 0), eng)
-    hub = MetricsHub(f"wp{seed}", warmup_ns=0)
+    hub = MetricsHub(f"wp{seed}", warmup_ns=0, pool_total=POOL)
     backend = Backend(eng, dev, POOL, hub)
     spec = WorkloadSpec(mode=OPEN, rate_per_s=55_000.0,
                         sizes=((4096, 1.0),), read_ratio=0.9)

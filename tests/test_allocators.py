@@ -13,6 +13,7 @@ from qwinsim import (AGGRESSIVE, CONSERVATIVE, SLO_AWARE,
                      calculate_cores, compute_budget, make_np_stream,
                      make_stream, select_policy)
 from qwinsim import new_window
+from qwinsim.backend import BE
 from qwinsim.config import parse_config, scenario
 from qwinsim.harness import run_experiment
 from qwinsim.sim_core import MS, SEC, US
@@ -29,7 +30,7 @@ def _fill(t, n, now=0):
     medians."""
     mu = math.log(DeviceParams().median_ns(True, 4096))
     for _ in range(n):
-        r = Request(t, True, 4096, arrive_at=now, mu=mu)
+        r = Request(t, 4096, arrive_at=now, mu=mu)
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)
@@ -91,7 +92,7 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
     eng = Engine()
     dev = Device(device or DeviceParams(capacity=4),
                  make_np_stream(seed, 0), eng)
-    hub = MetricsHub("rig", warmup_ns=warmup)
+    hub = MetricsHub("rig", warmup_ns=warmup, pool_total=pool)
     backend = Backend(eng, dev, pool, hub)
     for i, (label, lc, slo) in enumerate(tenants):
         spec = (workloads or {}).get(
@@ -108,7 +109,7 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
     alloc.setup(backend)
     # publish initial core counts so transfers can be accounted before (or
     # without) backend.start(); start() re-publishes the same values at t=0
-    hub.start_cores({t.label: t.num for t in backend.lc_tenants}, pool)
+    hub.start_cores({t.label: t.num for t in backend.lc_tenants})
     return eng, backend, hub, alloc
 
 
@@ -211,6 +212,26 @@ def test_release_writes_old_and_new_count_with_the_callers_trigger():
     assert hub.alloc_rows == [(0, "lc0", 1, 3, "window_start"),
                               (5, "lc0", 3, lc.num, "reclaim")]
     assert lc.num == 2
+    backend.check_invariants()
+
+
+def test_core_step_serves_the_be_pool_on_a_core_its_own_step_yields():
+    # lc0 holds two cores: core 0 parked, and BE core 1, granted while busy,
+    # finishing its BE request.  Its queue is empty and it has no window, and
+    # a BE request waits while every pool core is busy.
+    eng, backend, hub, alloc = _rig(pool=3)
+    lc, be0 = _by_label(backend)["lc0"], _by_label(backend)["be0"]
+    _fill(be0, 3)
+    for _ in range(2):
+        backend.core_step(backend.cores[backend.be_idle.pop(0)], 0)
+    assert backend.grant_cores(lc, 1, 0, "probe") == 1
+    assert lc.idle == [0] and not backend.be_idle and len(be0.queue) == 1
+    backend.check_invariants()
+    core = backend.cores[lc.idle.pop(0)]
+    backend.core_step(core, 0)
+    assert core.owner is BE and core.busy.tenant is be0 and not be0.queue
+    assert lc.num == 1 and backend.be_count == 2
+    assert [r for r in hub.alloc_rows if r[4] == "yield"] == [(0, "lc0", 2, 1, "yield")]
     backend.check_invariants()
 
 

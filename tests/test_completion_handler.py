@@ -33,7 +33,6 @@ def _oracle_on_completion(src, req, now):
         op = src.rng.random() < src.read_ratio
     cum = src.size_cum
     i = 0 if cum is None else bisect_left(cum, src.rng.random())
-    req.is_read = op
     req.size = src.size_vals[i]
     req.mu = src.mu_table[op][i]
     req.arrive_at = now
@@ -51,10 +50,7 @@ class _OracleBackend(Backend):
         t = req.tenant
         t.metrics.record(now - req.arrive_at, req.size, now)
         if t.lc:
-            if t.log_sample is None:
-                t.estimator.update(now - req.dequeued_at)
-            else:
-                t.log_sample(now - req.dequeued_at)
+            t.log_sample(now - req.dequeued_at)
             win = t.win
             seq = req.seq
             if seq > t.prev_boundary:

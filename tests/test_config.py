@@ -263,14 +263,14 @@ def test_integral_floats_are_accepted_where_an_integer_is_expected():
     assert isinstance(cfg.pool_total, int)
 
 
-def _cli(tmp_path, text):
+def _cli(tmp_path, text, flags=("--validate-only",)):
     p = tmp_path / "bad.yaml"
     p.write_text(text)
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(qwinsim.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [pkg_root, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "qwinsim", "--config", str(p), "--validate-only"],
+        [sys.executable, "-m", "qwinsim", "--config", str(p), *flags],
         capture_output=True, text=True, env=env)
 
 
@@ -284,6 +284,32 @@ def test_cli_reports_a_bad_config_file_without_a_traceback(tmp_path, text, messa
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert message in r.stderr
+
+
+# Device curves whose derived service times leave the float range, and the
+# duo tenants each one breaks (lc0 reads 4 KiB, be0 64 KiB).
+CURVE_OVERFLOWS = {
+    "sigma": ({"sigma": 40}, ["lc0"]),                 # nominal mean: exp(800)
+    "size_exponent": ({"size_exponent": 300}, ["be0"]),  # median: 16 ** 300
+    "ref_block_bytes": ({"ref_block_bytes": 10 ** 360},  # size / ref: 0.0
+                        ["lc0", "be0"]),
+}
+
+
+@pytest.mark.parametrize("case", list(CURVE_OVERFLOWS))
+def test_device_curve_out_of_the_float_range_is_a_config_error(tmp_path, case):
+    device, broken = CURVE_OVERFLOWS[case]
+    d = {**scenario("duo"), "duration_s": 0.1, "device": device}
+    with pytest.raises(ConfigError) as ei:
+        parse_config(d)
+    assert ei.value.errors == [f"device: a service time of tenant {t} is not "
+                               f"finite and > 0" for t in broken]
+    out = tmp_path / "out"
+    for flags in (("--validate-only",), ("--out", str(out))):
+        r = _cli(tmp_path, yaml.safe_dump(d), flags)
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+        assert f"device: a service time of tenant {broken[0]}" in r.stderr
+    assert not out.exists()
 
 
 def _paths(tree, prefix=()):

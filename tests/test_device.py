@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from qwinsim import (Backend, Device, DeviceParams, Engine, EventKind,
                      MetricsHub, ServiceEstimator, Tenant, WorkloadSource,
                      WorkloadSpec, make_np_stream, make_stream)
-from qwinsim.device import (_LINEAR_LIMIT_NS, _N_BUCKETS, _VACANT,
-                            _service_bucket, _service_bucket_edge,
+from qwinsim.device import (DRAW_BLOCK, _LINEAR_LIMIT_NS, _N_BUCKETS,
+                            _VACANT, _service_bucket, _service_bucket_edge,
                             sample_service_time)
 from qwinsim.metrics import _FOLD_NS, TenantMetrics
 from qwinsim.sim_core import SEC, US
@@ -22,7 +22,7 @@ from qwinsim.workload import OPEN, Request
 
 def _req(is_read=True, size=4096, params=DeviceParams()):
     mu = math.log(params.median_ns(is_read, size))
-    return Request("t", is_read, size, arrive_at=0, mu=mu)
+    return Request("t", size, arrive_at=0, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_capacity_bounds_concurrency_and_fifo_spills():
     # five requests on five idle cores, a device with two slots.
     eng = Engine()
     dev = Device(DeviceParams(capacity=2), make_np_stream(5, 0), eng)
-    backend = Backend(eng, dev, 5, MetricsHub("dev", warmup_ns=0))
+    backend = Backend(eng, dev, 5, MetricsHub("dev", warmup_ns=0, pool_total=5))
     src = WorkloadSource(WorkloadSpec(mode=OPEN, rate_per_s=1.0),
                          make_stream(5, 1), "be0", dev.params)
     t = backend.add_tenant(Tenant("be0", False), src)
@@ -140,7 +140,7 @@ def test_capacity_bounds_concurrency_and_fifo_spills():
 def test_started_counts_every_start_across_block_refills():
     eng, dev, done = _device(seed=3)
     assert dev.started == 0
-    for calls in range(1, 2 * Device.DRAW_BLOCK + 3):
+    for calls in range(1, 2 * DRAW_BLOCK + 3):
         dev._start(_req(), 0)
         assert dev.started == calls
 
@@ -197,16 +197,17 @@ def test_service_times_equal_the_scalar_draw(sigma, p_spike, m_spike):
     eng, dev, done = _device(seed=17, sigma=sigma, p_spike=p_spike, m_spike=m_spike)
     ref = make_np_stream(17, 0)
     got, want = [], []
-    for i in range(Device.DRAW_BLOCK + 500):   # crosses a block refill
-        if i % Device.DRAW_BLOCK == 0:
-            z = ref.standard_normal(Device.DRAW_BLOCK).tolist()
-            u = ref.random(Device.DRAW_BLOCK).tolist()
-        req = _req(is_read=i % 3 != 0, size=4096 if i % 2 else 65536)
+    for i in range(DRAW_BLOCK + 500):   # crosses a block refill
+        if i % DRAW_BLOCK == 0:
+            z = ref.standard_normal(DRAW_BLOCK).tolist()
+            u = ref.random(DRAW_BLOCK).tolist()
+        is_read, size = i % 3 != 0, 4096 if i % 2 else 65536
+        req = _req(is_read, size)
         dev._start(req, 0)
         got.append(req.finish_at)
-        t = math.exp(math.log(params.median_ns(req.is_read, req.size))
-                     + sigma * z[i % Device.DRAW_BLOCK])
-        if u[i % Device.DRAW_BLOCK] < params.p_spike:
+        t = math.exp(math.log(params.median_ns(is_read, size))
+                     + sigma * z[i % DRAW_BLOCK])
+        if u[i % DRAW_BLOCK] < params.p_spike:
             t *= params.m_spike
         want.append(max(1, round(t)))
     assert got == want

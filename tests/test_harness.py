@@ -322,6 +322,17 @@ def test_module_entry_point_runs_from_anywhere():
     assert "config OK" in r.stdout
 
 
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs_from_anywhere(tmp_path, demo):
+    r = subprocess.run([sys.executable, os.path.join(DEMOS, demo)],
+                       capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip()
+
+
 @pytest.mark.parametrize("seeds", ["--seeds=1,-2", "--seeds=-3..-1"])
 def test_cli_rejects_a_negative_seed_before_running(tmp_path, seeds):
     r = subprocess.run(

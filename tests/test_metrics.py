@@ -176,10 +176,10 @@ def test_zero_warmup_folds_from_the_start():
 
 
 def _mini_hub():
-    hub = MetricsHub("run-x", warmup_ns=0)
+    hub = MetricsHub("run-x", warmup_ns=0, pool_total=8)
     hub.register_tenant("lc0", True, 0.999)
     hub.register_tenant("be0", False, 0.999)
-    hub.start_cores({"lc0": 1}, 8)
+    hub.start_cores({"lc0": 1})
     return hub
 
 
@@ -243,7 +243,7 @@ def test_write_all_emits_seven_csvs_with_headers(tmp_path):
 
 
 def test_latency_rows_add_slo_quantile_when_nonstandard():
-    hub = MetricsHub("run-y", warmup_ns=0)
+    hub = MetricsHub("run-y", warmup_ns=0, pool_total=8)
     hub.register_tenant("lc0", True, 0.95)
     hub.tenants["lc0"].record(40_000, 4096, 100)
     hub.flush_interval(1_000)
@@ -254,9 +254,9 @@ def test_latency_rows_add_slo_quantile_when_nonstandard():
 
 
 def test_mean_cores_is_time_weighted():
-    hub = MetricsHub("run-z", warmup_ns=0)
+    hub = MetricsHub("run-z", warmup_ns=0, pool_total=8)
     hub.register_tenant("lc0", True, 0.999)
-    hub.start_cores({"lc0": 0}, 8)
+    hub.start_cores({"lc0": 0})
     hub.alloc_rows.append((250, "lc0", 0, 4, "window_start"))  # 0 cores for 250ns, then 4
     hub.tenants["lc0"].record(1_000, 1, 10)
     hub.flush_interval(1_000)
@@ -575,11 +575,11 @@ def _core_scripts(draw):
 @settings(max_examples=300, deadline=None)
 def test_mean_cores_from_alloc_rows_matches_the_shadow_integral(script):
     pool, counts, ops = script
-    hub = MetricsHub("run-c", warmup_ns=0)
+    hub = MetricsHub("run-c", warmup_ns=0, pool_total=pool)
     for label in counts:
         hub.register_tenant(label, True, 0.999)
     hub.register_tenant("be0", False, 0.999)
-    hub.start_cores(dict(counts), pool)
+    hub.start_cores(dict(counts))
     oracle = {label: _AreaOracle(num) for label, num in counts.items()}
     be = _AreaOracle(pool - sum(counts.values()))
     labels = list(counts)
@@ -610,14 +610,3 @@ def test_mean_cores_from_alloc_rows_matches_the_shadow_integral(script):
             hub.alloc_rows.append(row)
     assert [r[5] for r in hub.interval_rows] == want
     assert hub.lc_cores() == counts
-
-
-def test_mean_cores_of_a_hub_never_started():
-    # Without start_cores an LC tenant counts from 0 cores and the BE pool
-    # has no mean.
-    hub = MetricsHub("run-n", warmup_ns=0)
-    hub.register_tenant("lc0", True, 0.999)
-    hub.register_tenant("be0", False, 0.999)
-    hub.alloc_rows.append((600, "lc0", 0, 2, "probe"))
-    hub.flush_interval(1_000)
-    assert [r[5] for r in hub.interval_rows] == [repr(0.8), ""]

@@ -12,7 +12,7 @@ from qwinsim.workload import OPEN, Request
 
 def _enq(t, now, n=1):
     for _ in range(n):
-        r = Request(t.label, True, 4096, arrive_at=now)
+        r = Request(t.label, 4096, arrive_at=now)
         t.arrivals += 1
         r.seq = t.arrivals
         t.queue.append(r)
@@ -115,7 +115,7 @@ def _dequeue_mode_run(seed):
     eng = Engine()
     dev = Device(DeviceParams(read_median_us=50.0, capacity=8),
                  make_np_stream(seed, 0), eng)
-    backend = Backend(eng, dev, 8, MetricsHub("dq", warmup_ns=0),
+    backend = Backend(eng, dev, 8, MetricsHub("dq", warmup_ns=0, pool_total=8),
                       window_end="dequeue")
     spec = WorkloadSpec(mode=OPEN, rate_per_s=55_000.0, sizes=((4096, 1.0),),
                         read_ratio=0.9)

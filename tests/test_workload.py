@@ -76,8 +76,24 @@ def _drive(spec, seed=1, label="t0", device=DeviceParams()):
     return eng, src, arrived
 
 
+# Read and write medians differ and sizes scale at a non-default exponent, so
+# a mu looked up under the wrong op or size shows, and the op a request
+# carries in its mu can be read back.
+_MU_DEVICE = DeviceParams(read_median_us=80.0, write_median_us=150.0,
+                          size_exponent=0.7)
+
+
+def _op(req):
+    """The op (True for a read) whose log median under _MU_DEVICE, at the
+    request's size, is the request's mu; there must be exactly one."""
+    ops = [op for op in (True, False)
+           if req.mu == math.log(_MU_DEVICE.median_ns(op, req.size))]
+    assert len(ops) == 1, (req.size, req.mu)
+    return ops[0]
+
+
 class _RecordingDevice(Device):
-    """Records (request, is_read, size, mu, arrive_at, finish_at, now) as it
+    """Records (request, op, size, mu, arrive_at, finish_at, now) as it
     starts each request, before drawing its service time."""
 
     def __init__(self, *args):
@@ -85,32 +101,33 @@ class _RecordingDevice(Device):
         self.seen = []
 
     def _start(self, req, now):
-        self.seen.append((req, req.is_read, req.size, req.mu, req.arrive_at,
+        self.seen.append((req, _op(req), req.size, req.mu, req.arrive_at,
                           req.finish_at, now))
         super()._start(req, now)
 
 
-def _closed_loop_starts(spec, n, seed=1, device=DeviceParams()):
-    """Start records of a closed loop's first n requests, the replacements
-    drawn by the backend's completion handler.  The source is a BE tenant's,
-    served by one core and one device slot, so requests start one at a time
-    in arrival order: the t=0 population first, then the replacements."""
+def _closed_loop_starts(spec, n, seed=1):
+    """Start records of a closed loop's first n requests on _MU_DEVICE, the
+    replacements drawn by the backend's completion handler.  The source is a
+    BE tenant's, served by one core and one device slot, so requests start
+    one at a time in arrival order: the t=0 population first, then the
+    replacements."""
     eng = Engine()
-    dev = _RecordingDevice(dataclasses.replace(device, capacity=1),
+    dev = _RecordingDevice(dataclasses.replace(_MU_DEVICE, capacity=1),
                            make_np_stream(seed, 0), eng)
-    backend = Backend(eng, dev, 1, MetricsHub("run", 0))
+    backend = Backend(eng, dev, 1, MetricsHub("run", 0, 1))
     backend.add_tenant(Tenant("t0", False),
-                       WorkloadSource(spec, make_stream(seed, 1), "t0", device))
+                       WorkloadSource(spec, make_stream(seed, 1), "t0", _MU_DEVICE))
     backend.start()
     while len(dev.seen) < n:
         eng.run_until(eng.now + 100 * MS)
     return dev.seen[:n]
 
 
-def _closed_loop_replacements(spec, n, seed=1, device=DeviceParams()):
+def _closed_loop_replacements(spec, n, seed=1):
     """Start records of a closed loop's first n replacements."""
     cap = spec.in_flight_cap
-    return _closed_loop_starts(spec, cap + n, seed, device)[cap:]
+    return _closed_loop_starts(spec, cap + n, seed)[cap:]
 
 
 def test_closed_loop_emits_exactly_iodepth_x_numjobs_at_t0():
@@ -169,39 +186,24 @@ def test_pure_read_and_pure_write_specs_are_constant():
             assert r[1] is want
 
 
-# Read and write medians differ and sizes scale at a non-default exponent, so
-# a mu looked up under the wrong op or size shows.
-_MU_DEVICE = DeviceParams(read_median_us=80.0, write_median_us=150.0,
-                          size_exponent=0.7)
-
-
 @pytest.mark.parametrize("spec", [
     PRESETS["C"], PRESETS["K"], PRESETS["J"],
     WorkloadSpec(mode=CLOSED, sizes=((4096, 0.5), (65536, 0.5)), read_ratio=0.0,
                  iodepth=4, numjobs=1),
 ], ids=["C", "K", "J", "write-only"])
 def test_every_request_carries_the_log_median_of_its_op_and_size(spec):
-    def check(is_read, size, mu):
-        assert mu == math.log(_MU_DEVICE.median_ns(is_read, size))
-        seen.add((is_read, size))
-
+    # _op checks that each mu is the log median of one op at its size.
     want = {(op, s) for s, _ in spec.sizes for op in (True, False)
             if (spec.read_ratio > 0 if op else spec.read_ratio < 1)}
     # open loop: make_request
-    seen = set()
     src = WorkloadSource(dataclasses.replace(spec, mode=OPEN, rate_per_s=1.0),
                          make_stream(9, 1), "t0", _MU_DEVICE)
-    for _ in range(3_000):
-        req = src.make_request(0)
-        check(req.is_read, req.size, req.mu)
-    assert seen == want
+    reqs = [src.make_request(0) for _ in range(3_000)]
+    assert {(_op(r), r.size) for r in reqs} == want
     # closed loop: the t=0 population, then the completion handler's
     # replacements
-    seen = set()
-    for _req, is_read, size, mu, *_ in _closed_loop_starts(
-            spec, spec.in_flight_cap + 3_000, seed=9, device=_MU_DEVICE):
-        check(is_read, size, mu)
-    assert seen == want
+    starts = _closed_loop_starts(spec, spec.in_flight_cap + 3_000, seed=9)
+    assert {(op, size) for _req, op, size, *_ in starts} == want
 
 
 def test_requests_carry_identity_fields():
@@ -266,9 +268,9 @@ def test_open_loop_reproducible_across_rebuilds():
     spec = WorkloadSpec(mode=OPEN, rate_per_s=9_000.0)
     runs = []
     for _ in range(2):
-        eng, src, arrived = _drive(spec, seed=41)
+        eng, src, arrived = _drive(spec, seed=41, device=_MU_DEVICE)
         eng.run_until(SEC)
-        runs.append([(now, r.size, r.is_read) for r, now in arrived])
+        runs.append([(now, r.size, r.mu) for r, now in arrived])
     assert runs[0] == runs[1]
 
 
@@ -350,8 +352,7 @@ def _source_arrivals(spec, seed, n, lag):
     def enqueue(req, now):
         assert req.arrive_at == now and req.finish_at == NOT_SCHEDULED
         assert req.tenant == "t0"
-        assert req.mu == math.log(_MU_DEVICE.median_ns(req.is_read, req.size))
-        out.append((now, req.is_read, req.size))
+        out.append((now, _op(req), req.size))   # _op checks mu
         live.append(req)
         if len(live) > lag:
             done = live.pop(0)
