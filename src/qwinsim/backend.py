@@ -83,10 +83,6 @@ class Backend:
 
     def __init__(self, engine, device, pool_total: int, hub,
                  window_end: str = "complete"):
-        if pool_total < 1:
-            raise ValueError("pool_total must be >= 1")
-        if window_end not in ("complete", "dequeue"):
-            raise ValueError("window_end must be 'complete' or 'dequeue'")
         self.engine = engine
         self.device = device
         self.hub = hub

@@ -28,20 +28,6 @@ class StaticParams:
     # LC tenant label -> core count; the BE pool keeps the rest.
     counts: dict = field(default_factory=dict)
 
-    def validate(self, pool_total: int, lc_labels: list):
-        unknown = set(self.counts) - set(lc_labels)
-        if unknown:
-            raise ValueError(f"static counts name unknown LC tenants: {sorted(unknown)}")
-        missing = set(lc_labels) - set(self.counts)
-        if missing:
-            raise ValueError(f"static counts missing LC tenants: {sorted(missing)}")
-        for label, n in self.counts.items():
-            if not isinstance(n, int) or n < 1:
-                raise ValueError(f"static count for {label} must be an integer >= 1")
-        lc_sum = sum(self.counts.values())
-        if lc_sum > pool_total:
-            raise ValueError(f"static counts sum to {lc_sum} > pool total {pool_total}")
-
 
 class StaticAllocator(_PlainLcStep):
     """Fixed partition; cores never move."""
@@ -54,7 +40,6 @@ class StaticAllocator(_PlainLcStep):
 
     def setup(self, backend):
         backend.allocator = self
-        self.params.validate(backend.pool_total, [t.label for t in backend.lc_tenants])
         backend.assign_lc_cores(self.params.counts)
 
 
@@ -79,7 +64,6 @@ class _PeriodicAllocator(_PlainLcStep):
 
     def __init__(self, params=None):
         self.params = params or self.Params()
-        self.params.validate()
         self.backend = None
 
     def setup(self, backend):
@@ -99,10 +83,6 @@ class _PeriodicAllocator(_PlainLcStep):
 class CongestionParams:
     """Head-of-queue congestion probe (Shenango-style core churn)."""
     probe_interval_ns: int = 100 * US
-
-    def validate(self):
-        if self.probe_interval_ns < 1:
-            raise ValueError("probe_interval_ns must be >= 1")
 
 
 class CongestionAllocator(_PeriodicAllocator):
@@ -136,16 +116,6 @@ class FeedbackParams:
     step: int = 1
     headroom: float = 0.7          # shed a core when tail < headroom * SLO
     min_samples: int = 100         # fewer completions in the interval: hold
-
-    def validate(self):
-        if self.interval_ns < 1:
-            raise ValueError("interval_ns must be >= 1")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        if not 0 < self.headroom <= 1:
-            raise ValueError("headroom must be in (0, 1]")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
 
 
 class FeedbackAllocator(_PeriodicAllocator):

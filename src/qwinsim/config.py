@@ -3,8 +3,10 @@
 A config is a plain hierarchical mapping (YAML on disk).  Times are given in
 natural units (seconds, milliseconds, microseconds, as the key names say) and
 normalized to integer nanoseconds internally.  One table, SCHEMA, describes
-every key; a generic reader and writer walk it, so parse(serialize(cfg)) ==
-cfg.  Range and cross-field rules live in each section's validate().
+every key, with its type, unit and bound; a generic reader and writer walk it,
+so parse(serialize(cfg)) == cfg.  Rules across the keys of one section live in
+RULES, and rules across sections in parse_config.  A config is checked once,
+here: the runtime trusts the values it is built from.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import yaml
 from .baselines import (CongestionAllocator, CongestionParams, FeedbackAllocator,
                         FeedbackParams, PriorityAllocator, StaticAllocator, StaticParams)
 from .device import DeviceParams
-from .qwin_allocator import PolicyParams, QwinAllocator
+from .qwin_allocator import POLICIES, PolicyParams, QwinAllocator
 from .sim_core import MS, SEC, US
 from .workload import Burst, PRESETS, PRESET_CLASS, WorkloadSpec, CLOSED, OPEN
 
@@ -55,10 +57,6 @@ class SloSpec:
     latency_ns: int
     quantile: float = 0.999
 
-    def validate(self):
-        if not 0 < self.quantile < 1 or self.latency_ns <= 0:
-            raise ValueError("quantile must be in (0, 1) and latency_ms > 0")
-
 
 @dataclass(frozen=True)
 class TenantConfig:
@@ -72,25 +70,12 @@ class TenantConfig:
             return PRESETS[self.workload]
         return self.workload
 
-    def validate(self):
-        if self.label in ("", BE_CLASS):
-            raise ValueError("label must be non-empty; 'be' is reserved for the shared pool")
-        if (self.slo is None) != (self.tenant_class == BE_CLASS):
-            raise ValueError("LC tenants need slo: {quantile, latency_ms}; "
-                             "BE tenants take no SLO")
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     ewma_alpha: float = 0.01
     hist_window: int = 10_000
     scope: str = "tenant"              # "tenant" or "device"
-
-    def validate(self):
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.hist_window < 1:
-            raise ValueError("hist_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,6 +145,18 @@ class Key(NamedTuple):
     type: object       # float, int, str, a tuple of choices, a dataclass in SCHEMA,
                        # a reader(value, where, errors), or (attr None) a tuple of Keys
     scale: int = 0     # ns per unit: a number in this unit is stored as integer ns
+    bound: str | None = None  # a key of BOUNDS; a scaled key's applies to the stored ns
+
+
+# A key's bound -> the test a value within it passes.
+BOUNDS = {
+    ">= 0": lambda x: x >= 0,
+    "> 0": lambda x: x > 0,
+    ">= 1": lambda x: x >= 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+    "in (0, 1)": lambda x: 0 < x < 1,
+}
 
 
 def _at(where, msg):
@@ -210,7 +207,10 @@ def _fields(keys, raw, where, errors):
             kw[k.attr] = _section(k.type, value, path, errors)
         elif k.type in (int, float, str) or isinstance(k.type, tuple):
             try:
-                kw[k.attr] = _scalar(k.name, value, k.type, k.scale)
+                x = _scalar(k.name, value, k.type, k.scale)
+                if k.bound and not BOUNDS[k.bound](x):
+                    raise ValueError(f"{k.name} must be {k.bound}")
+                kw[k.attr] = x
             except ValueError as e:
                 errors.append(_at(where, str(e)))
         else:
@@ -219,7 +219,8 @@ def _fields(keys, raw, where, errors):
 
 
 def _section(cls, raw, where, errors):
-    """A validated `cls` built from mapping `raw`, or None after a problem."""
+    """A `cls` built from mapping `raw` whose keys and RULES hold, or None
+    after a problem (every one is appended to `errors`)."""
     n = len(errors)
     kw = _fields(SCHEMA[cls], raw, where, errors)
     if len(errors) > n:
@@ -230,14 +231,8 @@ def _section(cls, raw, where, errors):
         errors.append(_at(where, f"missing {', '.join(missing)}"))
         return None
     obj = cls(**kw)
-    # StaticParams is checked against the pool and the LC labels in parse_config.
-    if hasattr(obj, "validate") and cls is not StaticParams:
-        try:
-            obj.validate()
-        except ValueError as e:
-            errors.append(_at(where, str(e)))
-            return None
-    return obj
+    errors.extend(_at(where, msg) for broken, msg in RULES.get(cls, ()) if broken(obj))
+    return obj if len(errors) == n else None
 
 
 def _plain(value):
@@ -290,10 +285,13 @@ def _workload(raw, where, errors):
 
 def _sizes(raw, where, errors):
     try:
-        return tuple((_scalar("size", s, int), _scalar("weight", w, float)) for s, w in raw)
+        sizes = tuple((_scalar("size", s, int), _scalar("weight", w, float)) for s, w in raw)
     except (TypeError, ValueError):
-        errors.append(f"{where} must be [[bytes, weight], ...]")
-        return None
+        sizes = ()
+    if sizes and all(s > 0 and w > 0 for s, w in sizes):
+        return sizes
+    errors.append(f"{where} must be [[bytes, weight], ...]: not empty, each > 0")
+    return None
 
 
 def _counts(raw, where, errors):
@@ -307,31 +305,31 @@ def _counts(raw, where, errors):
 SCHEMA = {
     ExperimentConfig: (
         Key("name", "name", str),
-        Key("seed", "seed", int),
-        Key("duration_s", "duration_ns", int, SEC),
-        Key("warmup_s", "warmup_ns", int, SEC),
-        Key("interval_s", "interval_ns", int, SEC),
+        Key("seed", "seed", int, bound=">= 0"),
+        Key("duration_s", "duration_ns", int, SEC, "> 0"),
+        Key("warmup_s", "warmup_ns", int, SEC, ">= 0"),
+        Key("interval_s", "interval_ns", int, SEC, "> 0"),
         Key("out_dir", "out_dir", str),
         Key("window_end", "window_end", ("complete", "dequeue")),
-        Key("pool", None, (Key("total", "pool_total", int),)),
+        Key("pool", None, (Key("total", "pool_total", int, bound=">= 1"),)),
         Key("device", "device", DeviceParams),
         Key("estimators", "estimators", EstimatorConfig),
         Key("allocator", "allocator", AllocatorConfig),
         Key("tenants", "tenants", _tenants),
     ),
     DeviceParams: (
-        Key("read_median_us", "read_median_us", float),
-        Key("write_median_us", "write_median_us", float),
-        Key("sigma", "sigma", float),
-        Key("p_spike", "p_spike", float),
-        Key("m_spike", "m_spike", float),
-        Key("capacity", "capacity", int),
-        Key("ref_block_bytes", "ref_block_bytes", int),
+        Key("read_median_us", "read_median_us", float, bound="> 0"),
+        Key("write_median_us", "write_median_us", float, bound="> 0"),
+        Key("sigma", "sigma", float, bound=">= 0"),
+        Key("p_spike", "p_spike", float, bound="in [0, 1]"),
+        Key("m_spike", "m_spike", float, bound=">= 1"),
+        Key("capacity", "capacity", int, bound=">= 1"),
+        Key("ref_block_bytes", "ref_block_bytes", int, bound="> 0"),
         Key("size_exponent", "size_exponent", float),
     ),
     EstimatorConfig: (
-        Key("ewma_alpha", "ewma_alpha", float),
-        Key("hist_window", "hist_window", int),
+        Key("ewma_alpha", "ewma_alpha", float, bound="in (0, 1]"),
+        Key("hist_window", "hist_window", int, bound=">= 1"),
         Key("scope", "scope", ("tenant", "device")),
     ),
     AllocatorConfig: (
@@ -339,19 +337,19 @@ SCHEMA = {
         *(Key(kind, kind, cls.Params) for kind, cls in ALLOCATORS.items() if cls.Params),
     ),
     PolicyParams: (
-        Key("policy_window", "policy_window", int),
+        Key("policy_window", "policy_window", int, bound=">= 1"),
         Key("slack_low_us", "slack_low_ns", int, US),
         Key("slack_high_us", "slack_high_ns", int, US),
-        Key("min_tail_samples", "min_tail_samples", int),
-        Key("pin", "pin", str),
+        Key("min_tail_samples", "min_tail_samples", int, bound=">= 1"),
+        Key("pin", "pin", POLICIES),
     ),
     StaticParams: (Key("counts", "counts", _counts),),
-    CongestionParams: (Key("probe_interval_us", "probe_interval_ns", int, US),),
+    CongestionParams: (Key("probe_interval_us", "probe_interval_ns", int, US, "> 0"),),
     FeedbackParams: (
-        Key("interval_s", "interval_ns", int, SEC),
-        Key("step", "step", int),
-        Key("headroom", "headroom", float),
-        Key("min_samples", "min_samples", int),
+        Key("interval_s", "interval_ns", int, SEC, "> 0"),
+        Key("step", "step", int, bound=">= 1"),
+        Key("headroom", "headroom", float, bound="in (0, 1]"),
+        Key("min_samples", "min_samples", int, bound=">= 1"),
     ),
     TenantConfig: (
         Key("label", "label", str),
@@ -360,22 +358,41 @@ SCHEMA = {
         Key("slo", "slo", SloSpec),
     ),
     SloSpec: (
-        Key("quantile", "quantile", float),
-        Key("latency_ms", "latency_ns", int, MS),
+        Key("quantile", "quantile", float, bound="in (0, 1)"),
+        Key("latency_ms", "latency_ns", int, MS, "> 0"),
     ),
     WorkloadSpec: (
         Key("mode", "mode", (CLOSED, OPEN)),
         Key("sizes", "sizes", _sizes),
-        Key("read_ratio", "read_ratio", float),
-        Key("iodepth", "iodepth", int),
-        Key("numjobs", "numjobs", int),
+        Key("read_ratio", "read_ratio", float, bound="in [0, 1]"),
+        Key("iodepth", "iodepth", int, bound=">= 1"),
+        Key("numjobs", "numjobs", int, bound=">= 1"),
         Key("rate_per_s", "rate_per_s", float),
         Key("burst", "burst", Burst),
     ),
     Burst: (
-        Key("on_s", "on_ns", int, SEC),
-        Key("off_s", "off_ns", int, SEC),
-        Key("rate_per_s", "rate_per_s", float),
+        Key("on_s", "on_ns", int, SEC, "> 0"),
+        Key("off_s", "off_ns", int, SEC, ">= 0"),
+        Key("rate_per_s", "rate_per_s", float, bound="> 0"),
+    ),
+}
+
+# Rules across the keys of one section, checked once each key is in range:
+# (broken(section), message).
+RULES = {
+    PolicyParams: (
+        (lambda p: p.slack_low_ns > p.slack_high_ns, "slack_low_us must be <= slack_high_us"),
+    ),
+    TenantConfig: (
+        (lambda t: t.label in ("", BE_CLASS),
+         "label must be non-empty; 'be' is reserved for the shared pool"),
+        (lambda t: (t.slo is None) != (t.tenant_class == BE_CLASS),
+         "LC tenants need slo: {quantile, latency_ms}; BE tenants take no SLO"),
+    ),
+    WorkloadSpec: (
+        (lambda w: w.mode == OPEN and w.rate_per_s <= 0, "open loop needs rate_per_s > 0"),
+        (lambda w: w.mode == CLOSED and (w.rate_per_s != 0 or w.burst is not None),
+         "closed loop takes no rate_per_s or burst"),
     ),
 }
 
@@ -392,28 +409,28 @@ def parse_config(d: dict) -> ExperimentConfig:
     if kw is None:
         raise ConfigError(errors)
     cfg = ExperimentConfig(**kw)
-    warmup, duration, labels = cfg.warmup_ns, cfg.duration_ns, [t.label for t in cfg.tenants]
-    lc_labels = [t.label for t in cfg.lc_tenants()]
+    labels, lc_labels = [t.label for t in cfg.tenants], [t.label for t in cfg.lc_tenants()]
+    static = cfg.allocator.kind == "static" and not errors   # the tenant list is whole
+    counts = cfg.allocator.static.counts if static else {}
+    unknown = sorted(set(counts) - set(lc_labels))
+    missing = sorted(set(lc_labels) - set(counts)) if static else []
     errors += [msg for bad, msg in (
         (not cfg.name or any(c in cfg.name for c in ("/", os.sep, "\0")),
          "name must be a plain file name: not empty, no '/' or NUL"),
-        (cfg.seed < 0, "seed must be a non-negative integer"),
-        (duration <= 0, "duration_s must be > 0"),
-        (warmup is not None and warmup < 0, "warmup_s must be >= 0"),
-        (warmup is not None and warmup >= duration > 0, "warmup_s must be smaller than duration_s"),
-        (cfg.interval_ns <= 0, "interval_s must be > 0"),
-        (cfg.pool_total < 1, "pool.total must be an integer >= 1"),
+        (cfg.warmup_ns is not None and cfg.warmup_ns >= cfg.duration_ns,
+         "warmup_s must be smaller than duration_s"),
         (not (d or {}).get("tenants"), "at least one tenant is required"),
         (len(set(labels)) < len(labels), f"duplicate tenant label in {labels}"),
         (cfg.allocator.kind != "priority" and len(lc_labels) > cfg.pool_total,
          f"{len(lc_labels)} LC tenants need at least that many cores; "
          f"pool has {cfg.pool_total}"),
+        (unknown, f"allocator.static: static counts name unknown LC tenants: {unknown}"),
+        (missing, f"allocator.static: static counts missing LC tenants: {missing}"),
+        (min(counts.values(), default=1) < 1, "allocator.static: every static count must be >= 1"),
+        (sum(counts.values()) > cfg.pool_total,
+         f"allocator.static: static counts sum to {sum(counts.values())} > "
+         f"pool total {cfg.pool_total}"),
     ) if bad]
-    if cfg.allocator.kind == "static" and not errors:
-        try:
-            cfg.allocator.static.validate(cfg.pool_total, lc_labels)
-        except ValueError as e:
-            errors.append(f"allocator.static: {e}")
     for t in () if errors else cfg.tenants:   # every value build derives from the device
         try:
             v = [cfg.device.median_ns(op, s) for s, _ in t.spec().sizes for op in (False, True)]

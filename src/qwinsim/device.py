@@ -41,24 +41,6 @@ class DeviceParams:
     # about 4x the 4KB median, a reasonable NVMe large-block slowdown.
     size_exponent: float = 0.5
 
-    def validate(self):
-        for name in ("read_median_us", "write_median_us", "sigma", "p_spike",
-                     "m_spike", "size_exponent"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.read_median_us <= 0 or self.write_median_us <= 0:
-            raise ValueError("device medians must be > 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if not 0.0 <= self.p_spike <= 1.0:
-            raise ValueError("p_spike must be in [0, 1]")
-        if self.m_spike < 1.0:
-            raise ValueError("m_spike must be >= 1")
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if self.ref_block_bytes <= 0:
-            raise ValueError("ref_block_bytes must be > 0")
-
     # -- analytic helpers ---------------------------------------------------
 
     def median_ns(self, is_read: bool, size: int) -> float:
@@ -110,7 +92,6 @@ class Device:
     """
 
     def __init__(self, params: DeviceParams, rng, engine):
-        params.validate()
         self.params = params
         self.rng = rng               # numpy Generator (see make_np_stream)
         self.engine = engine
@@ -219,12 +200,6 @@ class ServiceEstimator:
 
     def __init__(self, alpha=0.01, window=10_000, quantile=0.999,
                  nominal_mean_ns=100_000.0, nominal_tail_ns=260_000, deferred=False):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0 < quantile <= 1:
-            raise ValueError("quantile must be in (0, 1]")
         self.alpha = alpha
         self.window = window
         self.quantile = quantile

@@ -224,6 +224,8 @@ def _parse_seeds(text: str):
         seeds = [int(s) for s in text.split(",")]
     if min(seeds) < 0:
         raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {min(seeds)}")
+    if len(set(seeds)) < len(seeds):   # a repeat would run into the same directory
+        raise argparse.ArgumentTypeError(f"seeds must be distinct, got {text}")
     return seeds
 
 

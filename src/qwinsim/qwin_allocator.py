@@ -42,16 +42,6 @@ class PolicyParams:
     min_tail_samples: int = 1000       # fewer since last refresh: keep policy
     pin: str | None = None             # force one policy for the whole run
 
-    def validate(self):
-        if self.policy_window < 1:
-            raise ValueError("policy_window must be >= 1")
-        if self.slack_low_ns > self.slack_high_ns:
-            raise ValueError("slack_low_ns must be <= slack_high_ns")
-        if self.min_tail_samples < 1:
-            raise ValueError("min_tail_samples must be >= 1")
-        if self.pin is not None and self.pin not in POLICIES:
-            raise ValueError(f"pin must be one of {POLICIES}")
-
 
 def select_policy(slack_ns: int, params: PolicyParams) -> str:
     """Pure slack -> policy mapping."""
@@ -83,7 +73,6 @@ class QwinAllocator:
 
     def __init__(self, params: PolicyParams | None = None):
         self.params = params or PolicyParams()
-        self.params.validate()
         self.backend = None
         self.pool = 0
 

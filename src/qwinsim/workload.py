@@ -59,12 +59,6 @@ class Burst:
     off_ns: int
     rate_per_s: float
 
-    def validate(self):
-        if self.on_ns <= 0 or self.off_ns < 0:
-            raise ValueError("burst on_ns must be > 0 and off_ns >= 0")
-        if self.rate_per_s <= 0:
-            raise ValueError("burst rate_per_s must be > 0")
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -75,25 +69,6 @@ class WorkloadSpec:
     numjobs: int = 1                   # closed loop
     rate_per_s: float = 0.0            # open loop, base rate
     burst: Burst | None = None         # open loop only
-
-    def validate(self):
-        if self.mode not in (CLOSED, OPEN):
-            raise ValueError(f"unknown workload mode {self.mode!r}")
-        if not 0.0 <= self.read_ratio <= 1.0:
-            raise ValueError("read_ratio must be in [0, 1]")
-        if not self.sizes:
-            raise ValueError("sizes must be non-empty")
-        for size, weight in self.sizes:
-            if size <= 0 or weight <= 0:
-                raise ValueError("sizes entries must have positive size and weight")
-        if self.mode == CLOSED:
-            if self.iodepth < 1 or self.numjobs < 1:
-                raise ValueError("closed loop needs iodepth >= 1 and numjobs >= 1")
-        else:
-            if self.rate_per_s <= 0:
-                raise ValueError("open loop needs rate_per_s > 0")
-            if self.burst is not None:
-                self.burst.validate()
 
     @property
     def in_flight_cap(self) -> int:
@@ -144,7 +119,6 @@ class WorkloadSource:
     """
 
     def __init__(self, spec: WorkloadSpec, rng, tenant_label: str, device):
-        spec.validate()
         self.spec = spec
         self.rng = rng
         self.tenant = tenant_label

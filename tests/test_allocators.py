@@ -71,16 +71,6 @@ def test_policy_regions_with_custom_thresholds():
     assert select_policy(99 * US, p) == AGGRESSIVE
 
 
-def test_policy_params_validation():
-    with pytest.raises(ValueError):
-        PolicyParams(policy_window=0).validate()
-    with pytest.raises(ValueError):
-        PolicyParams(slack_low_ns=2 * MS, slack_high_ns=1 * MS).validate()
-    with pytest.raises(ValueError):
-        PolicyParams(pin="bogus").validate()
-    PolicyParams(pin="conservative").validate()
-
-
 # ---------------------------------------------------------------------------
 # Mini simulation rig
 # ---------------------------------------------------------------------------
@@ -486,20 +476,6 @@ def test_lc_cores_move_only_voluntarily():
 # ---------------------------------------------------------------------------
 
 
-def test_static_params_validation():
-    with pytest.raises(ValueError):
-        StaticParams({"nope": 2}).validate(4, ["lc0"])
-    with pytest.raises(ValueError):
-        StaticParams({}).validate(4, ["lc0"])
-    with pytest.raises(ValueError):
-        StaticParams({"lc0": 0}).validate(4, ["lc0"])
-    with pytest.raises(ValueError):
-        StaticParams({"lc0": 5}).validate(4, ["lc0"])
-    with pytest.raises(ValueError, match=r"unknown LC tenants: \['be'\]"):
-        StaticParams({"lc0": 2, "be": 2}).validate(4, ["lc0"])
-    StaticParams({"lc0": 4}).validate(4, ["lc0"])
-
-
 def test_static_partition_never_moves():
     eng, backend, hub, alloc = _rig(
         allocator=StaticAllocator(StaticParams({"lc0": 2})))
@@ -537,11 +513,6 @@ def test_congestion_probe_grows_on_stuck_head_and_reclaims_when_empty():
     # second probe on the same stuck head already grows: within a few ticks
     assert grows[0][0] <= 10 * 50 * US
     assert reclaims and all(r[3] == 1 for r in reclaims)
-
-
-def test_congestion_params_validation():
-    with pytest.raises(ValueError):
-        CongestionParams(probe_interval_ns=0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +554,6 @@ def test_feedback_holds_without_enough_samples():
     alloc._tick(None, 100 * US)
     assert lc.num == 1 and not hub.alloc_rows
     assert _since_mark(lc) == 0                   # but the stale hist is dropped
-
-
-def test_feedback_params_validation():
-    for bad in (dict(interval_ns=0), dict(step=0), dict(headroom=0.0),
-                dict(headroom=1.5), dict(min_samples=0)):
-        with pytest.raises(ValueError):
-            FeedbackParams(**bad).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Config schema: defaults, validation with full error collection, round-trips."""
 
+import copy
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -94,7 +96,7 @@ def test_all_errors_are_collected_in_one_raise():
     msgs = "\n".join(ei.value.errors)
     assert len(ei.value.errors) >= 6
     for frag in ("seed", "duration_s", "interval_s", "window_end",
-                 "pool.total", "at least one tenant"):
+                 "pool: total must be >= 1", "at least one tenant"):
         assert frag in msgs
 
 
@@ -142,7 +144,7 @@ def test_unknown_allocator_kind_rejected():
 
 
 def test_invalid_pin_rejected():
-    with pytest.raises(ConfigError, match="pin must be one of"):
+    with pytest.raises(ConfigError, match="unknown pin 'yolo'"):
         parse_config(_minimal(allocator={"kind": "qwin",
                                          "qwin": {"pin": "yolo"}}))
 
@@ -255,6 +257,137 @@ def test_malformed_value_is_a_config_error_naming_its_key(path, value, message):
     with pytest.raises(ConfigError) as ei:
         parse_config(d)
     assert any(message in e for e in ei.value.errors), ei.value.errors
+
+
+# Each bounded key given a value past each end it is bounded at, and every
+# other rule broken once: one key of BASE changed, and the one error line it
+# gives.  BASE is burst-duo (lc0 an inline open loop with a burst) under a
+# static allocator whose counts are valid.
+LC0 = "tenants[0] (lc0)"
+BASE = {**scenario("burst-duo"), "allocator": {"kind": "static", "static": {"counts": {"lc0": 2}}}}
+REJECTED = [
+    (("seed",), -1, "seed must be >= 0"),
+    (("duration_s",), 0, "duration_s must be > 0"),
+    (("warmup_s",), -1.0, "warmup_s must be >= 0"),
+    (("interval_s",), 0, "interval_s must be > 0"),
+    (("pool", "total"), 0, "pool: total must be >= 1"),
+    (("device", "read_median_us"), 0, "device: read_median_us must be > 0"),
+    (("device", "write_median_us"), 0, "device: write_median_us must be > 0"),
+    (("device", "sigma"), -0.1, "device: sigma must be >= 0"),
+    (("device", "p_spike"), -0.1, "device: p_spike must be in [0, 1]"),
+    (("device", "p_spike"), 1.5, "device: p_spike must be in [0, 1]"),
+    (("device", "m_spike"), 0.5, "device: m_spike must be >= 1"),
+    (("device", "capacity"), 0, "device: capacity must be >= 1"),
+    (("device", "ref_block_bytes"), 0, "device: ref_block_bytes must be > 0"),
+    (("estimators", "ewma_alpha"), 0.0, "estimators: ewma_alpha must be in (0, 1]"),
+    (("estimators", "ewma_alpha"), 1.5, "estimators: ewma_alpha must be in (0, 1]"),
+    (("estimators", "hist_window"), 0, "estimators: hist_window must be >= 1"),
+    (("allocator", "qwin", "policy_window"), 0, "allocator.qwin: policy_window must be >= 1"),
+    (("allocator", "qwin", "min_tail_samples"), 0,
+     "allocator.qwin: min_tail_samples must be >= 1"),
+    (("allocator", "qwin", "slack_low_us"), 2000,
+     "allocator.qwin: slack_low_us must be <= slack_high_us"),
+    (("allocator", "qwin", "pin"), "bogus",
+     "allocator.qwin: unknown pin 'bogus' (known: conservative, aggressive, slo_aware)"),
+    (("allocator", "shenango", "probe_interval_us"), 0,
+     "allocator.shenango: probe_interval_us must be > 0"),
+    (("allocator", "cake", "interval_s"), 0, "allocator.cake: interval_s must be > 0"),
+    (("allocator", "cake", "step"), 0, "allocator.cake: step must be >= 1"),
+    (("allocator", "cake", "headroom"), 0.0, "allocator.cake: headroom must be in (0, 1]"),
+    (("allocator", "cake", "headroom"), 1.5, "allocator.cake: headroom must be in (0, 1]"),
+    (("allocator", "cake", "min_samples"), 0, "allocator.cake: min_samples must be >= 1"),
+    (("allocator", "static", "counts"), {"lc0": 2, "nope": 2},
+     "allocator.static: static counts name unknown LC tenants: ['nope']"),
+    (("allocator", "static", "counts"), {},
+     "allocator.static: static counts missing LC tenants: ['lc0']"),
+    (("allocator", "static", "counts"), {"lc0": 0},
+     "allocator.static: every static count must be >= 1"),
+    (("allocator", "static", "counts"), {"lc0": 9},
+     "allocator.static: static counts sum to 9 > pool total 8"),
+    (("tenants", 0, "slo", "quantile"), 0.0, f"{LC0}.slo: quantile must be in (0, 1)"),
+    (("tenants", 0, "slo", "quantile"), 1.0, f"{LC0}.slo: quantile must be in (0, 1)"),
+    (("tenants", 0, "slo", "latency_ms"), 0, f"{LC0}.slo: latency_ms must be > 0"),
+    (("tenants", 0, "workload", "mode"), "weird",
+     f"{LC0}.workload: unknown mode 'weird' (known: closed_loop, open_loop)"),
+    (("tenants", 0, "workload", "read_ratio"), -0.1,
+     f"{LC0}.workload: read_ratio must be in [0, 1]"),
+    (("tenants", 0, "workload", "read_ratio"), 1.2,
+     f"{LC0}.workload: read_ratio must be in [0, 1]"),
+    *((("tenants", 0, "workload", "sizes"), sizes,
+       f"{LC0}.workload.sizes must be [[bytes, weight], ...]: not empty, each > 0")
+      for sizes in ([], [[0, 1.0]], [[4096, 0.0]])),
+    (("tenants", 0, "workload", "iodepth"), 0, f"{LC0}.workload: iodepth must be >= 1"),
+    (("tenants", 0, "workload", "numjobs"), 0, f"{LC0}.workload: numjobs must be >= 1"),
+    (("tenants", 0, "workload", "rate_per_s"), 0.0,
+     f"{LC0}.workload: open loop needs rate_per_s > 0"),
+    (("tenants", 0, "workload", "burst", "on_s"), 0, f"{LC0}.workload.burst: on_s must be > 0"),
+    (("tenants", 0, "workload", "burst", "off_s"), -1,
+     f"{LC0}.workload.burst: off_s must be >= 0"),
+    (("tenants", 0, "workload", "burst", "rate_per_s"), 0,
+     f"{LC0}.workload.burst: rate_per_s must be > 0"),
+]
+
+
+@pytest.mark.parametrize("path,value,line", REJECTED, ids=[
+    f"{'.'.join(map(str, p))}={v!r}".replace(" ", "") for p, v, _ in REJECTED])
+def test_bad_value_gives_its_error(path, value, line):
+    d = copy.deepcopy(BASE)
+    _set(d, path, value)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(d)
+    assert ei.value.errors == [line]
+
+
+def test_every_bound_in_the_schema_is_in_the_rejection_table():
+    need = Counter()
+    for keys in SCHEMA.values():
+        for k in (sub for k in keys for sub in (k.type if k.attr is None else (k,))):
+            if k.bound:   # one end, or both ends of an interval
+                need[f"{k.name} must be {k.bound}"] += 2 if k.bound.startswith("in") else 1
+    have = Counter(line.rsplit(": ", 1)[-1] for _, _, line in REJECTED)
+    assert not need - have, need - have
+
+
+def test_every_problem_in_a_section_is_listed():
+    d = {**scenario("duo"), "device": {"sigma": -1, "p_spike": 2, "capacity": 0}}
+    with pytest.raises(ConfigError) as ei:
+        parse_config(d)
+    assert ei.value.errors == ["device: sigma must be >= 0",
+                               "device: p_spike must be in [0, 1]",
+                               "device: capacity must be >= 1"]
+
+
+def test_errors_name_the_keys_a_user_writes():
+    d = scenario("burst-duo")
+    d["allocator"] = {"qwin": {"slack_low_us": 2000, "slack_high_us": 1000},
+                      "shenango": {"probe_interval_us": 0.0004},   # 0.4 ns rounds to 0
+                      "cake": {"interval_s": 0}}
+    d["tenants"][0]["workload"]["burst"].update(on_s=0, off_s=-1)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(d)
+    assert ei.value.errors == [
+        "allocator.qwin: slack_low_us must be <= slack_high_us",
+        "allocator.shenango: probe_interval_us must be > 0",
+        "allocator.cake: interval_s must be > 0",
+        f"{LC0}.workload.burst: on_s must be > 0",
+        f"{LC0}.workload.burst: off_s must be >= 0",
+    ]
+
+
+@pytest.mark.parametrize("setting", [
+    {"burst": {"on_s": 1.0, "off_s": 4.0, "rate_per_s": 48000.0}},
+    {"rate_per_s": 100.0},
+], ids=["burst", "rate_per_s"])
+def test_closed_loop_rejects_an_open_loop_setting(tmp_path, setting):
+    # A closed loop's arrivals are its completions, so either would be ignored.
+    d = scenario("duo")
+    d["tenants"][0]["workload"] = {"mode": CLOSED, **setting}
+    with pytest.raises(ConfigError) as ei:
+        parse_config(d)
+    assert ei.value.errors == [f"{LC0}.workload: closed loop takes no rate_per_s or burst"]
+    r = _cli(tmp_path, yaml.safe_dump(d))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "closed loop takes no rate_per_s or burst" in r.stderr
 
 
 def test_integral_floats_are_accepted_where_an_integer_is_expected():

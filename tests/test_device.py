@@ -30,20 +30,6 @@ def _req(is_read=True, size=4096, params=DeviceParams()):
 # ---------------------------------------------------------------------------
 
 
-def test_params_validation():
-    DeviceParams().validate()
-    with pytest.raises(ValueError):
-        DeviceParams(read_median_us=0).validate()
-    with pytest.raises(ValueError):
-        DeviceParams(sigma=-0.1).validate()
-    with pytest.raises(ValueError):
-        DeviceParams(p_spike=1.5).validate()
-    with pytest.raises(ValueError):
-        DeviceParams(m_spike=0.5).validate()
-    with pytest.raises(ValueError):
-        DeviceParams(capacity=0).validate()
-
-
 def test_median_scales_with_block_size():
     p = DeviceParams(read_median_us=100.0, size_exponent=0.5, ref_block_bytes=4096)
     assert p.median_ns(True, 4096) == pytest.approx(100_000.0)
@@ -495,12 +481,3 @@ def test_deferred_estimator_log_stays_bounded_between_reads():
     assert e.samples == 19_000   # settled at the last fold, before its sample
     assert e.tail_ns == ref.tail_ns == _service_bucket_edge(_service_bucket(1_006))
     assert (e.samples, e.mean_ns) == (20_000, ref.mean_ns)
-
-
-def test_estimator_validation():
-    with pytest.raises(ValueError):
-        ServiceEstimator(alpha=0.0)
-    with pytest.raises(ValueError):
-        ServiceEstimator(window=0)
-    with pytest.raises(ValueError):
-        ServiceEstimator(quantile=1.5)

@@ -345,6 +345,19 @@ def test_cli_rejects_a_negative_seed_before_running(tmp_path, seeds):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seeds", ["--seeds=1,1", "--seeds=2,3,2"])
+def test_cli_rejects_a_repeated_seed_before_running(tmp_path, seeds):
+    # Each repeat would run into the same run directory and count twice.
+    r = subprocess.run(
+        [sys.executable, "-m", "qwinsim", "--scenario", "duo", seeds,
+         "--duration", "0.01", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 2
+    assert "seeds must be distinct, got" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_rejects_seed_beside_seeds_before_running(tmp_path):
     # One flag would be ignored, so the two are mutually exclusive.
     r = subprocess.run(

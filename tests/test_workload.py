@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qwinsim import (Backend, Burst, Device, DeviceParams, Engine, EventKind,
                      MetricsHub, PRESETS, PRESET_CLASS, Tenant, WorkloadSpec,
                      WorkloadSource, make_np_stream, make_stream)
+from qwinsim.config import ExperimentConfig, SloSpec, TenantConfig, parse_config, read_yaml
 from qwinsim.workload import CLOSED, NOT_SCHEDULED, OPEN
 from qwinsim.sim_core import MS, SEC
 
@@ -19,25 +20,6 @@ from qwinsim.sim_core import MS, SEC
 # ---------------------------------------------------------------------------
 # Specs and presets
 # ---------------------------------------------------------------------------
-
-
-def test_spec_validation():
-    WorkloadSpec().validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(mode="weird").validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(read_ratio=1.2).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(sizes=()).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(sizes=((0, 1.0),)).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(iodepth=0).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(mode=OPEN).validate()  # needs rate_per_s
-    with pytest.raises(ValueError):
-        WorkloadSpec(mode=OPEN, rate_per_s=100.0,
-                     burst=Burst(on_ns=0, off_ns=1, rate_per_s=1.0)).validate()
 
 
 def test_in_flight_cap():
@@ -51,8 +33,11 @@ def test_presets_cover_table_and_validate():
     for name in ("J", "K", "P"):
         assert name in PRESETS
     for name, spec in PRESETS.items():
-        spec.validate()
         assert PRESET_CLASS[name] in ("lc", "be")
+        # Each preset passes the checks an inline workload takes.
+        slo = SloSpec(4 * MS) if PRESET_CLASS[name] == "lc" else None
+        text = ExperimentConfig(tenants=(TenantConfig("t", PRESET_CLASS[name], spec, slo),)).to_yaml()
+        assert parse_config(read_yaml(text)).tenants[0].workload == spec
     # the 4KB latency presets descend in read ratio
     assert [PRESETS[n].read_ratio for n in "ABCD"] == [1.00, 0.95, 0.90, 0.85]
     assert all(PRESETS[n].sizes == ((4096, 1.0),) for n in "ABCD")
