@@ -39,7 +39,8 @@ class Core:
 
 
 class Tenant:
-    """Per-tenant state: queue, window bookkeeping, allocation fields."""
+    """Per-tenant state: queue, window bookkeeping, allocation fields.  An LC
+    window ends when its members complete, or at its last dequeue if not end_on_complete."""
 
     __slots__ = ("label", "lc", "slo_q", "slo_ns", "queue", "source",
                  "arrivals", "prev_boundary", "completed_gap",
@@ -48,7 +49,7 @@ class Tenant:
                  "probes_attempted", "end_on_complete", "windows_established",
                  "last_head_seq")
 
-    def __init__(self, label, lc, slo_q=0.999, slo_ns=0):
+    def __init__(self, label, lc, slo_q=0.999, slo_ns=0, end_on_complete=True):
         self.label = label
         self.lc = lc
         self.slo_q = slo_q
@@ -69,7 +70,7 @@ class Tenant:
         self.idle = []            # sorted cids of this tenant's parked cores
         self.wake_idle = None     # the parked-core list an arrival wakes from
         self.probes_attempted = 0
-        self.end_on_complete = True   # set from the backend's window_end
+        self.end_on_complete = end_on_complete
         self.windows_established = 0
         self.last_head_seq = -1   # congestion-probe baseline state
 
@@ -81,13 +82,11 @@ class Tenant:
 class Backend:
     """Wires tenants, cores, and the device together around one engine."""
 
-    def __init__(self, engine, device, pool_total: int, hub,
-                 window_end: str = "complete"):
+    def __init__(self, engine, device, pool_total: int, hub):
         self.engine = engine
         self.device = device
         self.hub = hub
         self.pool_total = pool_total
-        self.window_end = window_end
         self.cores = [Core(i) for i in range(pool_total)]
         self.tenants: list[Tenant] = []
         self.lc_tenants: list[Tenant] = []
@@ -112,7 +111,6 @@ class Backend:
         # handler reach queue/window/metrics state without a dict lookup.
         source.tenant = tenant
         tenant.estimator = estimator
-        tenant.end_on_complete = self.window_end == "complete"
         tenant.wake_idle = tenant.idle if tenant.lc else self.be_idle
         self.tenants.append(tenant)
         if tenant.lc:

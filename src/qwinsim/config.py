@@ -185,9 +185,10 @@ def _scalar(key, value, typ, scale=0):
     return round(x) if typ is int else x
 
 
-def _fields(keys, raw, where, errors):
+def _fields(keys, raw, where, errors, reported):
     """Attribute -> value for the `keys` set in mapping `raw` (an absent or null
-    key keeps its dataclass default); None if `raw` is not a mapping."""
+    key keeps its dataclass default); None if `raw` is not a mapping.  The
+    name of each key with a problem is added to the set `reported`."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -201,8 +202,9 @@ def _fields(keys, raw, where, errors):
         if value is None:
             continue
         path = f"{where}.{k.name}" if where else k.name
+        n = len(errors)
         if k.attr is None:
-            kw.update(_fields(k.type, value, path, errors) or {})
+            kw.update(_fields(k.type, value, path, errors, set()) or {})
         elif k.type in SCHEMA:
             kw[k.attr] = _section(k.type, value, path, errors)
         elif k.type in (int, float, str) or isinstance(k.type, tuple):
@@ -215,6 +217,8 @@ def _fields(keys, raw, where, errors):
                 errors.append(_at(where, str(e)))
         else:
             kw[k.attr] = k.type(value, path, errors)
+        if len(errors) > n:
+            reported.add(k.name)
     return {a: v for a, v in kw.items() if v is not None}
 
 
@@ -222,7 +226,7 @@ def _section(cls, raw, where, errors):
     """A `cls` built from mapping `raw` whose keys and RULES hold, or None
     after a problem (every one is appended to `errors`)."""
     n = len(errors)
-    kw = _fields(SCHEMA[cls], raw, where, errors)
+    kw = _fields(SCHEMA[cls], raw, where, errors, set())
     if len(errors) > n:
         return None
     required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
@@ -405,32 +409,34 @@ RULES = {
 def parse_config(d: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain mapping."""
     errors: list[str] = []
-    kw = _fields(SCHEMA[ExperimentConfig], d, "", errors)
+    reported: set[str] = set()   # keys with a problem, left at their defaults in cfg
+    kw = _fields(SCHEMA[ExperimentConfig], d, "", errors, reported)
     if kw is None:
         raise ConfigError(errors)
     cfg = ExperimentConfig(**kw)
     labels, lc_labels = [t.label for t in cfg.tenants], [t.label for t in cfg.lc_tenants()]
-    static = cfg.allocator.kind == "static" and not errors   # the tenant list is whole
+    static = cfg.allocator.kind == "static"
     counts = cfg.allocator.static.counts if static else {}
     unknown = sorted(set(counts) - set(lc_labels))
     missing = sorted(set(lc_labels) - set(counts)) if static else []
-    errors += [msg for bad, msg in (
-        (not cfg.name or any(c in cfg.name for c in ("/", os.sep, "\0")),
-         "name must be a plain file name: not empty, no '/' or NUL"),
-        (cfg.warmup_ns is not None and cfg.warmup_ns >= cfg.duration_ns,
+    # Rules across sections, (keys read, broken, message); one reading a reported key is skipped.
+    name, pool, by_label = cfg.name, cfg.pool_total, ("allocator", "tenants")
+    errors += [msg for reads, bad, msg in (
+        (("name",), not (name.isprintable() and name) or "/" in name or os.sep in name,
+         "name must be a plain file name: not empty, no '/' or control character"),
+        (("warmup_s", "duration_s"), (cfg.warmup_ns or 0) >= cfg.duration_ns,
          "warmup_s must be smaller than duration_s"),
-        (not (d or {}).get("tenants"), "at least one tenant is required"),
-        (len(set(labels)) < len(labels), f"duplicate tenant label in {labels}"),
-        (cfg.allocator.kind != "priority" and len(lc_labels) > cfg.pool_total,
-         f"{len(lc_labels)} LC tenants need at least that many cores; "
-         f"pool has {cfg.pool_total}"),
-        (unknown, f"allocator.static: static counts name unknown LC tenants: {unknown}"),
-        (missing, f"allocator.static: static counts missing LC tenants: {missing}"),
-        (min(counts.values(), default=1) < 1, "allocator.static: every static count must be >= 1"),
-        (sum(counts.values()) > cfg.pool_total,
-         f"allocator.static: static counts sum to {sum(counts.values())} > "
-         f"pool total {cfg.pool_total}"),
-    ) if bad]
+        (("tenants",), not (d or {}).get("tenants"), "at least one tenant is required"),
+        (("tenants",), len(set(labels)) < len(labels), f"duplicate tenant label in {labels}"),
+        (("pool", *by_label), cfg.allocator.kind != "priority" and len(lc_labels) > pool,
+         f"{len(lc_labels)} LC tenants need at least that many cores; pool has {pool}"),
+        (by_label, unknown, f"allocator.static: static counts name unknown LC tenants: {unknown}"),
+        (by_label, missing, f"allocator.static: static counts missing LC tenants: {missing}"),
+        (by_label, min(counts.values(), default=1) < 1,
+         "allocator.static: every static count must be >= 1"),
+        (("pool", *by_label), sum(counts.values()) > pool,
+         f"allocator.static: static counts sum to {sum(counts.values())} > pool total {pool}"),
+    ) if bad and reported.isdisjoint(reads)]
     for t in () if errors else cfg.tenants:   # every value build derives from the device
         try:
             v = [cfg.device.median_ns(op, s) for s, _ in t.spec().sizes for op in (False, True)]

@@ -50,37 +50,31 @@ def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
     engine = Engine()
     device = Device(cfg.device, make_np_stream(seed, DEVICE_STREAM), engine)
     hub = MetricsHub(run_id, cfg.effective_warmup_ns, cfg.pool_total)
-    backend = Backend(engine, device, cfg.pool_total, hub,
-                      window_end=cfg.window_end)
+    backend = Backend(engine, device, cfg.pool_total, hub)
     shared_est = None
     for i, tc in enumerate(cfg.tenants):
-        spec = tc.spec()
-        lc = tc.tenant_class == "lc"
-        source = WorkloadSource(spec, make_stream(seed, FIRST_TENANT_STREAM + i),
-                                tc.label, cfg.device)
-        if lc:
-            est = shared_est
-            if est is None:
-                # Until real completions arrive, it answers with its seed.
-                q, mean, tail = cfg.estimator_seed(tc)
-                est = ServiceEstimator(
-                    alpha=cfg.estimators.ewma_alpha, window=cfg.estimators.hist_window,
-                    quantile=q, nominal_mean_ns=mean, nominal_tail_ns=round(tail),
-                    deferred=not ALLOCATORS[cfg.allocator.kind].reads_estimators)
-                if cfg.estimators.scope == "device":
-                    shared_est = est
-            tenant = Tenant(tc.label, True, slo_q=tc.slo.quantile,
-                            slo_ns=tc.slo.latency_ns)
-            backend.add_tenant(tenant, source, est)
-        else:
-            backend.add_tenant(Tenant(tc.label, False), source, None)
+        source = WorkloadSource(tc.spec(), make_stream(seed, FIRST_TENANT_STREAM + i), cfg.device)
+        if tc.tenant_class == "be":
+            backend.add_tenant(Tenant(tc.label, False), source)
+            continue
+        est = shared_est
+        if est is None:
+            # Until real completions arrive, it answers with its seed.
+            q, mean, tail = cfg.estimator_seed(tc)
+            est = ServiceEstimator(
+                alpha=cfg.estimators.ewma_alpha, window=cfg.estimators.hist_window,
+                quantile=q, nominal_mean_ns=mean, nominal_tail_ns=round(tail),
+                deferred=not ALLOCATORS[cfg.allocator.kind].reads_estimators)
+            if cfg.estimators.scope == "device":
+                shared_est = est
+        tenant = Tenant(tc.label, True, slo_q=tc.slo.quantile, slo_ns=tc.slo.latency_ns,
+                        end_on_complete=cfg.window_end == "complete")
+        backend.add_tenant(tenant, source, est)
     a = cfg.allocator
     cls = ALLOCATORS[a.kind]
     allocator = cls(getattr(a, a.kind)) if cls.Params else cls()
     allocator.setup(backend)
-    return Simulation(cfg=cfg, seed=seed, run_id=run_id, engine=engine,
-                      device=device, hub=hub, backend=backend,
-                      allocator=allocator)
+    return Simulation(cfg, seed, run_id, engine, device, hub, backend, allocator)
 
 
 def _start_metric_ticks(sim: Simulation):
@@ -182,11 +176,22 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     return RunResult(run_id=sim.run_id, report=report, paths=paths, sim=sim)
 
 
+def check_seeds(seeds) -> list:
+    """`seeds` as a list, checked for a sweep: a negative or a repeated seed
+    (which would run into the same run directory) is a ConfigError."""
+    seeds = list(seeds)
+    if min(seeds, default=0) < 0:
+        raise ConfigError([f"seeds must be non-negative, got {min(seeds)}"])
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError([f"seeds must be distinct, got {seeds}"])
+    return seeds
+
+
 def sweep(cfg: ExperimentConfig, seeds, write: bool = True) -> list[RunResult]:
     """Run the same config across seeds, in order; each result keeps its
     report and paths but not its Simulation."""
     results = []
-    for s in seeds:
+    for s in check_seeds(seeds):
         r = run_experiment(cfg, seed=s, write=write)
         # A Simulation is a reference cycle (the device calls back into the
         # backend that owns it), so dropping it frees nothing until a
@@ -215,18 +220,11 @@ def _override(d: dict, path: tuple, value) -> dict:
 
 def _parse_seeds(text: str):
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(int, text.split("..", 1))
         if hi < lo:
             raise argparse.ArgumentTypeError("seed range must be low..high")
-        seeds = list(range(lo, hi + 1))
-    else:
-        seeds = [int(s) for s in text.split(",")]
-    if min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {min(seeds)}")
-    if len(set(seeds)) < len(seeds):   # a repeat would run into the same directory
-        raise argparse.ArgumentTypeError(f"seeds must be distinct, got {text}")
-    return seeds
+        return list(range(lo, hi + 1))
+    return [int(s) for s in text.split(",")]
 
 
 def _build_arg_parser():
@@ -297,6 +295,8 @@ def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
         cfg = _assemble_config(args)
+        if args.seeds:   # rejected before --validate-only says OK or anything runs
+            check_seeds(args.seeds)
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2

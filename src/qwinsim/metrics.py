@@ -6,12 +6,15 @@ live histogram (TenantMetrics.record logs it, and numpy folds the log in).
 Quantiles follow the rule "smallest bucket upper edge whose cumulative
 fraction reaches q", which bounds the error by one bucket width.  Core
 counts have one record, the alloc trace: each interval's mean_cores is
-integrated from its rows.
+integrated from its rows.  The csv module writes every cell, so a cell that
+holds ',', '"' or a newline is quoted.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import os
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
@@ -249,9 +252,7 @@ class MetricsHub:
     def latency_rows(self):
         rows = []
         for label, tm in self.tenants.items():
-            qs = list(LATENCY_QUANTILES)
-            if tm.lc and tm.slo_q not in qs:
-                qs.append(tm.slo_q)
+            qs = {*LATENCY_QUANTILES, tm.slo_q} if tm.lc else LATENCY_QUANTILES
             for q in sorted(qs):
                 tail = tm.cumulative_quantile(q)
                 rows.append((self.run_id, label, "lc" if tm.lc else "be",
@@ -274,29 +275,23 @@ ESTIMATORS_HEADER = "time_ns,tenant,t_io_avg_ns,tail_io_ns"
 
 
 def _write_csv(path, header: str, rows):
-    with open(path, "w") as f:
+    with open(path, "w", newline="") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(str(x) for x in row) + "\n")
+        csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 def write_all(hub: MetricsHub, out_dir):
     """Write every CSV for one run into out_dir; returns {name: path}."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-
-    def emit(name, header, rows):
-        p = os.path.join(out_dir, name)
-        _write_csv(p, header, rows)
-        paths[name] = p
-
-    emit("latency.csv", LATENCY_HEADER, hub.latency_rows())
-    emit("intervals.csv", INTERVALS_HEADER, hub.interval_rows)
-    emit("alloc_trace.csv", ALLOC_HEADER, hub.alloc_rows)
-    emit("windows.csv", WINDOWS_HEADER, hub.window_rows)
-    emit("policy_trace.csv", POLICY_HEADER, hub.policy_rows)
-    emit("transfers.csv", TRANSFERS_HEADER, hub.transfer_rows)
-    emit("estimators.csv", ESTIMATORS_HEADER, hub.estimator_rows)
+    for name, header, rows in (
+            ("latency.csv", LATENCY_HEADER, hub.latency_rows()),
+            ("intervals.csv", INTERVALS_HEADER, hub.interval_rows),
+            ("alloc_trace.csv", ALLOC_HEADER, hub.alloc_rows),
+            ("windows.csv", WINDOWS_HEADER, hub.window_rows),
+            ("policy_trace.csv", POLICY_HEADER, hub.policy_rows),
+            ("transfers.csv", TRANSFERS_HEADER, hub.transfer_rows),
+            ("estimators.csv", ESTIMATORS_HEADER, hub.estimator_rows)):
+        paths[name] = os.path.join(out_dir, name)
+        _write_csv(paths[name], header, rows)
     return paths

@@ -118,10 +118,10 @@ class WorkloadSource:
     of `device` (a DeviceParams) for its op and size.
     """
 
-    def __init__(self, spec: WorkloadSpec, rng, tenant_label: str, device):
+    def __init__(self, spec: WorkloadSpec, rng, device):
         self.spec = spec
         self.rng = rng
-        self.tenant = tenant_label
+        self.tenant = None           # the Tenant its requests carry, set by add_tenant
         self.in_flight = 0
         self._enqueue = None
         self._free = []              # completed open-loop requests, for reuse

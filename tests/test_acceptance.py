@@ -187,8 +187,7 @@ def _window_partition_trace(seed):
     spec = WorkloadSpec(mode=OPEN, rate_per_s=55_000.0,
                         sizes=((4096, 1.0),), read_ratio=0.9)
     t = Tenant(LC_LABEL, True, slo_ns=SLO_NS)
-    backend.add_tenant(t, WorkloadSource(spec, make_stream(seed, 1), LC_LABEL,
-                                         dev.params),
+    backend.add_tenant(t, WorkloadSource(spec, make_stream(seed, 1), dev.params),
                        ServiceEstimator(nominal_mean_ns=52_300.0,
                                         nominal_tail_ns=200_000))
     alloc = QwinAllocator()

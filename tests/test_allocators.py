@@ -88,7 +88,7 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
         spec = (workloads or {}).get(
             label, WorkloadSpec(iodepth=8, numjobs=1,
                                 sizes=((4096, 1.0),) if lc else ((65536, 1.0),)))
-        src = WorkloadSource(spec, make_stream(seed, 1 + i), label, dev.params)
+        src = WorkloadSource(spec, make_stream(seed, 1 + i), dev.params)
         t = Tenant(label, lc, slo_ns=slo) if lc else Tenant(label, False)
         est = None
         if lc:

@@ -100,6 +100,32 @@ def test_all_errors_are_collected_in_one_raise():
         assert frag in msgs
 
 
+_NINE_LC = [{"label": f"lc{i}", "class": "lc", "workload": "C", "slo": {"latency_ms": 4.0}}
+            for i in range(9)]
+
+
+@pytest.mark.parametrize("over,error", [
+    ({"pool": {"total": 0}, "tenants": _NINE_LC}, "pool: total must be >= 1"),
+    ({"duration_s": "abc", "warmup_s": 100.0}, "duration_s must be a number"),
+    ({"pool": {"total": "x"}, "allocator": {"kind": "static", "static": {"counts": {"lc0": 9}}}},
+     "pool: total must be a number"),
+], ids=["pool-total", "duration", "static-sum"])
+def test_a_cross_section_rule_skips_a_key_already_reported(over, error):
+    # Judged at its default, the rejected key would add a line naming a
+    # value the config never set ("pool has 8", a 60 s duration).
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_minimal(**over))
+    assert ei.value.errors == [error]
+
+
+def test_a_static_count_rule_is_listed_beside_another_sections_problem():
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_minimal(device={"sigma": -1},
+                              allocator={"kind": "static", "static": {"counts": {}}}))
+    assert ei.value.errors == ["device: sigma must be >= 0",
+                               "allocator.static: static counts missing LC tenants: ['lc0']"]
+
+
 def test_lc_tenant_requires_an_slo():
     with pytest.raises(ConfigError, match="LC tenants need slo"):
         parse_config({"tenants": [{"label": "lc0", "class": "lc",
@@ -230,6 +256,7 @@ MALFORMED = [
     (("name",), "../../etc/x", "name must be a plain file name"),
     (("name",), "", "name must be a plain file name"),
     (("name",), "a\0b", "name must be a plain file name"),
+    (("name",), "a\nb", "name must be a plain file name"),
     (("seed",), True, "seed must be a number"),
     (("pool", "total"), True, "pool: total must be a number"),
     (("device", "capacity"), 2.7, "device: capacity must be an integer"),

@@ -99,7 +99,7 @@ def test_capacity_bounds_concurrency_and_fifo_spills():
     dev = Device(DeviceParams(capacity=2), make_np_stream(5, 0), eng)
     backend = Backend(eng, dev, 5, MetricsHub("dev", warmup_ns=0, pool_total=5))
     src = WorkloadSource(WorkloadSpec(mode=OPEN, rate_per_s=1.0),
-                         make_stream(5, 1), "be0", dev.params)
+                         make_stream(5, 1), dev.params)
     t = backend.add_tenant(Tenant("be0", False), src)
     started = []
     start = dev._start

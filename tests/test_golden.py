@@ -2,9 +2,11 @@
 
 Each case runs one built-in scenario (seed 1; 1 simulated second unless it
 overrides `duration_s`) and compares the SHA-256 of its seven CSVs and
-report.json with the digests in golden_digests.json.  Beside the scenario x
-allocator grid, EXTRA cases change settings of a scenario to reach a path the
-grid never runs, and REACHES checks from their artifacts that they still do.
+report.json with the digests in golden_digests.json, and reads each CSV back
+with the csv module: every row has its header's field count.  Beside the
+scenario x allocator grid, EXTRA cases change settings of a scenario to reach
+a path the grid never runs, and REACHES checks from their artifacts that they
+still do.
 Acceptance check 10 only shows that a run repeats within one version; this
 file catches a change that silently alters what the simulator outputs.  A
 change that means to alter outputs regenerates the file with
@@ -98,6 +100,17 @@ ALL_CASES = {**{f"{s}-{k}": (s, k, {}) for s, k in CASES}, **EXTRA}
 def _rows(paths, artifact):
     with open(paths[artifact], newline="") as f:
         return list(csv.DictReader(f))
+
+
+def _short_rows(paths):
+    """(artifact, row) for each CSV row whose field count is not its header's."""
+    bad = []
+    for artifact, path in paths.items():
+        if artifact.endswith(".csv"):
+            with open(path, newline="") as f:
+                header, *rows = csv.reader(f)
+            bad += [(artifact, row) for row in rows if len(row) != len(header)]
+    return bad
 
 
 def _column(paths, artifact, column):
@@ -202,6 +215,7 @@ def test_artifacts_match_golden_digests(case, golden, tmp_path):
     digests, paths = run_digests(*ALL_CASES[case][:2], str(tmp_path), ALL_CASES[case][2])
     assert len(digests) == 8
     assert digests == golden[case]
+    assert _short_rows(paths) == []
     if case in REACHES:
         assert REACHES[case](paths), f"{case} no longer reaches its path"
 

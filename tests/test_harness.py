@@ -11,6 +11,7 @@ from collections import deque
 import pytest
 
 import qwinsim
+from qwinsim.backend import Backend
 from qwinsim.config import ALLOCATORS, ConfigError, parse_config, scenario
 from qwinsim.device import ServiceEstimator, _service_bucket, _service_bucket_edge
 from qwinsim.harness import (_assemble_config, _build_arg_parser, _parse_seeds,
@@ -68,6 +69,15 @@ def test_build_seeds_nominals_from_dominant_size_and_direction():
     # mostly-write 64 KiB mix: nominals come from the write curve at 64 KiB
     assert est.mean_ns == cfg.device.nominal_mean_ns(False, 65536)
     assert est.tail_ns == round(cfg.device.nominal_quantile_ns(False, 65536, 0.999))
+
+
+@pytest.mark.parametrize("window_end", ["complete", "dequeue"])
+def test_build_sets_each_lc_tenants_window_end(window_end):
+    sim = build(_short_duo(window_end=window_end))
+    assert _by_label(sim)["lc0"].end_on_complete == (window_end == "complete")
+    # The tenant holds the rule; the backend takes no copy of it.
+    with pytest.raises(TypeError):
+        Backend(sim.engine, sim.device, 8, sim.hub, window_end=window_end)
 
 
 def test_estimator_scope_tenant_vs_device():
@@ -167,6 +177,22 @@ def test_completion_at_the_end_instant_is_counted_when_intervals_divide_the_run(
         assert interval_bytes == pytest.approx(tm.c_bytes, rel=1e-9, abs=0)
 
 
+def test_a_label_and_name_holding_a_comma_give_well_formed_csvs(tmp_path):
+    d = scenario("duo")
+    d["name"] = "duo,x"
+    d["tenants"][0]["label"] = "lc,0"
+    res = run_experiment(parse_config({**d, "duration_s": 0.4}), out_dir=str(tmp_path))
+    for name, path in res.paths.items():
+        if name.endswith(".csv"):
+            with open(path, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert all(len(row) == len(header) for row in rows), name
+    with open(res.paths["intervals.csv"], newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert {r["tenant"] for r in rows} == {"lc,0", "be0"}
+    assert {r["run_id"] for r in rows} == {"duo,x-qwin-s1"}
+
+
 def test_interval_rows_cover_each_tenant_per_interval(tmp_path):
     cfg = _short_duo(duration_s=2.0, warmup_s=0.5, interval_s=0.5)
     res = run_experiment(cfg, out_dir=str(tmp_path))
@@ -195,6 +221,15 @@ def test_sweep_returns_one_run_per_seed_in_order():
     assert [r.report["seed"] for r in results] == [2, 1]
     assert all(r.paths == {} for r in results)
     assert all(r.sim is None for r in results)
+
+
+@pytest.mark.parametrize("seeds,message", [([1, 1], "seeds must be distinct"),
+                                           ([2, 3, 2], "seeds must be distinct"),
+                                           ([-1], "seeds must be non-negative")])
+def test_sweep_rejects_a_bad_seed_before_running(tmp_path, seeds, message):
+    with pytest.raises(ConfigError, match=message):
+        sweep(_short_duo(duration_s=0.2, out_dir=str(tmp_path)), seeds)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_results_keep_no_simulation():
@@ -356,6 +391,28 @@ def test_cli_rejects_a_repeated_seed_before_running(tmp_path, seeds):
     assert "seeds must be distinct, got" in r.stderr
     assert "Traceback" not in r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\tb", "a\x1bb"])
+def test_cli_rejects_a_name_holding_a_control_character(tmp_path, name):
+    # It would split run_id cells and the run directory's name.
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(json.dumps({"name": name}))
+    out = tmp_path / "out"
+    r = subprocess.run(
+        [sys.executable, "-m", "qwinsim", "--scenario", "duo", "--config", str(cfg),
+         "--duration", "0.01", "--out", str(out)],
+        capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 2
+    assert "name must be a plain file name" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_validate_only_rejects_a_repeated_seed(capsys):
+    # A sweep would reject it, so --validate-only does not call it OK.
+    assert main(["--scenario", "duo", "--seeds", "1,1", "--validate-only"]) == 2
+    assert "seeds must be distinct" in capsys.readouterr().err
 
 
 def test_cli_rejects_seed_beside_seeds_before_running(tmp_path):

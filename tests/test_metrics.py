@@ -1,5 +1,6 @@
 """Latency histograms, interval/cumulative accounting, CSV layouts."""
 
+import csv
 import math
 import random
 from bisect import bisect_left
@@ -12,7 +13,7 @@ from qwinsim import MetricsHub, TenantMetrics, quantile_from_counts
 from qwinsim.metrics import (_FOLD_NS, ALLOC_HEADER, EDGES, ESTIMATORS_HEADER,
                              INTERVALS_HEADER, LATENCY_HEADER, N_BUCKETS,
                              POLICY_HEADER, TRANSFERS_HEADER, WINDOWS_HEADER,
-                             write_all)
+                             _write_csv, write_all)
 
 
 def _bucket(x):
@@ -240,6 +241,16 @@ def test_write_all_emits_seven_csvs_with_headers(tmp_path):
     # lc0 rows at the standard quantiles (slo_q 0.999 already included)
     lc_rows = [l for l in lat[1:] if l.split(",")[1] == "lc0"]
     assert [r.split(",")[3] for r in lc_rows] == ["0.5", "0.9", "0.99", "0.999"]
+
+
+def test_write_csv_quotes_a_cell_only_when_it_must(tmp_path):
+    rows = [("a,b", 'say "hi"', "two\nlines", 1.5, 7, ""), ("plain", 0.1, 2, 3, "", "x")]
+    _write_csv(tmp_path / "t.csv", "a,b,c,d,e,f", rows)
+    text = (tmp_path / "t.csv").read_text()
+    assert text.endswith("\nplain,0.1,2,3,,x\n")
+    with open(tmp_path / "t.csv", newline="") as f:
+        assert list(csv.reader(f)) == [["a", "b", "c", "d", "e", "f"],
+                                       [str(x) for x in rows[0]], [str(x) for x in rows[1]]]
 
 
 def test_latency_rows_add_slo_quantile_when_nonstandard():

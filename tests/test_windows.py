@@ -115,13 +115,12 @@ def _dequeue_mode_run(seed):
     eng = Engine()
     dev = Device(DeviceParams(read_median_us=50.0, capacity=8),
                  make_np_stream(seed, 0), eng)
-    backend = Backend(eng, dev, 8, MetricsHub("dq", warmup_ns=0, pool_total=8),
-                      window_end="dequeue")
+    backend = Backend(eng, dev, 8, MetricsHub("dq", warmup_ns=0, pool_total=8))
     spec = WorkloadSpec(mode=OPEN, rate_per_s=55_000.0, sizes=((4096, 1.0),),
                         read_ratio=0.9)
-    t = _WatchedTenant("lc0", True, slo_ns=4 * MS)
+    t = _WatchedTenant("lc0", True, slo_ns=4 * MS, end_on_complete=False)
     t.clock = lambda: eng.now
-    backend.add_tenant(t, WorkloadSource(spec, make_stream(seed, 1), "lc0", dev.params),
+    backend.add_tenant(t, WorkloadSource(spec, make_stream(seed, 1), dev.params),
                        ServiceEstimator(nominal_mean_ns=52_300.0,
                                         nominal_tail_ns=200_000))
     QwinAllocator().setup(backend)

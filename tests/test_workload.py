@@ -55,7 +55,8 @@ def test_presets_cover_table_and_validate():
 
 def _drive(spec, seed=1, label="t0", device=DeviceParams()):
     eng = Engine()
-    src = WorkloadSource(spec, make_stream(seed, 1), label, device)
+    src = WorkloadSource(spec, make_stream(seed, 1), device)
+    src.tenant = label
     arrived = []
     src.start(eng, lambda req, now: arrived.append((req, now)))
     return eng, src, arrived
@@ -102,7 +103,7 @@ def _closed_loop_starts(spec, n, seed=1):
                            make_np_stream(seed, 0), eng)
     backend = Backend(eng, dev, 1, MetricsHub("run", 0, 1))
     backend.add_tenant(Tenant("t0", False),
-                       WorkloadSource(spec, make_stream(seed, 1), "t0", _MU_DEVICE))
+                       WorkloadSource(spec, make_stream(seed, 1), _MU_DEVICE))
     backend.start()
     while len(dev.seen) < n:
         eng.run_until(eng.now + 100 * MS)
@@ -182,7 +183,7 @@ def test_every_request_carries_the_log_median_of_its_op_and_size(spec):
             if (spec.read_ratio > 0 if op else spec.read_ratio < 1)}
     # open loop: make_request
     src = WorkloadSource(dataclasses.replace(spec, mode=OPEN, rate_per_s=1.0),
-                         make_stream(9, 1), "t0", _MU_DEVICE)
+                         make_stream(9, 1), _MU_DEVICE)
     reqs = [src.make_request(0) for _ in range(3_000)]
     assert {(_op(r), r.size) for r in reqs} == want
     # closed loop: the t=0 population, then the completion handler's
@@ -331,7 +332,8 @@ def _source_arrivals(spec, seed, n, lag):
     """The first n arrivals of a WorkloadSource; each request completes once
     `lag` later ones have arrived, so completed requests get reused."""
     eng = _OneShotEngine()
-    src = WorkloadSource(spec, make_stream(seed, 1), "t0", _MU_DEVICE)
+    src = WorkloadSource(spec, make_stream(seed, 1), _MU_DEVICE)
+    src.tenant = "t0"
     out, live = [], []
 
     def enqueue(req, now):
