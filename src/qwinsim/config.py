@@ -17,8 +17,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
 from typing import NamedTuple
 
-import yaml
-
 from .baselines import (CongestionAllocator, CongestionParams, FeedbackAllocator,
                         FeedbackParams, PriorityAllocator, StaticAllocator, StaticParams)
 from .device import DeviceParams
@@ -131,6 +129,7 @@ class ExperimentConfig:
         return f"{self.name}-{self.allocator_id()}-s{self.seed if seed is None else seed}"
 
     def to_yaml(self) -> str:
+        import yaml   # here, not at module load: a run from a scenario never loads PyYAML
         return yaml.safe_dump(_plain(self), sort_keys=False)
 
 
@@ -426,7 +425,7 @@ def parse_config(d: dict) -> ExperimentConfig:
          "name must be a plain file name: not empty, no '/' or control character"),
         (("warmup_s", "duration_s"), (cfg.warmup_ns or 0) >= cfg.duration_ns,
          "warmup_s must be smaller than duration_s"),
-        (("tenants",), not (d or {}).get("tenants"), "at least one tenant is required"),
+        (("tenants",), not (d or {}).get("tenants"), "tenants: at least one tenant is required"),
         (("tenants",), len(set(labels)) < len(labels), f"duplicate tenant label in {labels}"),
         (("pool", *by_label), cfg.allocator.kind != "priority" and len(lc_labels) > pool,
          f"{len(lc_labels)} LC tenants need at least that many cores; pool has {pool}"),
@@ -452,6 +451,7 @@ def parse_config(d: dict) -> ExperimentConfig:
 
 def read_yaml(stream) -> dict:
     """The mapping at the root of a YAML text or file ({} when it is empty)."""
+    import yaml
     try:
         d = yaml.safe_load(stream)
     # ValueError: e.g. a date like 2021-13-45; RecursionError: nesting too deep.

@@ -309,6 +309,11 @@ def main(argv=None) -> int:
               f"({n_lc} lc + {len(cfg.tenants) - n_lc} be tenants, "
               f"{cfg.pool_total} cores)")
         return 0
+    try:   # before any run, so an unusable --out costs no simulation
+        os.makedirs(cfg.out_dir or os.curdir, exist_ok=True)
+    except OSError as e:
+        print(f"cannot write results under {cfg.out_dir}: {e}", file=sys.stderr)
+        return 2
     if args.seeds:
         results = sweep(cfg, args.seeds)
         for r in results:

@@ -2,6 +2,7 @@
 
 import copy
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -488,25 +489,51 @@ JUNK = st.one_of(
     st.dictionaries(st.one_of(st.text(max_size=3), st.integers(), st.none()),
                     st.one_of(st.integers(), st.text(max_size=2), st.none()),
                     max_size=2))
+# Values at and beside the edges of the bounds in BOUNDS, and one of each other YAML kind.
+BOUNDARY = st.sampled_from([0, 1, 1e-10, -0.1, 10**400, float("nan"), "x", [1],
+                            {"x": 1}, None])
+
+# The keys a user writes, and the attributes they are stored under that no
+# user writes (duration_ns, pool_total, tenant_class, ...).
+USER_KEYS = {k.name for keys in SCHEMA.values() for k in keys}
+USER_KEYS |= {sub.name for keys in SCHEMA.values() for k in keys if k.attr is None
+              for sub in k.type}
+INTERNAL = {f.name for cls in SCHEMA for f in fields(cls)} - USER_KEYS
+
+
+def _names_a_user_key(line):
+    words = set(re.findall(r"[A-Za-z_]\w*", line))
+    return not words & INTERNAL and (
+        bool(words & USER_KEYS) or "unknown key " in line
+        or line == "config root must be a mapping")
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_any_mangled_config_parses_or_raises_config_error(data):
-    # Start from a scenario's full serialised tree, so every section is there.
+    # Start from a scenario's full serialised tree, so every section is there,
+    # and set 1-3 of its paths (the root included) to a boundary or junk value.
     name = data.draw(st.sampled_from(SCENARIOS))
     tree = yaml.safe_load(parse_config(scenario(name)).to_yaml())
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_paths(tree))))
-        value = data.draw(JUNK)
+        # A copy: a later path may lie inside it, and BOUNDARY's list and
+        # mapping are the same objects in every example.
+        value = copy.deepcopy(data.draw(st.one_of(BOUNDARY, JUNK)))
         if path:
             _set(tree, path, value)
         else:
             tree = value
+    # The only outcomes: a ConfigError whose every line names a key the user
+    # writes, or a config that reads back from its own YAML unchanged.
     try:
-        parse_config(tree)
-    except ConfigError:
-        pass
+        cfg = parse_config(tree)
+    except ConfigError as e:
+        assert e.errors
+        bad = [line for line in e.errors if not _names_a_user_key(line)]
+        assert not bad, bad
+        return
+    assert parse_config(read_yaml(cfg.to_yaml())) == cfg
 
 
 def test_readme_config_block_parses():
@@ -517,10 +544,7 @@ def test_readme_config_block_parses():
     assert parse_config(read_yaml(cfg.to_yaml())) == cfg
     # The block lists every key the schema accepts.
     shown = {k for p in _paths(yaml.safe_load(block)) for k in p if isinstance(k, str)}
-    accepted = {k.name for keys in SCHEMA.values() for k in keys}
-    accepted |= {sub.name for keys in SCHEMA.values() for k in keys
-                 if k.attr is None for sub in k.type}
-    assert accepted <= shown, sorted(accepted - shown)
+    assert USER_KEYS <= shown, sorted(USER_KEYS - shown)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,44 @@ def test_cli_rejects_a_name_holding_a_control_character(tmp_path, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", [("--seed", "1"), ("--seeds", "1,2")], ids=["seed", "seeds"])
+def test_cli_rejects_an_out_that_is_a_file_before_running(tmp_path, seeds):
+    # The output directory is made before any run, so a file there costs no
+    # simulation and gives no traceback.
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    r = subprocess.run(
+        [sys.executable, "-m", "qwinsim", "--scenario", "duo", *seeds,
+         "--duration", "0.01", "--out", str(out)],
+        capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 2
+    assert f"cannot write results under {out}:" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+    assert out.read_text() == "keep\n"
+
+
+def test_a_scenario_run_never_loads_pyyaml(tmp_path):
+    # Only reading or writing YAML loads PyYAML; the same run from a config
+    # file loads it and writes the same bytes.
+    cfg = tmp_path / "duo.yaml"
+    cfg.write_text(parse_config(scenario("duo")).to_yaml())
+    a, b = tmp_path / "a", tmp_path / "b"
+    code = "\n".join((
+        "import sys",
+        "from qwinsim.harness import main",
+        f"main(['--scenario', 'duo', '--duration', '0.01', '--out', {str(a)!r}])",
+        "print('yaml' in sys.modules, file=sys.stderr)",
+        f"main(['--config', {str(cfg)!r}, '--duration', '0.01', '--out', {str(b)!r}])",
+        "print('yaml' in sys.modules, file=sys.stderr)"))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd="/", env=_child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.split() == ["False", "True"]
+    written = [{p.name: p.read_bytes() for p in (d / "duo-qwin-s1").iterdir()} for d in (a, b)]
+    assert set(written[0]) == ARTIFACTS
+    assert written[0] == written[1]
+
+
 def test_validate_only_rejects_a_repeated_seed(capsys):
     # A sweep would reject it, so --validate-only does not call it OK.
     assert main(["--scenario", "duo", "--seeds", "1,1", "--validate-only"]) == 2
