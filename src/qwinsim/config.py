@@ -22,7 +22,8 @@ from .baselines import (CongestionAllocator, CongestionParams, FeedbackAllocator
 from .device import DeviceParams
 from .qwin_allocator import POLICIES, PolicyParams, QwinAllocator
 from .sim_core import MS, SEC, US
-from .workload import Burst, PRESETS, PRESET_CLASS, WorkloadSpec, CLOSED, OPEN
+from .workload import (Burst, NOT_SCHEDULED, PRESETS, PRESET_CLASS, WorkloadSpec,
+                       CLOSED, OPEN)
 
 # Allocator kind -> class.  A class with a Params dataclass is configured by
 # the allocator section of the same name; its setup(backend) is its one entry
@@ -155,6 +156,12 @@ BOUNDS = {
     "in [0, 1]": lambda x: 0 <= x <= 1,
     "in (0, 1]": lambda x: 0 < x <= 1,
     "in (0, 1)": lambda x: 0 < x < 1,
+    # Upper ends: the pool builds a Core per slot and an estimator a ring of
+    # hist_window samples; capacity shares the pool's end.  A run's ns stay
+    # below the finish_at sentinel, so every time fits an int64 trace column.
+    "in [1, 4096]": lambda x: 1 <= x <= 4096,
+    "in [1, 10**7]": lambda x: 1 <= x <= 10**7,
+    "in (0, 2**62 ns)": lambda x: 0 < x < NOT_SCHEDULED,
 }
 
 
@@ -309,12 +316,12 @@ SCHEMA = {
     ExperimentConfig: (
         Key("name", "name", str),
         Key("seed", "seed", int, bound=">= 0"),
-        Key("duration_s", "duration_ns", int, SEC, "> 0"),
+        Key("duration_s", "duration_ns", int, SEC, "in (0, 2**62 ns)"),
         Key("warmup_s", "warmup_ns", int, SEC, ">= 0"),
         Key("interval_s", "interval_ns", int, SEC, "> 0"),
         Key("out_dir", "out_dir", str),
         Key("window_end", "window_end", ("complete", "dequeue")),
-        Key("pool", None, (Key("total", "pool_total", int, bound=">= 1"),)),
+        Key("pool", None, (Key("total", "pool_total", int, bound="in [1, 4096]"),)),
         Key("device", "device", DeviceParams),
         Key("estimators", "estimators", EstimatorConfig),
         Key("allocator", "allocator", AllocatorConfig),
@@ -326,13 +333,13 @@ SCHEMA = {
         Key("sigma", "sigma", float, bound=">= 0"),
         Key("p_spike", "p_spike", float, bound="in [0, 1]"),
         Key("m_spike", "m_spike", float, bound=">= 1"),
-        Key("capacity", "capacity", int, bound=">= 1"),
+        Key("capacity", "capacity", int, bound="in [1, 4096]"),
         Key("ref_block_bytes", "ref_block_bytes", int, bound="> 0"),
         Key("size_exponent", "size_exponent", float),
     ),
     EstimatorConfig: (
         Key("ewma_alpha", "ewma_alpha", float, bound="in (0, 1]"),
-        Key("hist_window", "hist_window", int, bound=">= 1"),
+        Key("hist_window", "hist_window", int, bound="in [1, 10**7]"),
         Key("scope", "scope", ("tenant", "device")),
     ),
     AllocatorConfig: (

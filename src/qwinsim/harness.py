@@ -149,7 +149,13 @@ class RunResult:
 
 def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
                    out_dir: str | None = None, write: bool = True) -> RunResult:
-    """Run one configuration to completion and (optionally) write artifacts."""
+    """Run one configuration to completion and (optionally) write artifacts.
+    With `write`, the run directory is made first: an unusable one raises
+    OSError before anything is simulated."""
+    if write:
+        run_dir = os.path.join(out_dir if out_dir is not None else cfg.out_dir,
+                               cfg.run_id(seed))
+        os.makedirs(run_dir, exist_ok=True)
     sim = build(cfg, seed)
     _start_metric_ticks(sim)
     sim.backend.start()
@@ -165,8 +171,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     report = make_report(sim)
     paths = {}
     if write:
-        run_dir = os.path.join(out_dir if out_dir is not None else cfg.out_dir,
-                               sim.run_id)
         paths = write_all(sim.hub, run_dir)
         rp = os.path.join(run_dir, "report.json")
         with open(rp, "w") as f:
@@ -309,23 +313,19 @@ def main(argv=None) -> int:
               f"({n_lc} lc + {len(cfg.tenants) - n_lc} be tenants, "
               f"{cfg.pool_total} cores)")
         return 0
-    try:   # before any run, so an unusable --out costs no simulation
-        os.makedirs(cfg.out_dir or os.curdir, exist_ok=True)
+    try:
+        results = sweep(cfg, args.seeds) if args.seeds else [run_experiment(cfg)]
     except OSError as e:
         print(f"cannot write results under {cfg.out_dir}: {e}", file=sys.stderr)
         return 2
+    for r in results:
+        _print_report(r.report, sys.stdout)
     if args.seeds:
-        results = sweep(cfg, args.seeds)
-        for r in results:
-            _print_report(r.report, sys.stdout)
         for tc in cfg.lc_tenants():
             met = sum(r.report["tenants"][tc.label]["slo_met"] for r in results)
             print(f"{tc.label}: SLO met in {met}/{len(results)} seeds")
-        return 0
-    result = run_experiment(cfg)
-    _print_report(result.report, sys.stdout)
-    out_dir = os.path.dirname(result.paths["report.json"])
-    print(f"artifacts: {out_dir}")
+    else:
+        print(f"artifacts: {os.path.dirname(results[0].paths['report.json'])}")
     return 0
 
 

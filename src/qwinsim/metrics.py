@@ -6,8 +6,9 @@ live histogram (TenantMetrics.record logs it, and numpy folds the log in).
 Quantiles follow the rule "smallest bucket upper edge whose cumulative
 fraction reaches q", which bounds the error by one bucket width.  Core
 counts have one record, the alloc trace: each interval's mean_cores is
-integrated from its rows.  The csv module writes every cell, so a cell that
-holds ',', '"' or a newline is quoted.
+integrated from its rows.  Each trace artifact's rows are held in a Trace,
+as typed columns.  The csv module writes every cell, so a cell that holds
+',', '"' or a newline is quoted.
 """
 
 from __future__ import annotations
@@ -176,21 +177,68 @@ class TenantMetrics:
         self._m_counts = self.counts.copy()
 
 
+class Trace:
+    """The rows of one CSV artifact, held as columns.
+
+    `append` is the C-level append of a list of pending row tuples.  fold()
+    moves them into the columns: a cell of a column named in `ints` into an
+    array('q'), 8 bytes, any other cell into a list.  Every read folds
+    first and gives the rows back as tuples, in the order appended.  A row
+    of the wrong width, or an int-column cell that is not an int in the
+    int64 range, fails the fold and leaves the trace as it was.
+    """
+
+    __slots__ = ("append", "_pending", "_cols")
+
+    def __init__(self, header: str, *ints: str):
+        names = header.split(",")
+        assert set(ints) <= set(names), ints
+        self._pending: list[tuple] = []
+        self.append = self._pending.append
+        self._cols = [array("q") if name in ints else [] for name in names]
+
+    def fold(self):
+        pending, cols = self._pending, self._cols
+        if pending:
+            # Each zip is strict: a row of the wrong width raises ValueError.
+            chunks = [array("q", c) if type(col) is array else c
+                      for col, c in zip(cols, zip(*pending, strict=True), strict=True)]
+            for col, c in zip(cols, chunks):
+                col.extend(c)
+            pending.clear()   # in place: `append` stays bound to this list
+
+    def since(self, i: int):
+        """The rows from index i on."""
+        self.fold()
+        return zip(*[col[i:] for col in self._cols])
+
+    def __iter__(self):
+        self.fold()
+        return zip(*self._cols)
+
+    def __len__(self):
+        self.fold()
+        return len(self._cols[0])
+
+
 class MetricsHub:
-    """Owns per-tenant metrics, interval rows, and the trace row lists; the
-    code behind each decision appends its row, in its *_HEADER's column order."""
+    """Owns per-tenant metrics, interval rows, and the trace rows; the code
+    behind each decision appends its row, in its *_HEADER's column order."""
 
     def __init__(self, run_id: str, warmup_ns: int, pool_total: int):
         self.run_id = run_id
         self.warmup_ns = warmup_ns
         self.pool_total = pool_total
         self.tenants: dict[str, TenantMetrics] = {}
-        self.interval_rows: list[tuple] = []
-        self.alloc_rows: list[tuple] = []
-        self.window_rows: list[tuple] = []
-        self.policy_rows: list[tuple] = []
-        self.transfer_rows: list[tuple] = []
-        self.estimator_rows: list[tuple] = []
+        # Int columns hold counts and times, which config keeps below 2**62 ns
+        # by bounding duration_s; slack_ns and tail_io_ns stay plain, because
+        # an SLO latency or a device setting has no upper bound.
+        self.interval_rows = Trace(INTERVALS_HEADER, "interval")
+        self.alloc_rows = Trace(ALLOC_HEADER, "time_ns", "old_num", "new_num")
+        self.window_rows = Trace(WINDOWS_HEADER, "wid", "ql", "tw_ns", "granted_cores")
+        self.policy_rows = Trace(POLICY_HEADER, "time_ns")
+        self.transfer_rows = Trace(TRANSFERS_HEADER, "core", "marked_ns", "effective_ns")
+        self.estimator_rows = Trace(ESTIMATORS_HEADER, "time_ns")
         self._interval_idx = 0
         self._interval_start = 0
         self._cores: dict[str, int] = {}   # LC core counts at _interval_start
@@ -210,23 +258,28 @@ class MetricsHub:
     def lc_cores(self) -> dict:
         """Each LC tenant's core count, replayed from the alloc rows."""
         cores = dict(self._cores)
-        for _, label, old, new, _ in self.alloc_rows[self._alloc_read:]:
+        for _, label, old, new, _ in self.alloc_rows.since(self._alloc_read):
             cores[label] += new - old
         return cores
 
     # -- interval machinery -----------------------------------------------------
 
     def flush_interval(self, now: int):
-        """Close the interval ending at `now` and emit one row per tenant."""
+        """Fold the trace rows; close the interval ending at `now` and emit
+        one row per tenant."""
+        for trace in (self.interval_rows, self.alloc_rows, self.window_rows,
+                      self.policy_rows, self.transfer_rows, self.estimator_rows):
+            trace.fold()
         length = now - self._interval_start
         if length <= 0:
             return
         # Integrate each LC count from its value at the interval start and
         # the alloc rows written since; the BE pool holds the rest.
-        area = {label: num * length for label, num in self._cores.items()}
-        for t, label, old, new, _ in self.alloc_rows[self._alloc_read:]:
+        cores = self._cores
+        area = {label: num * length for label, num in cores.items()}
+        for t, label, old, new, _ in self.alloc_rows.since(self._alloc_read):
             area[label] += (new - old) * (now - t)
-        self._cores = self.lc_cores()
+            cores[label] += new - old
         self._alloc_read = len(self.alloc_rows)
         be_mean = (self.pool_total * length - sum(area.values())) / length
         secs = length / SEC

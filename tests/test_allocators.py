@@ -136,10 +136,10 @@ def test_adjust_grow_and_shrink_arithmetic():
     new_window(lc, 0)
     alloc.adjust_cores(lc, 3, 0, "window_start")
     assert lc.num == 3 and backend.be_count == 1
-    assert hub.alloc_rows[-1] == (0, "lc0", 1, 3, "window_start")
+    assert list(hub.alloc_rows)[-1] == (0, "lc0", 1, 3, "window_start")
     alloc.adjust_cores(lc, 1, 0, "window_start")
     assert lc.num == 1 and backend.be_count == 3
-    assert hub.alloc_rows[-1] == (0, "lc0", 3, 1, "window_start")
+    assert list(hub.alloc_rows)[-1] == (0, "lc0", 3, 1, "window_start")
     # conservation after every move
     backend.check_invariants()
 
@@ -152,7 +152,7 @@ def test_adjust_beyond_pool_records_shortfall():
     # the pool only has 3 spare cores; asking for 8 total falls short
     alloc.adjust_cores(lc, 8, 0, "probe")
     assert lc.num == 4                       # everything the pool had
-    assert hub.alloc_rows[-1][4] == "shortfall"
+    assert list(hub.alloc_rows)[-1][4] == "shortfall"
     # _fill wakes no core: step the parked one as an arrival would
     backend.core_step(backend.cores[lc.idle.pop(0)], 0)
     assert len(lc.queue) == 4
@@ -179,7 +179,7 @@ def test_short_baseline_grant_is_written_as_shortfall():
     lc = _by_label(backend)["lc0"]
     _feed(lc, 10 * MS, 50)
     alloc._tick(None, 100 * US)
-    assert hub.alloc_rows == [(100 * US, "lc0", 1, 2, "shortfall")]
+    assert list(hub.alloc_rows) == [(100 * US, "lc0", 1, 2, "shortfall")]
     backend.check_invariants()
 
 
@@ -199,8 +199,8 @@ def test_release_writes_old_and_new_count_with_the_callers_trigger():
     new_window(lc, 0)
     assert backend.grant_cores(lc, 2, 0, "window_start") == 2
     assert backend.release_cores(lc, 1, 5, "reclaim") == 1
-    assert hub.alloc_rows == [(0, "lc0", 1, 3, "window_start"),
-                              (5, "lc0", 3, lc.num, "reclaim")]
+    assert list(hub.alloc_rows) == [(0, "lc0", 1, 3, "window_start"),
+                                    (5, "lc0", 3, lc.num, "reclaim")]
     assert lc.num == 2
     backend.check_invariants()
 
@@ -225,14 +225,6 @@ def test_core_step_serves_the_be_pool_on_a_core_its_own_step_yields():
     backend.check_invariants()
 
 
-class _ProbeRowsLost(list):
-    """An alloc trace that drops every probe row appended to it."""
-
-    def append(self, row):
-        if row[4] != "probe":
-            super().append(row)
-
-
 def test_a_run_whose_probe_rows_are_lost_fails_at_the_end(monkeypatch):
     # The end-of-run check replays the alloc trace: a count change that
     # skips its row fails the run instead of skewing mean_cores.
@@ -240,7 +232,8 @@ def test_a_run_whose_probe_rows_are_lost_fails_at_the_end(monkeypatch):
 
     def lossy_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.alloc_rows = _ProbeRowsLost()
+        keep = self.alloc_rows.append   # drops every probe row appended
+        self.alloc_rows.append = lambda row: row[4] == "probe" or keep(row)
 
     monkeypatch.setattr(MetricsHub, "__init__", lossy_init)
     cfg = parse_config({**scenario("duo"), "duration_s": 0.1, "warmup_s": 0.0})
@@ -338,7 +331,7 @@ def test_refresh_policy_switches_on_measured_slack():
     alloc._refresh_policy(lc, 123)
     assert lc.policy == CONSERVATIVE
     assert _since_mark(lc) == 0                  # consumed and reset
-    assert hub.policy_rows[-1][:4] == (123, "lc0", "aggressive", "conservative")
+    assert list(hub.policy_rows)[-1][:4] == (123, "lc0", "aggressive", "conservative")
     # measured tail just under the SLO -> slack tiny -> aggressive
     _feed(lc, lc.slo_ns - 10_000, 2_000)
     alloc._refresh_policy(lc, 456)
@@ -534,13 +527,13 @@ def test_feedback_scales_up_on_violation_and_down_with_headroom():
     _feed(lc, 10 * MS, 50)
     alloc._tick(None, 100 * US)
     assert lc.num == 2
-    assert hub.alloc_rows[-1][4] == "feedback_up"
+    assert list(hub.alloc_rows)[-1][4] == "feedback_up"
     assert _since_mark(lc) == 0                   # feedback resets each interval
     # comfortable tail -> shed one
     _feed(lc, 100_000, 50)
     alloc._tick(None, 200 * US)
     assert lc.num == 1
-    assert hub.alloc_rows[-1][4] == "feedback_down"
+    assert list(hub.alloc_rows)[-1][4] == "feedback_down"
     # never below one core
     _feed(lc, 100_000, 50)
     alloc._tick(None, 300 * US)

@@ -97,7 +97,7 @@ def test_all_errors_are_collected_in_one_raise():
     msgs = "\n".join(ei.value.errors)
     assert len(ei.value.errors) >= 6
     for frag in ("seed", "duration_s", "interval_s", "window_end",
-                 "pool: total must be >= 1", "at least one tenant"):
+                 "pool: total must be in [1, 4096]", "at least one tenant"):
         assert frag in msgs
 
 
@@ -106,7 +106,7 @@ _NINE_LC = [{"label": f"lc{i}", "class": "lc", "workload": "C", "slo": {"latency
 
 
 @pytest.mark.parametrize("over,error", [
-    ({"pool": {"total": 0}, "tenants": _NINE_LC}, "pool: total must be >= 1"),
+    ({"pool": {"total": 0}, "tenants": _NINE_LC}, "pool: total must be in [1, 4096]"),
     ({"duration_s": "abc", "warmup_s": 100.0}, "duration_s must be a number"),
     ({"pool": {"total": "x"}, "allocator": {"kind": "static", "static": {"counts": {"lc0": 9}}}},
      "pool: total must be a number"),
@@ -295,21 +295,26 @@ LC0 = "tenants[0] (lc0)"
 BASE = {**scenario("burst-duo"), "allocator": {"kind": "static", "static": {"counts": {"lc0": 2}}}}
 REJECTED = [
     (("seed",), -1, "seed must be >= 0"),
-    (("duration_s",), 0, "duration_s must be > 0"),
+    (("duration_s",), 0, "duration_s must be in (0, 2**62 ns)"),
+    (("duration_s",), 5e9, "duration_s must be in (0, 2**62 ns)"),
     (("warmup_s",), -1.0, "warmup_s must be >= 0"),
     (("interval_s",), 0, "interval_s must be > 0"),
-    (("pool", "total"), 0, "pool: total must be >= 1"),
+    (("pool", "total"), 0, "pool: total must be in [1, 4096]"),
+    (("pool", "total"), 4097, "pool: total must be in [1, 4096]"),
     (("device", "read_median_us"), 0, "device: read_median_us must be > 0"),
     (("device", "write_median_us"), 0, "device: write_median_us must be > 0"),
     (("device", "sigma"), -0.1, "device: sigma must be >= 0"),
     (("device", "p_spike"), -0.1, "device: p_spike must be in [0, 1]"),
     (("device", "p_spike"), 1.5, "device: p_spike must be in [0, 1]"),
     (("device", "m_spike"), 0.5, "device: m_spike must be >= 1"),
-    (("device", "capacity"), 0, "device: capacity must be >= 1"),
+    (("device", "capacity"), 0, "device: capacity must be in [1, 4096]"),
+    (("device", "capacity"), 4097, "device: capacity must be in [1, 4096]"),
     (("device", "ref_block_bytes"), 0, "device: ref_block_bytes must be > 0"),
     (("estimators", "ewma_alpha"), 0.0, "estimators: ewma_alpha must be in (0, 1]"),
     (("estimators", "ewma_alpha"), 1.5, "estimators: ewma_alpha must be in (0, 1]"),
-    (("estimators", "hist_window"), 0, "estimators: hist_window must be >= 1"),
+    (("estimators", "hist_window"), 0, "estimators: hist_window must be in [1, 10**7]"),
+    (("estimators", "hist_window"), 10**7 + 1, "estimators: hist_window must be in [1, 10**7]"),
+    (("estimators", "hist_window"), 10**12, "estimators: hist_window must be in [1, 10**7]"),
     (("allocator", "qwin", "policy_window"), 0, "allocator.qwin: policy_window must be >= 1"),
     (("allocator", "qwin", "min_tail_samples"), 0,
      "allocator.qwin: min_tail_samples must be >= 1"),
@@ -366,6 +371,14 @@ def test_bad_value_gives_its_error(path, value, line):
     assert ei.value.errors == [line]
 
 
+def test_a_value_at_an_upper_bound_parses():
+    d = {**scenario("duo"), "duration_s": 4.6e9, "pool": {"total": 4096},
+         "device": {"capacity": 4096}, "estimators": {"hist_window": 10**7}}
+    cfg = parse_config(d)
+    assert (cfg.pool_total, cfg.device.capacity, cfg.estimators.hist_window) == (4096, 4096, 10**7)
+    assert cfg.duration_ns == 4_600_000_000 * 10**9
+
+
 def test_every_bound_in_the_schema_is_in_the_rejection_table():
     need = Counter()
     for keys in SCHEMA.values():
@@ -382,7 +395,7 @@ def test_every_problem_in_a_section_is_listed():
         parse_config(d)
     assert ei.value.errors == ["device: sigma must be >= 0",
                                "device: p_spike must be in [0, 1]",
-                               "device: capacity must be >= 1"]
+                               "device: capacity must be in [1, 4096]"]
 
 
 def test_errors_name_the_keys_a_user_writes():

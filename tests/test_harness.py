@@ -16,6 +16,7 @@ from qwinsim.config import ALLOCATORS, ConfigError, parse_config, scenario
 from qwinsim.device import ServiceEstimator, _service_bucket, _service_bucket_edge
 from qwinsim.harness import (_assemble_config, _build_arg_parser, _parse_seeds,
                              build, main, run_experiment, sweep)
+from qwinsim.sim_core import Engine
 from qwinsim.workload import CLOSED
 
 ARTIFACTS = {"latency.csv", "intervals.csv", "alloc_trace.csv", "windows.csv",
@@ -423,6 +424,32 @@ def test_cli_rejects_an_out_that_is_a_file_before_running(tmp_path, seeds):
     assert f"cannot write results under {out}:" in r.stderr
     assert "Traceback" not in r.stderr and r.stdout == ""
     assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("run", [run_experiment, lambda cfg: sweep(cfg, [1, 2])],
+                         ids=["run_experiment", "sweep"])
+def test_an_unusable_run_directory_fails_before_simulating(tmp_path, monkeypatch, run):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    calls = []
+    monkeypatch.setattr(Engine, "run_until", lambda self, end: calls.append(end))
+    with pytest.raises(NotADirectoryError):
+        run(parse_config({**scenario("duo"), "duration_s": 0.01, "out_dir": str(out)}))
+    assert calls == [] and out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("over, line", [
+    ({"pool": {"total": 4097}}, "pool: total must be in [1, 4096]"),
+    ({"device": {"capacity": 4097}}, "device: capacity must be in [1, 4096]"),
+    ({"estimators": {"hist_window": 10**12}}, "estimators: hist_window must be in [1, 10**7]"),
+    ({"duration_s": 5e9}, "duration_s must be in (0, 2**62 ns)"),
+], ids=["pool.total", "device.capacity", "estimators.hist_window", "duration_s"])
+def test_validate_only_rejects_a_value_past_its_upper_bound(tmp_path, capsys, over, line):
+    cfg, out = tmp_path / "big.yaml", tmp_path / "out"
+    cfg.write_text(json.dumps({**scenario("duo"), **over}))   # JSON text is YAML
+    assert main(["--config", str(cfg), "--out", str(out), "--validate-only"]) == 2
+    assert capsys.readouterr().err == f"invalid config:\n  - {line}\n"
+    assert not out.exists()
 
 
 def test_a_scenario_run_never_loads_pyyaml(tmp_path):

@@ -1,19 +1,22 @@
 """Latency histograms, interval/cumulative accounting, CSV layouts."""
 
 import csv
+import gc
 import math
 import random
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwinsim import MetricsHub, TenantMetrics, quantile_from_counts
+from qwinsim import MetricsHub, TenantMetrics, parse_config, quantile_from_counts, scenario
+from qwinsim.harness import _start_metric_ticks, build
 from qwinsim.metrics import (_FOLD_NS, ALLOC_HEADER, EDGES, ESTIMATORS_HEADER,
                              INTERVALS_HEADER, LATENCY_HEADER, N_BUCKETS,
                              POLICY_HEADER, TRANSFERS_HEADER, WINDOWS_HEADER,
-                             _write_csv, write_all)
+                             Trace, _write_csv, write_all)
 
 
 def _bucket(x):
@@ -208,11 +211,70 @@ def test_alloc_window_policy_transfer_estimator_rows():
     hub.policy_rows.append((700, "lc0", "aggressive", "slo_aware", 450_000))
     hub.transfer_rows.append((4, "__be__", "lc0", 500, 750, "lc0"))
     hub.estimator_rows.append((1_000, "lc0", 105_333.5, 260_000))
-    assert hub.alloc_rows == [(500, "lc0", 1, 3, "window_start")]
-    assert hub.window_rows == [("lc0", 1, 12, 2_000, 3, "slo_aware")]
-    assert hub.policy_rows == [(700, "lc0", "aggressive", "slo_aware", 450_000)]
-    assert hub.transfer_rows == [(4, "__be__", "lc0", 500, 750, "lc0")]
-    assert hub.estimator_rows == [(1_000, "lc0", 105_333.5, 260_000)]
+    assert list(hub.alloc_rows) == [(500, "lc0", 1, 3, "window_start")]
+    assert list(hub.window_rows) == [("lc0", 1, 12, 2_000, 3, "slo_aware")]
+    assert list(hub.policy_rows) == [(700, "lc0", "aggressive", "slo_aware", 450_000)]
+    assert list(hub.transfer_rows) == [(4, "__be__", "lc0", 500, 750, "lc0")]
+    assert list(hub.estimator_rows) == [(1_000, "lc0", 105_333.5, 260_000)]
+
+
+_ROWS = st.lists(st.tuples(
+    st.integers(-2**63, 2**63 - 1), st.text(max_size=3), st.floats(allow_nan=False),
+    st.one_of(st.just(""), st.integers()), st.integers(-2**63, 2**63 - 1)))
+
+
+@given(_ROWS, st.sets(st.integers(0, 30)))
+@settings(max_examples=200, deadline=None)
+def test_trace_gives_back_its_rows_across_folds(rows, folds):
+    trace = Trace("a,b,c,d,e", "a", "e")
+    for i, row in enumerate(rows):
+        trace.append(row)
+        if i in folds:
+            trace.fold()
+    assert list(trace) == rows
+    assert len(trace) == len(rows)
+    for i in range(len(rows) + 1):
+        assert list(trace.since(i)) == rows[i:]
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((1.5, "x"), TypeError), ((2**63, "x"), OverflowError), ((-2**63 - 1, "x"), OverflowError),
+    (("7", "x"), TypeError), ((None, "x"), TypeError), ((1,), ValueError), ((1, "x", 2), ValueError),
+], ids=["float", "2**63", "-2**63-1", "str", "None", "short row", "long row"])
+def test_trace_fold_fails_on_a_cell_it_cannot_hold_and_writes_nothing(bad, error):
+    trace = Trace("n,s", "n")
+    trace.append((1, "a"))
+    trace.fold()
+    trace.append((2, "b"))
+    trace.append(bad)
+    with pytest.raises(error):
+        trace.fold()
+    with pytest.raises(error):   # the row stays pending: every read fails
+        list(trace)
+    assert [len(col) for col in trace._cols] == [1, 1]
+
+
+def test_trace_rows_are_held_in_columns_not_tuples():
+    # A 3 s burst-duo/qwin run holds 94 B per window, alloc and transfer
+    # row, fixed run state included, against 185 B with a tuple per row.
+    cfg = parse_config({**scenario("burst-duo"), "duration_s": 3.0})
+    sim = build(cfg)
+    _start_metric_ticks(sim)
+    sim.backend.start()
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim.engine.run_until(cfg.duration_ns)
+        sim.hub.flush_interval(cfg.duration_ns)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    hub = sim.hub
+    rows = len(hub.window_rows) + len(hub.alloc_rows) + len(hub.transfer_rows)
+    assert rows > 5_000
+    assert held / rows < 125
 
 
 def test_headers_are_pinned():
@@ -271,7 +333,7 @@ def test_mean_cores_is_time_weighted():
     hub.alloc_rows.append((250, "lc0", 0, 4, "window_start"))  # 0 cores for 250ns, then 4
     hub.tenants["lc0"].record(1_000, 1, 10)
     hub.flush_interval(1_000)
-    row = hub.interval_rows[0]
+    row = list(hub.interval_rows)[0]
     assert float(row[5]) == pytest.approx((0 * 250 + 4 * 750) / 1_000)
 
 
