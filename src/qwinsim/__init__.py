@@ -10,8 +10,8 @@ interval-feedback baselines are included for comparison.
 Typical use:
 
     from qwinsim import scenario, parse_config, run_experiment
-    cfg = parse_config(scenario("duo"))
-    result = run_experiment(cfg, seed=3)
+    cfg = parse_config({**scenario("duo"), "seed": 3})
+    result = run_experiment(cfg)
     print(result.report["tenants"]["lc0"]["tail_ns"])
 """
 

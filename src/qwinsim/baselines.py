@@ -35,12 +35,10 @@ class StaticAllocator(_PlainLcStep):
     Params = StaticParams
     reads_estimators = False
 
-    def __init__(self, params: StaticParams):
+    def __init__(self, params: StaticParams, backend):
         self.params = params
-
-    def setup(self, backend):
         backend.allocator = self
-        backend.assign_lc_cores(self.params.counts)
+        backend.assign_lc_cores(params.counts)
 
 
 class PriorityAllocator:
@@ -51,7 +49,7 @@ class PriorityAllocator:
     Params = None
     reads_estimators = False
 
-    def setup(self, backend):
+    def __init__(self, _params, backend):
         backend.allocator = self
         backend.pool_tiers.insert(0, [list(backend.lc_tenants), 0])
         for t in backend.lc_tenants:
@@ -62,13 +60,10 @@ class _PeriodicAllocator(_PlainLcStep):
     """Starts each LC tenant on one core, then every `period` ns applies the
     per-tenant rule `step` to the LC tenants in order."""
 
-    def __init__(self, params=None):
-        self.params = params or self.Params()
-        self.backend = None
-
-    def setup(self, backend):
-        backend.allocator = self
+    def __init__(self, params, backend):
+        self.params = params
         self.backend = backend
+        backend.allocator = self
         backend.assign_lc_cores()
         backend.engine.schedule(self.period, EventKind.POLICY_PROBE, self._tick, None)
 

@@ -25,10 +25,11 @@ from .sim_core import MS, SEC, US
 from .workload import (Burst, NOT_SCHEDULED, PRESETS, PRESET_CLASS, WorkloadSpec,
                        CLOSED, OPEN)
 
-# Allocator kind -> class.  A class with a Params dataclass is configured by
-# the allocator section of the same name; its setup(backend) is its one entry
-# point.  Its reads_estimators says whether lc_step reads the LC service-time
-# estimators; those of one that does not are deferred (see ServiceEstimator).
+# Allocator kind -> class.  cls(section, backend), with the allocator section
+# of the same name (None if cls.Params is None), is its one entry point: it
+# installs the allocator and hands out the starting cores.  Its
+# reads_estimators says whether lc_step reads the LC service-time estimators;
+# those of one that does not are deferred (see ServiceEstimator).
 ALLOCATORS = {
     "qwin": QwinAllocator,
     "static": StaticAllocator,
@@ -126,8 +127,8 @@ class ExperimentConfig:
             return f"qwin-{self.allocator.qwin.pin}"
         return self.allocator.kind
 
-    def run_id(self, seed=None) -> str:
-        return f"{self.name}-{self.allocator_id()}-s{self.seed if seed is None else seed}"
+    def run_id(self) -> str:
+        return f"{self.name}-{self.allocator_id()}-s{self.seed}"
 
     def to_yaml(self) -> str:
         import yaml   # here, not at module load: a run from a scenario never loads PyYAML
@@ -457,10 +458,15 @@ def parse_config(d: dict) -> ExperimentConfig:
 
 
 def read_yaml(stream) -> dict:
-    """The mapping at the root of a YAML text or file ({} when it is empty)."""
+    """The mapping at the root of a YAML text or file ({} when it is empty).
+    A plain scalar such as 1e-1 or 2E+0 reads as a float, not as YAML 1.1's string."""
+    import re
     import yaml
+    loader = type("Loader", (yaml.SafeLoader,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
     try:
-        d = yaml.safe_load(stream)
+        d = yaml.load(stream, loader)
     # ValueError: e.g. a date like 2021-13-45; RecursionError: nesting too deep.
     except (yaml.YAMLError, ValueError, RecursionError) as e:
         raise ConfigError([f"not valid YAML: {e}"]) from None

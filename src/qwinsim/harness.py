@@ -12,7 +12,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .backend import Backend, Tenant
 from .config import (ALLOCATORS, PIN_KEY, ConfigError, ExperimentConfig, SCENARIOS,
@@ -34,8 +34,6 @@ class Simulation:
     """A fully wired, not-yet-started run."""
 
     cfg: ExperimentConfig
-    seed: int
-    run_id: str
     engine: Engine
     device: Device
     hub: MetricsHub
@@ -43,13 +41,12 @@ class Simulation:
     allocator: object
 
 
-def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
+def build(cfg: ExperimentConfig) -> Simulation:
     """Wire engine, device, tenants, and allocator for one run."""
-    seed = cfg.seed if seed is None else seed
-    run_id = cfg.run_id(seed)
+    seed = cfg.seed
     engine = Engine()
     device = Device(cfg.device, make_np_stream(seed, DEVICE_STREAM), engine)
-    hub = MetricsHub(run_id, cfg.effective_warmup_ns, cfg.pool_total)
+    hub = MetricsHub(cfg.run_id(), cfg.effective_warmup_ns, cfg.pool_total)
     backend = Backend(engine, device, cfg.pool_total, hub)
     shared_est = None
     for i, tc in enumerate(cfg.tenants):
@@ -70,11 +67,9 @@ def build(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
         tenant = Tenant(tc.label, True, slo_q=tc.slo.quantile, slo_ns=tc.slo.latency_ns,
                         end_on_complete=cfg.window_end == "complete")
         backend.add_tenant(tenant, source, est)
-    a = cfg.allocator
-    cls = ALLOCATORS[a.kind]
-    allocator = cls(getattr(a, a.kind)) if cls.Params else cls()
-    allocator.setup(backend)
-    return Simulation(cfg, seed, run_id, engine, device, hub, backend, allocator)
+    kind = cfg.allocator.kind
+    allocator = ALLOCATORS[kind](getattr(cfg.allocator, kind, None), backend)
+    return Simulation(cfg, engine, device, hub, backend, allocator)
 
 
 def _start_metric_ticks(sim: Simulation):
@@ -125,10 +120,10 @@ def make_report(sim: Simulation) -> dict:
             all_met = all_met and met
         tenants[t.label] = entry
     return {
-        "run_id": sim.run_id,
+        "run_id": hub.run_id,
         "name": cfg.name,
         "allocator": cfg.allocator_id(),
-        "seed": sim.seed,
+        "seed": cfg.seed,
         "duration_s": cfg.duration_ns / SEC,
         "warmup_s": warm / SEC,
         "pool_total": cfg.pool_total,
@@ -147,16 +142,14 @@ class RunResult:
     sim: Simulation | None  # for in-memory inspection; None in sweep results
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
-                   out_dir: str | None = None, write: bool = True) -> RunResult:
-    """Run one configuration to completion and (optionally) write artifacts.
-    With `write`, the run directory is made first: an unusable one raises
-    OSError before anything is simulated."""
+def run_experiment(cfg: ExperimentConfig, write: bool = True) -> RunResult:
+    """Run one configuration to completion and (optionally) write artifacts
+    into `cfg.out_dir`/`cfg.run_id()`.  With `write`, that run directory is
+    made first: an unusable one raises OSError before anything is simulated."""
+    run_dir = os.path.join(cfg.out_dir, cfg.run_id())
     if write:
-        run_dir = os.path.join(out_dir if out_dir is not None else cfg.out_dir,
-                               cfg.run_id(seed))
         os.makedirs(run_dir, exist_ok=True)
-    sim = build(cfg, seed)
+    sim = build(cfg)
     _start_metric_ticks(sim)
     sim.backend.start()
     was_enabled = gc.isenabled()
@@ -177,7 +170,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
         paths["report.json"] = rp
-    return RunResult(run_id=sim.run_id, report=report, paths=paths, sim=sim)
+    return RunResult(run_id=report["run_id"], report=report, paths=paths, sim=sim)
 
 
 def check_seeds(seeds) -> list:
@@ -192,11 +185,11 @@ def check_seeds(seeds) -> list:
 
 
 def sweep(cfg: ExperimentConfig, seeds, write: bool = True) -> list[RunResult]:
-    """Run the same config across seeds, in order; each result keeps its
-    report and paths but not its Simulation."""
+    """Run the config with each seed in turn; each result keeps its report
+    and paths but not its Simulation."""
     results = []
     for s in check_seeds(seeds):
-        r = run_experiment(cfg, seed=s, write=write)
+        r = run_experiment(replace(cfg, seed=s), write=write)
         # A Simulation is a reference cycle (the device calls back into the
         # backend that owns it), so dropping it frees nothing until a
         # collection runs; without one, memory grows with the seed count.

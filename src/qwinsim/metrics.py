@@ -18,7 +18,7 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -180,25 +180,26 @@ class TenantMetrics:
 class Trace:
     """The rows of one CSV artifact, held as columns.
 
-    `append` is the C-level append of a list of pending row tuples.  fold()
-    moves them into the columns: a cell of a column named in `ints` into an
-    array('q'), 8 bytes, any other cell into a list.  Every read folds
-    first and gives the rows back as tuples, in the order appended.  A row
-    of the wrong width, or an int-column cell that is not an int in the
-    int64 range, fails the fold and leaves the trace as it was.
+    `append` is the C-level append of `pending`, a list of row tuples.
+    fold() moves them into the columns: a cell of a column named in `ints`
+    into an array('q'), 8 bytes, any other cell into a list.  A read never
+    folds: it gives the folded rows, then the pending ones, as tuples in the
+    order appended.  A row of the wrong width, or an int-column cell that is
+    not an int in the int64 range, fails the fold and leaves the trace as
+    it was.
     """
 
-    __slots__ = ("append", "_pending", "_cols")
+    __slots__ = ("append", "pending", "_cols")
 
     def __init__(self, header: str, *ints: str):
         names = header.split(",")
         assert set(ints) <= set(names), ints
-        self._pending: list[tuple] = []
-        self.append = self._pending.append
+        self.pending: list[tuple] = []
+        self.append = self.pending.append
         self._cols = [array("q") if name in ints else [] for name in names]
 
     def fold(self):
-        pending, cols = self._pending, self._cols
+        pending, cols = self.pending, self._cols
         if pending:
             # Each zip is strict: a row of the wrong width raises ValueError.
             chunks = [array("q", c) if type(col) is array else c
@@ -207,18 +208,11 @@ class Trace:
                 col.extend(c)
             pending.clear()   # in place: `append` stays bound to this list
 
-    def since(self, i: int):
-        """The rows from index i on."""
-        self.fold()
-        return zip(*[col[i:] for col in self._cols])
-
     def __iter__(self):
-        self.fold()
-        return zip(*self._cols)
+        return chain(zip(*self._cols), self.pending)
 
     def __len__(self):
-        self.fold()
-        return len(self._cols[0])
+        return len(self._cols[0]) + len(self.pending)
 
 
 class MetricsHub:
@@ -242,7 +236,6 @@ class MetricsHub:
         self._interval_idx = 0
         self._interval_start = 0
         self._cores: dict[str, int] = {}   # LC core counts at _interval_start
-        self._alloc_read = 0               # alloc rows folded into _cores
 
     def register_tenant(self, label: str, lc: bool, slo_q: float) -> TenantMetrics:
         tm = TenantMetrics(lc, slo_q, self.warmup_ns)
@@ -258,18 +251,16 @@ class MetricsHub:
     def lc_cores(self) -> dict:
         """Each LC tenant's core count, replayed from the alloc rows."""
         cores = dict(self._cores)
-        for _, label, old, new, _ in self.alloc_rows.since(self._alloc_read):
+        for _, label, old, new, _ in self.alloc_rows.pending:
             cores[label] += new - old
         return cores
 
     # -- interval machinery -----------------------------------------------------
 
     def flush_interval(self, now: int):
-        """Fold the trace rows; close the interval ending at `now` and emit
-        one row per tenant."""
-        for trace in (self.interval_rows, self.alloc_rows, self.window_rows,
-                      self.policy_rows, self.transfer_rows, self.estimator_rows):
-            trace.fold()
+        """Close the interval ending at `now`, fold the trace rows and emit
+        one row per tenant.  An empty interval does nothing, so the alloc
+        rows pending at a flush are those written since the last interval."""
         length = now - self._interval_start
         if length <= 0:
             return
@@ -277,10 +268,12 @@ class MetricsHub:
         # the alloc rows written since; the BE pool holds the rest.
         cores = self._cores
         area = {label: num * length for label, num in cores.items()}
-        for t, label, old, new, _ in self.alloc_rows.since(self._alloc_read):
+        for t, label, old, new, _ in self.alloc_rows.pending:
             area[label] += (new - old) * (now - t)
             cores[label] += new - old
-        self._alloc_read = len(self.alloc_rows)
+        for trace in (self.interval_rows, self.alloc_rows, self.window_rows,
+                      self.policy_rows, self.transfer_rows, self.estimator_rows):
+            trace.fold()
         be_mean = (self.pool_total * length - sum(area.values())) / length
         secs = length / SEC
         for label, tm in self.tenants.items():
@@ -334,8 +327,7 @@ def _write_csv(path, header: str, rows):
 
 
 def write_all(hub: MetricsHub, out_dir):
-    """Write every CSV for one run into out_dir; returns {name: path}."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write every CSV for one run into the directory out_dir; returns {name: path}."""
     paths = {}
     for name, header, rows in (
             ("latency.csv", LATENCY_HEADER, hub.latency_rows()),

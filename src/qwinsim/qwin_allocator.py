@@ -71,21 +71,14 @@ class QwinAllocator:
     Params = PolicyParams
     reads_estimators = True   # lc_step reads the mean and tail at windows and probes
 
-    def __init__(self, params: PolicyParams | None = None):
-        self.params = params or PolicyParams()
-        self.backend = None
-        self.pool = 0
-
-    # -- wiring ------------------------------------------------------------
-
-    def setup(self, backend):
-        backend.allocator = self
+    def __init__(self, params: PolicyParams, backend):
+        self.params = params
         self.backend = backend
         self.pool = backend.pool_total
+        backend.allocator = self
         backend.assign_lc_cores()
-        pin = self.params.pin
         for t in backend.lc_tenants:
-            t.policy = pin if pin is not None else AGGRESSIVE
+            t.policy = params.pin or AGGRESSIVE
 
     # -- policy ----------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from test_formula_oracles import BUDGET_ORACLE, DEMAND_ORACLE
 
 import qwinsim.qwin_allocator as qa
 from qwinsim import (AGGRESSIVE, CONSERVATIVE, SLO_AWARE, Backend, Device,
-                     DeviceParams, Engine, MetricsHub, QwinAllocator,
+                     DeviceParams, Engine, MetricsHub, PolicyParams, QwinAllocator,
                      ServiceEstimator, Tenant, TenantMetrics, WorkloadSpec,
                      WorkloadSource, calculate_cores, compute_budget,
                      make_np_stream, make_stream, select_policy)
@@ -63,8 +63,7 @@ def _verdict(capsys, num, ok, detail):
 
 def _matrix_run(d, seed, out_root, tag):
     """One full run; keep the report plus the CSVs the scans need."""
-    cfg = parse_config(d)
-    res = run_experiment(cfg, seed=seed, write=False)
+    res = run_experiment(parse_config({**d, "seed": seed}), write=False)
     rd = out_root / tag / res.run_id
     rd.mkdir(parents=True)
     hub = res.sim.hub
@@ -190,8 +189,7 @@ def _window_partition_trace(seed):
     backend.add_tenant(t, WorkloadSource(spec, make_stream(seed, 1), dev.params),
                        ServiceEstimator(nominal_mean_ns=52_300.0,
                                         nominal_tail_ns=200_000))
-    alloc = QwinAllocator()
-    alloc.setup(backend)
+    alloc = QwinAllocator(PolicyParams(), backend)
 
     records = []
     orig = qa.new_window
@@ -283,8 +281,8 @@ def test_04_cores_move_voluntarily_and_on_completion_only(capsys, matrix):
 
     # (b) instrumented run: every transfer of a busy pool core becomes
     # effective exactly when that core's in-flight request completes
-    cfg = parse_config({**scenario("duo"), "duration_s": 5.0, "warmup_s": 0.5})
-    sim = build(cfg, seed=3)
+    cfg = parse_config({**scenario("duo"), "duration_s": 5.0, "warmup_s": 0.5, "seed": 3})
+    sim = build(cfg)
     completions = set()
     orig = sim.device.on_complete_fn
 
@@ -451,10 +449,10 @@ def test_09_feedback_baseline_violates_burst_onsets(capsys, matrix):
 
 
 def test_10_identical_seed_reproduces_identical_csvs(capsys, tmp_path):
-    cfg = parse_config({**scenario("duo"), "duration_s": 3.0, "warmup_s": 0.3})
+    d = {**scenario("duo"), "duration_s": 3.0, "warmup_s": 0.3}
     digests = []
     for rep in range(3):
-        res = run_experiment(cfg, out_dir=str(tmp_path / f"rep{rep}"))
+        res = run_experiment(parse_config({**d, "out_dir": str(tmp_path / f"rep{rep}")}))
         digests.append({
             name: hashlib.sha256(open(p, "rb").read()).hexdigest()
             for name, p in res.paths.items() if name.endswith(".csv")})

@@ -76,9 +76,11 @@ def test_policy_regions_with_custom_thresholds():
 # ---------------------------------------------------------------------------
 
 
-def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
-                                                       ("be0", False, 0)),
+def _rig(pool=4, allocator=QwinAllocator, section=None, device=None,
+         tenants=(("lc0", True, 4 * MS), ("be0", False, 0)),
          workloads=None, seed=7, warmup=0):
+    """A backend with `tenants`, and `allocator` built on it from `section`
+    (by default its Params' defaults)."""
     eng = Engine()
     dev = Device(device or DeviceParams(capacity=4),
                  make_np_stream(seed, 0), eng)
@@ -95,8 +97,9 @@ def _rig(pool=4, allocator=None, device=None, tenants=(("lc0", True, 4 * MS),
             from qwinsim import ServiceEstimator
             est = ServiceEstimator(nominal_mean_ns=106_600.0, nominal_tail_ns=260_000)
         backend.add_tenant(t, src, est)
-    alloc = allocator or QwinAllocator()
-    alloc.setup(backend)
+    if section is None and allocator.Params:
+        section = allocator.Params()
+    alloc = allocator(section, backend)
     # publish initial core counts so transfers can be accounted before (or
     # without) backend.start(); start() re-publishes the same values at t=0
     hub.start_cores({t.label: t.num for t in backend.lc_tenants})
@@ -111,7 +114,7 @@ ONE_CORE_START = {"qwin": QwinAllocator, "shenango": CongestionAllocator,
 def test_setup_gives_each_lc_tenant_one_core():
     for kind, make in ONE_CORE_START.items():
         eng, backend, hub, alloc = _rig(
-            allocator=make(),
+            allocator=make,
             tenants=(("lc0", True, 4 * MS), ("lc1", True, 5 * MS), ("be0", False, 0)))
         lc0, lc1 = _by_label(backend)["lc0"], _by_label(backend)["lc1"]
         assert lc0.num == lc1.num == 1, kind
@@ -123,7 +126,7 @@ def test_setup_gives_each_lc_tenant_one_core():
 @pytest.mark.parametrize("kind", sorted(ONE_CORE_START))
 def test_setup_rejects_more_lc_tenants_than_cores(kind):
     with pytest.raises(ValueError, match="more LC tenants than cores"):
-        _rig(pool=2, allocator=ONE_CORE_START[kind](),
+        _rig(pool=2, allocator=ONE_CORE_START[kind],
              tenants=tuple((f"lc{i}", True, 4 * MS) for i in range(3)))
 
 
@@ -175,7 +178,7 @@ def test_adjust_noop_emits_no_row():
 def test_short_baseline_grant_is_written_as_shortfall():
     # cake asks for 2 cores at a violation; the pool has only 1 spare
     eng, backend, hub, alloc = _rig(
-        pool=2, allocator=FeedbackAllocator(FeedbackParams(step=2, min_samples=10)))
+        pool=2, allocator=FeedbackAllocator, section=FeedbackParams(step=2, min_samples=10))
     lc = _by_label(backend)["lc0"]
     _feed(lc, 10 * MS, 50)
     alloc._tick(None, 100 * US)
@@ -270,7 +273,7 @@ def test_check_invariants_catches_a_core_parked_beside_work(kind, queued, match)
     # parked while such a queue holds a request; _fill wakes none.
     from qwinsim import PriorityAllocator
     eng, backend, hub, alloc = _rig(
-        pool=4, allocator=PriorityAllocator() if kind == "priority" else None)
+        pool=4, allocator=PriorityAllocator if kind == "priority" else QwinAllocator)
     backend.check_invariants()
     _fill(_by_label(backend)[queued], 1)
     with pytest.raises(AssertionError, match=match):
@@ -344,7 +347,7 @@ def test_refresh_policy_switches_on_measured_slack():
 
 
 def test_pinned_policy_never_refreshes():
-    eng, backend, hub, alloc = _rig(allocator=QwinAllocator(PolicyParams(pin=AGGRESSIVE)))
+    eng, backend, hub, alloc = _rig(section=PolicyParams(pin=AGGRESSIVE))
     lc = _by_label(backend)["lc0"]
     assert lc.policy == AGGRESSIVE
     _feed(lc, 1 * MS, 5_000)
@@ -471,7 +474,7 @@ def test_lc_cores_move_only_voluntarily():
 
 def test_static_partition_never_moves():
     eng, backend, hub, alloc = _rig(
-        allocator=StaticAllocator(StaticParams({"lc0": 2})))
+        allocator=StaticAllocator, section=StaticParams({"lc0": 2}))
     lc = _by_label(backend)["lc0"]
     assert lc.num == 2 and backend.be_count == 2
     backend.start()
@@ -488,7 +491,7 @@ def test_static_partition_never_moves():
 def test_congestion_probe_grows_on_stuck_head_and_reclaims_when_empty():
     # no BE tenant: the LC queue can actually drain on the slow device
     eng, backend, hub, alloc = _rig(
-        allocator=CongestionAllocator(CongestionParams(probe_interval_ns=50 * US)),
+        allocator=CongestionAllocator, section=CongestionParams(probe_interval_ns=50 * US),
         device=DeviceParams(capacity=1, read_median_us=10_000.0, sigma=0.0,
                             p_spike=0.0),
         tenants=(("lc0", True, 4 * MS),),
@@ -515,8 +518,8 @@ def test_congestion_probe_grows_on_stuck_head_and_reclaims_when_empty():
 
 def _feedback_rig(interval_us=100):
     return _rig(
-        allocator=FeedbackAllocator(FeedbackParams(
-            interval_ns=interval_us * US, min_samples=10)),
+        allocator=FeedbackAllocator,
+        section=FeedbackParams(interval_ns=interval_us * US, min_samples=10),
         device=DeviceParams(capacity=4, sigma=0.0, p_spike=0.0))
 
 
@@ -557,7 +560,7 @@ def test_feedback_holds_without_enough_samples():
 def test_priority_pool_serves_lc_first():
     from qwinsim import PriorityAllocator
     eng, backend, hub, alloc = _rig(
-        allocator=PriorityAllocator(),
+        allocator=PriorityAllocator,
         workloads={"lc0": WorkloadSpec(iodepth=64, numjobs=4),
                    "be0": WorkloadSpec(iodepth=64, numjobs=4,
                                        sizes=((65536, 1.0),))})
@@ -582,7 +585,7 @@ def test_priority_pool_dequeue_order_round_robins_each_group():
     # every LC queue empty.
     from qwinsim import PriorityAllocator
     eng, backend, hub, alloc = _rig(
-        allocator=PriorityAllocator(),
+        allocator=PriorityAllocator,
         tenants=(("lc0", True, 4 * MS), ("lc1", True, 4 * MS),
                  ("be0", False, 0), ("be1", False, 0)))
     t = _by_label(backend)

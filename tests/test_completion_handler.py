@@ -10,6 +10,7 @@ byte-identical artifacts on any config.
 import os
 import tempfile
 from bisect import bisect_left
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
@@ -101,7 +102,7 @@ def _artifacts(cfg, backend_cls):
     """Every artifact's bytes, and the simulation, of one run with backend_cls."""
     with tempfile.TemporaryDirectory() as out, \
             mock.patch.object(harness, "Backend", backend_cls):
-        res = harness.run_experiment(cfg, out_dir=out)
+        res = harness.run_experiment(replace(cfg, out_dir=out))
         files = {}
         for name, path in res.paths.items():
             with open(path, "rb") as f:

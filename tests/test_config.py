@@ -585,6 +585,21 @@ def test_inline_open_loop_burst_round_trips():
     assert parse_config(read_yaml(cfg.to_yaml())) == cfg
 
 
+def test_read_yaml_reads_a_plain_exponent_as_a_float():
+    # YAML 1.1 reads a float only with a dot; 1e-1 would be the string '1e-1'.
+    assert read_yaml("a: 1e-1\nb: 2E+0\nc: 1.5e+20\nd: -3e2\ne: '1e-1'\nf: 1e\n") == {
+        "a": 0.1, "b": 2.0, "c": 1.5e20, "d": -300.0, "e": "1e-1", "f": "1e"}
+
+
+@pytest.mark.parametrize("text, ns", [("1e-1", 100_000_000), ("2E+0", 2_000_000_000),
+                                      ("1.5e+0", 1_500_000_000)])
+def test_a_config_file_may_write_a_number_in_exponent_form(text, ns):
+    cfg = parse_config(read_yaml(yaml.safe_dump(_minimal()) + f"duration_s: {text}\n"))
+    assert cfg.duration_ns == ns
+    with pytest.raises(ConfigError, match="duration_s must be a number"):
+        parse_config(read_yaml(yaml.safe_dump(_minimal()) + f"duration_s: '{text}'\n"))
+
+
 def test_read_yaml_reads_yaml_files(tmp_path):
     cfg = parse_config(scenario("duo"))
     p = tmp_path / "duo.yaml"
@@ -625,12 +640,12 @@ def test_run_and_allocator_identifiers():
     cfg = parse_config(scenario("duo"))
     assert cfg.allocator_id() == "qwin"
     assert cfg.run_id() == "duo-qwin-s1"
-    assert cfg.run_id(seed=5) == "duo-qwin-s5"
+    assert parse_config({**scenario("duo"), "seed": 5}).run_id() == "duo-qwin-s5"
     pinned = parse_config(scenario("duo") |
-                          {"allocator": {"kind": "qwin",
-                                         "qwin": {"pin": "aggressive"}}})
+                          {"seed": 3, "allocator": {"kind": "qwin",
+                                                    "qwin": {"pin": "aggressive"}}})
     assert pinned.allocator_id() == "qwin-aggressive"
-    assert pinned.run_id(seed=3) == "duo-qwin-aggressive-s3"
+    assert pinned.run_id() == "duo-qwin-aggressive-s3"
     cake = parse_config(scenario("duo") | {"allocator": {"kind": "cake"}})
     assert cake.allocator_id() == "cake"
 

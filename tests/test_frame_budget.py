@@ -33,7 +33,7 @@ BUDGET = {
 
 
 def _count_frames(cfg):
-    sim = build(parse_config({**cfg, "duration_s": 0.2}), 1)
+    sim = build(parse_config({**cfg, "duration_s": 0.2, "seed": 1}))
     _start_metric_ticks(sim)
     sim.backend.start()
     calls = 0

@@ -196,7 +196,7 @@ def _config(name, kind, overrides=None):
 
 def run_digests(name, kind, out_dir, overrides=None) -> tuple[dict, dict]:
     """(artifact -> SHA-256, artifact -> path) of one case's run."""
-    res = run_experiment(_config(name, kind, overrides), out_dir=out_dir)
+    res = run_experiment(_config(name, kind, {**(overrides or {}), "out_dir": out_dir}))
     digests = {}
     for artifact, path in sorted(res.paths.items()):
         with open(path, "rb") as f:

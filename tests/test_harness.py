@@ -41,9 +41,9 @@ def _by_label(sim):
 
 
 def test_build_wires_tenants_estimators_and_allocator():
-    cfg = parse_config(scenario("duo"))
-    sim = build(cfg, seed=5)
-    assert sim.seed == 5 and sim.run_id == "duo-qwin-s5"
+    cfg = parse_config({**scenario("duo"), "seed": 5})
+    sim = build(cfg)
+    assert sim.hub.run_id == "duo-qwin-s5"
     lc = _by_label(sim)["lc0"]
     be = _by_label(sim)["be0"]
     assert lc.lc and not be.lc
@@ -127,7 +127,7 @@ def test_only_allocators_that_never_read_estimators_defer_them(kind):
 
 
 def test_run_experiment_writes_every_artifact(tmp_path):
-    res = run_experiment(_short_duo(), out_dir=str(tmp_path))
+    res = run_experiment(_short_duo(out_dir=str(tmp_path)))
     assert set(res.paths) == ARTIFACTS
     run_dir = tmp_path / "duo-qwin-s1"
     for name, p in res.paths.items():
@@ -150,7 +150,7 @@ def test_run_without_write_leaves_no_files(tmp_path):
 
 
 def test_slo_verdict_recomputable_from_latency_csv(tmp_path):
-    res = run_experiment(_short_duo(), out_dir=str(tmp_path))
+    res = run_experiment(_short_duo(out_dir=str(tmp_path)))
     with open(res.paths["latency.csv"]) as f:
         rows = [r for r in csv.DictReader(f) if r["tenant"] == "lc0"]
     assert [r["quantile"] for r in rows] == ["0.5", "0.9", "0.99", "0.999"]
@@ -182,7 +182,7 @@ def test_a_label_and_name_holding_a_comma_give_well_formed_csvs(tmp_path):
     d = scenario("duo")
     d["name"] = "duo,x"
     d["tenants"][0]["label"] = "lc,0"
-    res = run_experiment(parse_config({**d, "duration_s": 0.4}), out_dir=str(tmp_path))
+    res = run_experiment(parse_config({**d, "duration_s": 0.4, "out_dir": str(tmp_path)}))
     for name, path in res.paths.items():
         if name.endswith(".csv"):
             with open(path, newline="") as f:
@@ -195,8 +195,8 @@ def test_a_label_and_name_holding_a_comma_give_well_formed_csvs(tmp_path):
 
 
 def test_interval_rows_cover_each_tenant_per_interval(tmp_path):
-    cfg = _short_duo(duration_s=2.0, warmup_s=0.5, interval_s=0.5)
-    res = run_experiment(cfg, out_dir=str(tmp_path))
+    cfg = _short_duo(duration_s=2.0, warmup_s=0.5, interval_s=0.5, out_dir=str(tmp_path))
+    res = run_experiment(cfg)
     with open(res.paths["intervals.csv"]) as f:
         rows = list(csv.DictReader(f))
     # 4 intervals x 2 tenants
@@ -472,6 +472,13 @@ def test_a_scenario_run_never_loads_pyyaml(tmp_path):
     written = [{p.name: p.read_bytes() for p in (d / "duo-qwin-s1").iterdir()} for d in (a, b)]
     assert set(written[0]) == ARTIFACTS
     assert written[0] == written[1]
+
+
+def test_validate_only_accepts_a_number_in_exponent_form(tmp_path, capsys):
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text("duration_s: 1e-1\nwarmup_s: 2E-2\n")
+    assert main(["--scenario", "duo", "--config", str(cfg), "--validate-only"]) == 0
+    assert capsys.readouterr().out.startswith("config OK: duo-qwin-s1")
 
 
 def test_validate_only_rejects_a_repeated_seed(capsys):

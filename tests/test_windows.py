@@ -3,7 +3,7 @@
 import pytest
 
 from qwinsim import (Backend, Device, DeviceParams, Engine, MetricsHub,
-                     QwinAllocator, ServiceEstimator, WorkloadSpec,
+                     PolicyParams, QwinAllocator, ServiceEstimator, WorkloadSpec,
                      WorkloadSource, make_np_stream, make_stream, new_window)
 from qwinsim.backend import Tenant
 from qwinsim.sim_core import MS, SEC
@@ -123,7 +123,7 @@ def _dequeue_mode_run(seed):
     backend.add_tenant(t, WorkloadSource(spec, make_stream(seed, 1), dev.params),
                        ServiceEstimator(nominal_mean_ns=52_300.0,
                                         nominal_tail_ns=200_000))
-    QwinAllocator().setup(backend)
+    QwinAllocator(PolicyParams(), backend)
     done_at, late = {}, []
     on_complete = dev.on_complete_fn
 
