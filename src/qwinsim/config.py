@@ -160,6 +160,9 @@ BOUNDS = {
     # Upper ends: the pool builds a Core per slot and an estimator a ring of
     # hist_window samples; capacity shares the pool's end.  A run's ns stay
     # below the finish_at sentinel, so every time fits an int64 trace column.
+    # Open-loop gaps are whole ns: one arrival per ns on average keeps time moving.
+    "<= 10**9": lambda x: x <= 1e9,
+    "in (0, 10**9]": lambda x: 0 < x <= 1e9,
     "in [1, 4096]": lambda x: 1 <= x <= 4096,
     "in [1, 10**7]": lambda x: 1 <= x <= 10**7,
     "in (0, 2**62 ns)": lambda x: 0 < x < NOT_SCHEDULED,
@@ -378,13 +381,13 @@ SCHEMA = {
         Key("read_ratio", "read_ratio", float, bound="in [0, 1]"),
         Key("iodepth", "iodepth", int, bound=">= 1"),
         Key("numjobs", "numjobs", int, bound=">= 1"),
-        Key("rate_per_s", "rate_per_s", float),
+        Key("rate_per_s", "rate_per_s", float, bound="<= 10**9"),
         Key("burst", "burst", Burst),
     ),
     Burst: (
         Key("on_s", "on_ns", int, SEC, "> 0"),
         Key("off_s", "off_ns", int, SEC, ">= 0"),
-        Key("rate_per_s", "rate_per_s", float, bound="> 0"),
+        Key("rate_per_s", "rate_per_s", float, bound="in (0, 10**9]"),
     ),
 }
 
@@ -404,6 +407,8 @@ RULES = {
         (lambda w: w.mode == OPEN and w.rate_per_s <= 0, "open loop needs rate_per_s > 0"),
         (lambda w: w.mode == CLOSED and (w.rate_per_s != 0 or w.burst is not None),
          "closed loop takes no rate_per_s or burst"),
+        # A closed loop makes and schedules every request it keeps in flight at t=0.
+        (lambda w: w.in_flight_cap > 10**5, "iodepth * numjobs must be <= 10**5"),
     ),
 }
 

@@ -174,24 +174,22 @@ class ServiceEstimator:
     either schedule (the completion handler holds it on the tenant), and the
     tail has two schedules, one for each kind of reader:
 
-    - incremental (the default): `log_sample` is the bound `update`, which
+    - incremental (the default), for the qwin allocator, which reads on
+      nearly every dequeue: `log_sample` is the bound `update`, which
       advances the EWMA and nudges a pointer into the histogram, so a read
-      costs O(movement) instead of a full rescan.  Service-time
-      distributions drift slowly, so movement is tiny, and the pointer's
-      bucket edge is kept between reads.  The qwin allocator reads on nearly
-      every dequeue, so this is the cheap schedule for it.
-    - deferred: `log_sample` is the log's C-level `array.append`, so no
-      Python frame runs per sample.  `settle` folds the log into the EWMA,
-      the sample count and the window, sample by sample in arrival order, so
-      `mean_ns` takes the same float values `update` would give it.  A
-      `tail_ns` read settles and then takes the order statistic of the
-      window in one numpy pass; `mean_ns` and `samples` are current only
-      after a settle, so a reader takes `tail_ns` first.  The owning
-      tenant's `TenantMetrics` also settles at each of its folds (every
-      2^27 simulated ns), which bounds the log to one fold period of samples
-      when reads are rare.  An allocator that never reads the estimator
-      leaves the reads to the metric tick, once per interval, and needs
-      neither the pointer nor the 110,001 histogram counts.
+      walks only as far as the window has drifted (service times drift
+      slowly), and the pointer's bucket edge is kept between reads.  The
+      histogram grows to the highest bucket a sample has reached.
+    - deferred, for an allocator that never reads the estimator (the metric
+      tick reads it once per interval): `log_sample` is the log's C-level
+      `array.append`, so no Python frame runs per sample.  `settle` folds
+      the log into the EWMA, the sample count and the window in arrival
+      order, so `mean_ns` takes the same floats `update` would give it.  A
+      `tail_ns` read settles, then takes the window's order statistic in
+      one numpy pass; `mean_ns` and `samples` are current only after a
+      settle, so a reader takes `tail_ns` first.  The owning tenant's
+      `TenantMetrics` also settles at each of its folds (every 2^27
+      simulated ns), which bounds the log when reads are rare.
     """
 
     __slots__ = ("alpha", "window", "quantile", "mean_ns", "samples",
@@ -216,8 +214,7 @@ class ServiceEstimator:
             return
         self._log = self._win = None
         self.log_sample = self.update   # bound here, after any patch of the class
-        self._counts = [0] * (_N_BUCKETS + 1)   # one list: a temporary copy
-        self._counts[_VACANT] = window          # of 100k slots would raise RSS
+        self._counts = [0]                      # up to the highest bucket reached
         self._ring = deque([_VACANT] * window)  # windowed buckets, oldest first
         self._tail_idx = 0
         self._cum = 0
@@ -238,8 +235,14 @@ class ServiceEstimator:
         old = ring.popleft()
         ring.append(b)
         counts = self._counts
-        counts[old] -= 1
-        counts[b] += 1
+        try:   # costs nothing until it catches: no compare in the steady state
+            counts[old] -= 1
+        except IndexError:   # _VACANT: no bucket counts it
+            pass
+        try:
+            counts[b] += 1
+        except IndexError:   # above the top bucket: grow the list to b
+            counts.extend([0] * (b - len(counts)) + [1])
         tail_idx = self._tail_idx   # _cum counts the samples at or below it
         if b <= tail_idx:
             if old > tail_idx:
@@ -291,7 +294,7 @@ class ServiceEstimator:
         idx = start = self._tail_idx
         cum = self._cum
         # The buckets hold min(samples, window) >= need samples, so the walk
-        # up stops before the _VACANT slot.
+        # up stops at the need-th sample's bucket, inside the list.
         while cum < need:
             idx += 1
             cum += counts[idx]

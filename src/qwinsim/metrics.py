@@ -7,8 +7,8 @@ Quantiles follow the rule "smallest bucket upper edge whose cumulative
 fraction reaches q", which bounds the error by one bucket width.  Core
 counts have one record, the alloc trace: each interval's mean_cores is
 integrated from its rows.  Each trace artifact's rows are held in a Trace,
-as typed columns.  The csv module writes every cell, so a cell that holds
-',', '"' or a newline is quoted.
+as columns at the width their cells need.  The csv module writes every
+cell, so a cell that holds ',', '"' or a newline is quoted.
 """
 
 from __future__ import annotations
@@ -178,38 +178,63 @@ class TenantMetrics:
 
 
 class Trace:
-    """The rows of one CSV artifact, held as columns.
+    """The rows of one CSV artifact, held as columns at the width they need.
 
     `append` is the C-level append of `pending`, a list of row tuples.
-    fold() moves them into the columns: a cell of a column named in `ints`
-    into an array('q'), 8 bytes, any other cell into a list.  A read never
-    folds: it gives the folded rows, then the pending ones, as tuples in the
-    order appended.  A row of the wrong width, or an int-column cell that is
-    not an int in the int64 range, fails the fold and leaves the trace as
-    it was.
+    fold() moves them into the columns.  An int column (named in `ints`) is
+    an array at the narrowest typecode in _WIDTHS that holds every cell
+    folded so far: it starts at 'b', and a fold widens it as needed.  A name
+    column (named in `names`) keeps a table (name -> code) and each cell's
+    code, in an int column.  Any other column is a list.  A read never folds:
+    it gives the folded rows, decoded, then the pending ones.  A row of the
+    wrong width, or a cell its column cannot hold, fails the fold and leaves
+    the trace as it was.
     """
 
-    __slots__ = ("append", "pending", "_cols")
+    __slots__ = ("append", "pending", "_cols", "_tables")
+    _WIDTHS = "bhiq"   # int column typecodes, narrowest first: 1, 2, 4 and 8 bytes
 
-    def __init__(self, header: str, *ints: str):
-        names = header.split(",")
-        assert set(ints) <= set(names), ints
+    def __init__(self, header: str, *ints: str, names=()):
+        cols = header.split(",")
+        assert set(ints) | set(names) <= set(cols) and not set(ints) & set(names)
         self.pending: list[tuple] = []
         self.append = self.pending.append
-        self._cols = [array("q") if name in ints else [] for name in names]
+        self._cols = [array("b") if c in ints or c in names else [] for c in cols]
+        self._tables = [{} if c in names else None for c in cols]
 
     def fold(self):
-        pending, cols = self.pending, self._cols
-        if pending:
-            # Each zip is strict: a row of the wrong width raises ValueError.
-            chunks = [array("q", c) if type(col) is array else c
-                      for col, c in zip(cols, zip(*pending, strict=True), strict=True)]
-            for col, c in zip(cols, chunks):
-                col.extend(c)
-            pending.clear()   # in place: `append` stays bound to this list
+        pending, cols, tables = self.pending, self._cols, self._tables
+        if not pending:
+            return
+        # Stage every chunk, grown table and widened column, then commit.
+        # Each zip is strict: a row of the wrong width raises ValueError.
+        staged = []
+        for col, table, cells in zip(cols, tables, zip(*pending, strict=True), strict=True):
+            if table is not None:
+                seen = dict.fromkeys(chain(table, cells))
+                if len(seen) > len(table):
+                    table = dict(zip(seen, range(len(seen))))
+                cells = tuple(map(table.__getitem__, cells))
+            if type(col) is array:   # at col's width or the narrowest wider one that holds them
+                for tc in self._WIDTHS[self._WIDTHS.index(col.typecode):]:
+                    try:
+                        cells = array(tc, cells)   # TypeError on a cell that is not an int
+                        break
+                    except OverflowError:
+                        if tc == "q":
+                            raise
+                if tc != col.typecode:
+                    col = array(tc, col)
+            staged.append((col, table, cells))
+        for i, (col, table, cells) in enumerate(staged):
+            col.extend(cells)
+            cols[i], tables[i] = col, table
+        pending.clear()   # in place: `append` stays bound to this list
 
     def __iter__(self):
-        return chain(zip(*self._cols), self.pending)
+        cols = [col if table is None else map(list(table).__getitem__, col)
+                for col, table in zip(self._cols, self._tables)]
+        return chain(zip(*cols), self.pending)
 
     def __len__(self):
         return len(self._cols[0]) + len(self.pending)
@@ -227,12 +252,16 @@ class MetricsHub:
         # Int columns hold counts and times, which config keeps below 2**62 ns
         # by bounding duration_s; slack_ns and tail_io_ns stay plain, because
         # an SLO latency or a device setting has no upper bound.
-        self.interval_rows = Trace(INTERVALS_HEADER, "interval")
-        self.alloc_rows = Trace(ALLOC_HEADER, "time_ns", "old_num", "new_num")
-        self.window_rows = Trace(WINDOWS_HEADER, "wid", "ql", "tw_ns", "granted_cores")
-        self.policy_rows = Trace(POLICY_HEADER, "time_ns")
-        self.transfer_rows = Trace(TRANSFERS_HEADER, "core", "marked_ns", "effective_ns")
-        self.estimator_rows = Trace(ESTIMATORS_HEADER, "time_ns")
+        self.interval_rows = Trace(INTERVALS_HEADER, "interval", names=("run_id", "tenant"))
+        self.alloc_rows = Trace(ALLOC_HEADER, "time_ns", "old_num", "new_num",
+                                names=("tenant", "trigger"))
+        self.window_rows = Trace(WINDOWS_HEADER, "wid", "ql", "tw_ns", "granted_cores",
+                                 names=("tenant", "policy"))
+        self.policy_rows = Trace(POLICY_HEADER, "time_ns",
+                                 names=("tenant", "old_policy", "new_policy"))
+        self.transfer_rows = Trace(TRANSFERS_HEADER, "core", "marked_ns", "effective_ns",
+                                   names=("from_owner", "to_owner", "initiator"))
+        self.estimator_rows = Trace(ESTIMATORS_HEADER, "time_ns", names=("tenant",))
         self._interval_idx = 0
         self._interval_start = 0
         self._cores: dict[str, int] = {}   # LC core counts at _interval_start

@@ -353,11 +353,19 @@ REJECTED = [
     (("tenants", 0, "workload", "numjobs"), 0, f"{LC0}.workload: numjobs must be >= 1"),
     (("tenants", 0, "workload", "rate_per_s"), 0.0,
      f"{LC0}.workload: open loop needs rate_per_s > 0"),
+    (("tenants", 0, "workload", "rate_per_s"), 1e15,
+     f"{LC0}.workload: rate_per_s must be <= 10**9"),
+    (("tenants", 1, "workload"), {"mode": CLOSED, "iodepth": 10**6, "numjobs": 10**6},
+     "tenants[1] (be0).workload: iodepth * numjobs must be <= 10**5"),
+    (("tenants", 1, "workload"), {"mode": CLOSED, "iodepth": 1_001, "numjobs": 100},
+     "tenants[1] (be0).workload: iodepth * numjobs must be <= 10**5"),
     (("tenants", 0, "workload", "burst", "on_s"), 0, f"{LC0}.workload.burst: on_s must be > 0"),
     (("tenants", 0, "workload", "burst", "off_s"), -1,
      f"{LC0}.workload.burst: off_s must be >= 0"),
     (("tenants", 0, "workload", "burst", "rate_per_s"), 0,
-     f"{LC0}.workload.burst: rate_per_s must be > 0"),
+     f"{LC0}.workload.burst: rate_per_s must be in (0, 10**9]"),
+    (("tenants", 0, "workload", "burst", "rate_per_s"), 1e15,
+     f"{LC0}.workload.burst: rate_per_s must be in (0, 10**9]"),
 ]
 
 
@@ -377,6 +385,12 @@ def test_a_value_at_an_upper_bound_parses():
     cfg = parse_config(d)
     assert (cfg.pool_total, cfg.device.capacity, cfg.estimators.hist_window) == (4096, 4096, 10**7)
     assert cfg.duration_ns == 4_600_000_000 * 10**9
+    d = scenario("burst-duo")
+    d["tenants"][0]["workload"]["rate_per_s"] = 1e9
+    d["tenants"][0]["workload"]["burst"]["rate_per_s"] = 1e9
+    d["tenants"][1]["workload"] = {"mode": CLOSED, "iodepth": 1_000, "numjobs": 100}
+    lc, be = (t.spec() for t in parse_config(d).tenants)
+    assert (lc.rate_per_s, lc.burst.rate_per_s, be.in_flight_cap) == (1e9, 1e9, 10**5)
 
 
 def test_every_bound_in_the_schema_is_in_the_rejection_table():

@@ -391,6 +391,8 @@ _SERVICE_NS = st.one_of(st.integers(1, 2_000_000),                   # linear
 @example(window=3, quantile=0.5, steps=[[1, 1, 1], [_LINEAR_LIMIT_NS] * 3, [999] * 3])
 # Reads repeat with no update between them, before and after the first sample.
 @example(window=4, quantile=0.9, steps=[[], [], [200_000], [], [], [300_000, 1], [], []])
+# Once the window has filled, a sample far above the histogram's top bucket.
+@example(window=3, quantile=0.5, steps=[[1_000, 2_000, 3_000], [], [20 * SEC], [7_000], [1]])
 def test_ring_estimator_matches_deque_reference(window, quantile, steps):
     # Each step is a run of updates followed by a read, so tail reads fall
     # between updates at every spacing (none, or several in a row), short
@@ -409,6 +411,26 @@ def test_ring_estimator_matches_deque_reference(window, quantile, steps):
             # The kept edge is the edge of the index the read left.
             assert tail == _service_bucket_edge(e._tail_idx)
         assert e.mean_ns == (ref.mean if ref.samples else 7.0)
+
+
+@pytest.mark.parametrize("quantile", [0.5, 1.0])
+def test_histogram_grows_to_a_sample_far_above_its_top(quantile):
+    # The histogram holds the buckets up to the highest sample so far: a
+    # sample far above its top extends it to that sample's bucket, and the
+    # reads agree with the deque oracle as the sample enters the full
+    # window and leaves it.
+    e = ServiceEstimator(window=4, quantile=quantile, nominal_tail_ns=9)
+    ref = _DequeEstimator(0.01, 4, quantile)
+    assert e._counts == [0]
+    last = _service_bucket(20 * SEC)
+    for step, length in (([2_000] * 4, 3), ([], 3), ([20 * SEC], last + 1),
+                         ([5 * SEC], last + 1), ([3_000] * 4, last + 1)):
+        for x in step:
+            e.update(x)
+            ref.update(x)
+        assert e.tail_ns == ref.tail_ns(9)
+        assert len(e._counts) == length
+    assert last == _N_BUCKETS - 1 and e._counts == ref.counts
 
 
 # Service times at the layout's edges: below 1 us, either side of the

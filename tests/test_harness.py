@@ -13,7 +13,7 @@ import pytest
 import qwinsim
 from qwinsim.backend import Backend
 from qwinsim.config import ALLOCATORS, ConfigError, parse_config, scenario
-from qwinsim.device import ServiceEstimator, _service_bucket, _service_bucket_edge
+from qwinsim.device import _N_BUCKETS, ServiceEstimator, _service_bucket, _service_bucket_edge
 from qwinsim.harness import (_assemble_config, _build_arg_parser, _parse_seeds,
                              build, main, run_experiment, sweep)
 from qwinsim.sim_core import Engine
@@ -99,8 +99,17 @@ DEFERRED = {"qwin": False, "static": True, "priority": True, "shenango": True,
 
 
 @pytest.mark.parametrize("kind", sorted(DEFERRED))
-def test_only_allocators_that_never_read_estimators_defer_them(kind):
+def test_only_allocators_that_never_read_estimators_defer_them(kind, monkeypatch):
     assert set(DEFERRED) == set(ALLOCATORS)
+    # Each estimator's highest sample bucket; log_sample binds the patched update.
+    top = {}
+    update = ServiceEstimator.update
+
+    def tracked(est, x):
+        top[id(est)] = max(top.get(id(est), 0), _service_bucket(x))
+        update(est, x)
+
+    monkeypatch.setattr(ServiceEstimator, "update", tracked)
     d = scenario("group1")
     d.update({"duration_s": 0.2, "interval_s": 0.1,
               "estimators": {"hist_window": 50},
@@ -113,12 +122,15 @@ def test_only_allocators_that_never_read_estimators_defer_them(kind):
         tail = est.tail_ns
         if DEFERRED[kind]:
             # No histogram and no ring; a read leaves the last window of samples.
-            assert est._counts is None and est._ring is None
+            assert est._counts is None and est._ring is None and id(est) not in top
             assert len(est._win) == est.window and not est._log
             assert tail == _service_bucket_edge(_service_bucket(sorted(est._win)[est._need_full - 1]))
         else:
-            assert est._log is None and est._win is None
-            assert len(est._counts) > 100_000 and isinstance(est._ring, deque)
+            assert est._log is None and est._win is None and isinstance(est._ring, deque)
+            # The histogram ends at the highest bucket any sample has reached,
+            # though that sample may have left the window since.
+            assert len(est._counts) == top[id(est)] + 1 < _N_BUCKETS
+            assert max(est._ring) < len(est._counts) and sum(est._counts) == est.window
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +450,31 @@ def test_an_unusable_run_directory_fails_before_simulating(tmp_path, monkeypatch
     assert calls == [] and out.read_text() == "keep\n"
 
 
+def _burst_duo_workloads(lc=None, burst=None, be=None):
+    """burst-duo's tenant list with lc0's workload, its burst and be0's workload updated."""
+    tenants = scenario("burst-duo")["tenants"]
+    tenants[0]["workload"].update(lc or {})
+    tenants[0]["workload"]["burst"].update(burst or {})
+    if be:
+        tenants[1]["workload"] = be
+    return tenants
+
+
 @pytest.mark.parametrize("over, line", [
     ({"pool": {"total": 4097}}, "pool: total must be in [1, 4096]"),
     ({"device": {"capacity": 4097}}, "device: capacity must be in [1, 4096]"),
     ({"estimators": {"hist_window": 10**12}}, "estimators: hist_window must be in [1, 10**7]"),
     ({"duration_s": 5e9}, "duration_s must be in (0, 2**62 ns)"),
-], ids=["pool.total", "device.capacity", "estimators.hist_window", "duration_s"])
+    # Each gap of an open loop this fast rounds to 0 ns, so time would stop.
+    ({"tenants": _burst_duo_workloads(lc={"rate_per_s": 1e15})},
+     "tenants[0] (lc0).workload: rate_per_s must be <= 10**9"),
+    ({"tenants": _burst_duo_workloads(burst={"rate_per_s": 1e15})},
+     "tenants[0] (lc0).workload.burst: rate_per_s must be in (0, 10**9]"),
+    # A closed loop would make 10**12 requests at t=0.
+    ({"tenants": _burst_duo_workloads(be={"mode": CLOSED, "iodepth": 10**6, "numjobs": 10**6})},
+     "tenants[1] (be0).workload: iodepth * numjobs must be <= 10**5"),
+], ids=["pool.total", "device.capacity", "estimators.hist_window", "duration_s",
+        "rate_per_s", "burst.rate_per_s", "iodepth*numjobs"])
 def test_validate_only_rejects_a_value_past_its_upper_bound(tmp_path, capsys, over, line):
     cfg, out = tmp_path / "big.yaml", tmp_path / "out"
     cfg.write_text(json.dumps({**scenario("duo"), **over}))   # JSON text is YAML

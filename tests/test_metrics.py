@@ -8,7 +8,7 @@ import tracemalloc
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwinsim import MetricsHub, TenantMetrics, parse_config, quantile_from_counts, scenario
@@ -218,29 +218,53 @@ def test_alloc_window_policy_transfer_estimator_rows():
     assert list(hub.estimator_rows) == [(1_000, "lc0", 105_333.5, 260_000)]
 
 
+# Ints at each boundary of the column widths (1, 2, 4 and 8 bytes), within int64.
+_EDGE_INTS = [x for k in (7, 15, 31, 63) for x in (2**k - 1, 2**k, -2**k, -2**k - 1)
+              if -2**63 <= x < 2**63]
+_INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_EDGE_INTS))
 _ROWS = st.lists(st.tuples(
-    st.integers(-2**63, 2**63 - 1), st.text(max_size=3), st.floats(allow_nan=False),
-    st.one_of(st.just(""), st.integers()), st.integers(-2**63, 2**63 - 1)))
+    _INT64, st.text(max_size=3), st.floats(allow_nan=False),
+    st.one_of(st.just(""), st.integers()), _INT64))
+
+
+def _narrowest(cells):
+    return next(tc for tc, bits in zip("bhiq", (8, 16, 32, 64))
+                if all(-2**(bits - 1) <= x < 2**(bits - 1) for x in cells))
 
 
 @given(_ROWS, st.sets(st.integers(0, 30)))
 @settings(max_examples=200, deadline=None)
+# 300 distinct names, so the codes outgrow one byte, and every width boundary
+# in both int columns, folded at several points.
+@example(rows=[(x, f"n{i}", 0.5, "", -x - 1)
+               for i, x in enumerate([0, *_EDGE_INTS] * 20)],
+         folds={0, 3, 17, 29})
 def test_trace_gives_back_its_rows_across_folds(rows, folds):
-    trace = Trace("a,b,c,d,e", "a", "e")
+    trace = Trace("a,b,c,d,e", "a", "e", names=("b",))
     for i, row in enumerate(rows):
         trace.append(row)
         if i in folds:
             trace.fold()
     assert list(trace) == rows
     assert len(trace) == len(rows)
+    trace.fold()
+    assert list(trace) == rows and not trace.pending
+    # Each int column, codes included, is at the narrowest width that holds it.
+    a, b, _, _, e = trace._cols
+    names = list(dict.fromkeys(r[1] for r in rows))
+    assert list(trace._tables[1]) == names
+    assert a.typecode == _narrowest([0, *(r[0] for r in rows)])
+    assert e.typecode == _narrowest([0, *(r[4] for r in rows)])
+    assert b.typecode == _narrowest([0, len(names) - 1])
 
 
 @pytest.mark.parametrize("bad, error", [
     ((1.5, "x"), TypeError), ((2**63, "x"), OverflowError), ((-2**63 - 1, "x"), OverflowError),
     (("7", "x"), TypeError), ((None, "x"), TypeError), ((1,), ValueError), ((1, "x", 2), ValueError),
-], ids=["float", "2**63", "-2**63-1", "str", "None", "short row", "long row"])
+    ((1, ["x"]), TypeError),
+], ids=["float", "2**63", "-2**63-1", "str", "None", "short row", "long row", "unhashable name"])
 def test_trace_fold_fails_on_a_cell_it_cannot_hold_and_writes_nothing(bad, error):
-    trace = Trace("n,s", "n")
+    trace = Trace("n,s", "n", names=("s",))
     trace.append((1, "a"))
     trace.fold()
     trace.append((2, "b"))
@@ -250,12 +274,31 @@ def test_trace_fold_fails_on_a_cell_it_cannot_hold_and_writes_nothing(bad, error
     assert trace.pending == [(2, "b"), bad]   # the rows stay pending: every fold fails
     with pytest.raises(error):
         trace.fold()
-    assert [len(col) for col in trace._cols] == [1, 1]
+    assert [len(col) for col in trace._cols] == [1, 1] and trace._tables[1] == {"a": 0}
+
+
+@pytest.mark.parametrize("bad, error", [(1.5, TypeError), (2**63, OverflowError)])
+def test_a_widening_fold_that_fails_on_a_later_column_changes_nothing(bad, error):
+    # The rows widen the first int column to 'h', the name table by 300
+    # names (so its codes to 'h' too), then fail on the last column.
+    trace = Trace("n,s,m", "n", "m", names=("s",))
+    trace.append((1, "a", 1))
+    trace.fold()
+    rows = [(300, f"s{i}", 2) for i in range(300)] + [(-300, "b", bad)]
+    for row in rows:
+        trace.append(row)
+    with pytest.raises(error):
+        trace.fold()
+    assert [(col.typecode, list(col)) for col in trace._cols] == [("b", [1]), ("b", [0]), ("b", [1])]
+    assert trace._tables == [None, {"a": 0}, None]
+    assert list(trace) == [(1, "a", 1), *rows] and len(trace) == 302
 
 
 def test_trace_rows_are_held_in_columns_not_tuples():
-    # A 3 s burst-duo/qwin run holds 94 B per window, alloc and transfer
-    # row, fixed run state included, against 185 B with a tuple per row.
+    # A 3 s burst-duo/qwin run holds 64 B per window, alloc and transfer
+    # row, fixed run state and the estimator histogram's growth included:
+    # 94 B with 8-byte int cells and a reference per name cell, and 185 B
+    # with a tuple per row.
     cfg = parse_config({**scenario("burst-duo"), "duration_s": 3.0})
     sim = build(cfg)
     _start_metric_ticks(sim)
@@ -273,7 +316,7 @@ def test_trace_rows_are_held_in_columns_not_tuples():
     hub = sim.hub
     rows = len(hub.window_rows) + len(hub.alloc_rows) + len(hub.transfer_rows)
     assert rows > 5_000
-    assert held / rows < 125
+    assert held / rows < 70
 
 
 @pytest.mark.parametrize("read", [list, len])
