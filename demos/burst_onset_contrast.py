@@ -29,8 +29,8 @@ def interval_tails(allocator_kind):
     tails = {}
     for row in result.sim.hub.interval_rows:
         _, idx, label, tail, _, _ = row
-        if label == "lc0" and tail != "":
-            tails[idx] = int(tail)
+        if label == "lc0" and tail is not None:
+            tails[idx] = tail
     return tails
 
 

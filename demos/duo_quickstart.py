@@ -38,8 +38,8 @@ n_intervals = 1 + max(idx for _, idx in rows)
 for i in range(n_intervals):
     lc = rows[("lc0", i)]
     be = rows[("be0", i)]
-    tail = f"{int(lc[3]) / 1e6:8.3f}ms" if lc[3] != "" else "      n/a"
-    print(f"  {i:3d}  {tail}   {float(lc[5]):9.2f}   {float(be[5]):13.2f}")
+    tail = f"{lc[3] / 1e6:8.3f}ms" if lc[3] is not None else "      n/a"
+    print(f"  {i:3d}  {tail}   {lc[5]:9.2f}   {be[5]:13.2f}")
 
 print("\nSame run from the shell:")
 print("  python3 -m qwinsim --scenario duo --duration 10 --warmup 1 "

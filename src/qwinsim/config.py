@@ -433,11 +433,15 @@ def parse_config(d: dict) -> ExperimentConfig:
     missing = sorted(set(lc_labels) - set(counts)) if static else []
     # Rules across sections, (keys read, broken, message); one reading a reported key is skipped.
     name, pool, by_label = cfg.name, cfg.pool_total, ("allocator", "tenants")
+    intervals = -(-cfg.duration_ns // cfg.interval_ns)
     errors += [msg for reads, bad, msg in (
         (("name",), not (name.isprintable() and name) or "/" in name or os.sep in name,
          "name must be a plain file name: not empty, no '/' or control character"),
         (("warmup_s", "duration_s"), (cfg.warmup_ns or 0) >= cfg.duration_ns,
          "warmup_s must be smaller than duration_s"),
+        # Each interval writes a row per tenant and an estimator row per LC tenant.
+        (("duration_s", "interval_s"), intervals > 10**6,
+         f"duration_s / interval_s must be <= 10**6 metric intervals, got {intervals}"),
         (("tenants",), not (d or {}).get("tenants"), "tenants: at least one tenant is required"),
         (("tenants",), len(set(labels)) < len(labels), f"duplicate tenant label in {labels}"),
         (("pool", *by_label), cfg.allocator.kind != "priority" and len(lc_labels) > pool,
@@ -464,10 +468,25 @@ def parse_config(d: dict) -> ExperimentConfig:
 
 def read_yaml(stream) -> dict:
     """The mapping at the root of a YAML text or file ({} when it is empty).
-    A plain scalar such as 1e-1 or 2E+0 reads as a float, not as YAML 1.1's string."""
+    A plain scalar such as 1e-1 or 2E+0 reads as a float, not as YAML 1.1's
+    string, and a key repeated in one mapping is an error, not a silent override."""
     import re
     import yaml
-    loader = type("Loader", (yaml.SafeLoader,), {})
+
+    def construct_mapping(self, node, deep=False):
+        # The keys as written: a merge (<<) adds keys that a written one may override.
+        written = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = yaml.SafeLoader.construct_mapping(self, node, deep)   # checks each key hashes
+        seen = set()
+        for key_node in written:
+            key = self.construct_object(key_node, deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+    loader = type("Loader", (yaml.SafeLoader,), {"construct_mapping": construct_mapping})
     loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
         r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
     try:

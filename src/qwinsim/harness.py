@@ -1,15 +1,13 @@
 """Build simulations from configs, run them, report results.  CLI entry point.
 
-One run produces a directory of CSVs (latency, intervals, alloc_trace, windows,
-policy_trace, transfers, estimators) plus a report.json summarizing SLO
-verdicts and bandwidth.  A sweep runs seeds one after another.
+One run writes a directory of CSVs and a report.json summarizing SLO verdicts
+and bandwidth (metrics.write_all).  A sweep runs seeds one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -138,7 +136,7 @@ def make_report(sim: Simulation) -> dict:
 class RunResult:
     run_id: str
     report: dict
-    paths: dict          # csv name -> path ({} when nothing was written)
+    paths: dict          # file name -> path ({} when nothing was written)
     sim: Simulation | None  # for in-memory inspection; None in sweep results
 
 
@@ -162,14 +160,7 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True) -> RunResult:
     sim.hub.flush_interval(cfg.duration_ns)
     sim.backend.check_invariants()
     report = make_report(sim)
-    paths = {}
-    if write:
-        paths = write_all(sim.hub, run_dir)
-        rp = os.path.join(run_dir, "report.json")
-        with open(rp, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        paths["report.json"] = rp
+    paths = write_all(sim.hub, run_dir, report) if write else {}
     return RunResult(run_id=report["run_id"], report=report, paths=paths, sim=sim)
 
 
@@ -236,10 +227,13 @@ def _build_arg_parser():
     seed.add_argument("--seed", type=int, help="single run seed")
     seed.add_argument("--seeds", type=_parse_seeds,
                       help="seed sweep: N..M (inclusive) or comma list")
-    p.add_argument("--allocator", choices=ALLOCATORS,
-                   help="core allocation policy to run")
-    p.add_argument("--pin", choices=POLICIES,
-                   help="pin every LC tenant's adaptive policy (adaptive allocator only)")
+    # The config schema checks both values, so a bad one is listed with the
+    # config's other problems.
+    p.add_argument("--allocator", metavar="KIND",
+                   help=f"core allocation policy to run: {', '.join(ALLOCATORS)}")
+    p.add_argument("--pin", metavar="POLICY",
+                   help="pin every LC tenant's adaptive policy (adaptive allocator "
+                        f"only): {', '.join(POLICIES)}")
     p.add_argument("--duration", type=float, metavar="S",
                    help="simulated seconds")
     p.add_argument("--warmup", type=float, metavar="S",

@@ -6,14 +6,15 @@ live histogram (TenantMetrics.record logs it, and numpy folds the log in).
 Quantiles follow the rule "smallest bucket upper edge whose cumulative
 fraction reaches q", which bounds the error by one bucket width.  Core
 counts have one record, the alloc trace: each interval's mean_cores is
-integrated from its rows.  Each trace artifact's rows are held in a Trace,
-as columns at the width their cells need.  The csv module writes every
-cell, so a cell that holds ',', '"' or a newline is quoted.
+integrated from its rows.  Each trace artifact is a Trace: its file name,
+header and rows, held as columns at the width their cells need.  The csv
+module writes every cell, so a cell that holds ',', '"' or a newline is quoted.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 from array import array
@@ -178,7 +179,7 @@ class TenantMetrics:
 
 
 class Trace:
-    """The rows of one CSV artifact, held as columns at the width they need.
+    """One CSV artifact: its file, header and rows, as columns at the width they need.
 
     `append` is the C-level append of `pending`, a list of row tuples.
     fold() moves them into the columns.  An int column (named in `ints`) is
@@ -191,10 +192,11 @@ class Trace:
     the trace as it was.
     """
 
-    __slots__ = ("append", "pending", "_cols", "_tables")
+    __slots__ = ("file", "header", "append", "pending", "_cols", "_tables")
     _WIDTHS = "bhiq"   # int column typecodes, narrowest first: 1, 2, 4 and 8 bytes
 
-    def __init__(self, header: str, *ints: str, names=()):
+    def __init__(self, file: str, header: str, *ints: str, names=()):
+        self.file, self.header = file, header
         cols = header.split(",")
         assert set(ints) | set(names) <= set(cols) and not set(ints) & set(names)
         self.pending: list[tuple] = []
@@ -241,8 +243,8 @@ class Trace:
 
 
 class MetricsHub:
-    """Owns per-tenant metrics, interval rows, and the trace rows; the code
-    behind each decision appends its row, in its *_HEADER's column order."""
+    """Owns per-tenant metrics and the trace artifacts; the code behind each
+    decision appends its row, in its trace's header order."""
 
     def __init__(self, run_id: str, warmup_ns: int, pool_total: int):
         self.run_id = run_id
@@ -252,16 +254,24 @@ class MetricsHub:
         # Int columns hold counts and times, which config keeps below 2**62 ns
         # by bounding duration_s; slack_ns and tail_io_ns stay plain, because
         # an SLO latency or a device setting has no upper bound.
-        self.interval_rows = Trace(INTERVALS_HEADER, "interval", names=("run_id", "tenant"))
-        self.alloc_rows = Trace(ALLOC_HEADER, "time_ns", "old_num", "new_num",
-                                names=("tenant", "trigger"))
-        self.window_rows = Trace(WINDOWS_HEADER, "wid", "ql", "tw_ns", "granted_cores",
-                                 names=("tenant", "policy"))
-        self.policy_rows = Trace(POLICY_HEADER, "time_ns",
-                                 names=("tenant", "old_policy", "new_policy"))
-        self.transfer_rows = Trace(TRANSFERS_HEADER, "core", "marked_ns", "effective_ns",
-                                   names=("from_owner", "to_owner", "initiator"))
-        self.estimator_rows = Trace(ESTIMATORS_HEADER, "time_ns", names=("tenant",))
+        self.traces = (
+            Trace("intervals.csv",
+                  "run_id,interval,tenant,tail_ns,bandwidth_bytes_per_s,mean_cores",
+                  "interval", names=("run_id", "tenant")),
+            Trace("alloc_trace.csv", "time_ns,tenant,old_num,new_num,trigger",
+                  "time_ns", "old_num", "new_num", names=("tenant", "trigger")),
+            Trace("windows.csv", "tenant,wid,ql,tw_ns,granted_cores,policy",
+                  "wid", "ql", "tw_ns", "granted_cores", names=("tenant", "policy")),
+            Trace("policy_trace.csv", "time_ns,tenant,old_policy,new_policy,slack_ns",
+                  "time_ns", names=("tenant", "old_policy", "new_policy")),
+            Trace("transfers.csv", "core,from_owner,to_owner,marked_ns,effective_ns,initiator",
+                  "core", "marked_ns", "effective_ns",
+                  names=("from_owner", "to_owner", "initiator")),
+            Trace("estimators.csv", "time_ns,tenant,t_io_avg_ns,tail_io_ns",
+                  "time_ns", names=("tenant",)),
+        )
+        (self.interval_rows, self.alloc_rows, self.window_rows, self.policy_rows,
+         self.transfer_rows, self.estimator_rows) = self.traces
         self._interval_idx = 0
         self._interval_start = 0
         self._cores: dict[str, int] = {}   # LC core counts at _interval_start
@@ -300,8 +310,7 @@ class MetricsHub:
         for t, label, old, new, _ in self.alloc_rows.pending:
             area[label] += (new - old) * (now - t)
             cores[label] += new - old
-        for trace in (self.interval_rows, self.alloc_rows, self.window_rows,
-                      self.policy_rows, self.transfer_rows, self.estimator_rows):
+        for trace in self.traces:
             trace.fold()
         be_mean = (self.pool_total * length - sum(area.values())) / length
         secs = length / SEC
@@ -313,12 +322,8 @@ class MetricsHub:
             else:
                 tail = None
                 mean_cores = be_mean
-            self.interval_rows.append((
-                self.run_id, self._interval_idx, label,
-                tail if tail is not None else "",
-                repr(nbytes / secs),
-                repr(mean_cores),
-            ))
+            self.interval_rows.append((self.run_id, self._interval_idx, label, tail,
+                                       nbytes / secs, mean_cores))
         self._interval_idx += 1
         self._interval_start = now
 
@@ -329,24 +334,17 @@ class MetricsHub:
         for label, tm in self.tenants.items():
             qs = {*LATENCY_QUANTILES, tm.slo_q} if tm.lc else LATENCY_QUANTILES
             for q in sorted(qs):
-                tail = tm.cumulative_quantile(q)
                 rows.append((self.run_id, label, "lc" if tm.lc else "be",
-                             q, tail if tail is not None else ""))
+                             q, tm.cumulative_quantile(q)))
         return rows
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# Writing a run directory
 # ---------------------------------------------------------------------------
 
 LATENCY_QUANTILES = (0.5, 0.9, 0.99, 0.999)   # an LC tenant adds its SLO's
 LATENCY_HEADER = "run_id,tenant,class,quantile,cumulative_tail_ns"
-INTERVALS_HEADER = "run_id,interval,tenant,tail_ns,bandwidth_bytes_per_s,mean_cores"
-ALLOC_HEADER = "time_ns,tenant,old_num,new_num,trigger"
-WINDOWS_HEADER = "tenant,wid,ql,tw_ns,granted_cores,policy"
-POLICY_HEADER = "time_ns,tenant,old_policy,new_policy,slack_ns"
-TRANSFERS_HEADER = "core,from_owner,to_owner,marked_ns,effective_ns,initiator"
-ESTIMATORS_HEADER = "time_ns,tenant,t_io_avg_ns,tail_io_ns"
 
 
 def _write_csv(path, header: str, rows):
@@ -355,17 +353,17 @@ def _write_csv(path, header: str, rows):
         csv.writer(f, lineterminator="\n").writerows(rows)
 
 
-def write_all(hub: MetricsHub, out_dir):
-    """Write every CSV for one run into the directory out_dir; returns {name: path}."""
+def write_all(hub: MetricsHub, out_dir, report: dict) -> dict:
+    """Write one run into the directory out_dir: latency.csv, each trace's
+    CSV, then report.json last, so a directory without it did not finish.
+    Returns {file name: path}."""
     paths = {}
-    for name, header, rows in (
-            ("latency.csv", LATENCY_HEADER, hub.latency_rows()),
-            ("intervals.csv", INTERVALS_HEADER, hub.interval_rows),
-            ("alloc_trace.csv", ALLOC_HEADER, hub.alloc_rows),
-            ("windows.csv", WINDOWS_HEADER, hub.window_rows),
-            ("policy_trace.csv", POLICY_HEADER, hub.policy_rows),
-            ("transfers.csv", TRANSFERS_HEADER, hub.transfer_rows),
-            ("estimators.csv", ESTIMATORS_HEADER, hub.estimator_rows)):
-        paths[name] = os.path.join(out_dir, name)
-        _write_csv(paths[name], header, rows)
+    for file, header, rows in (("latency.csv", LATENCY_HEADER, hub.latency_rows()),
+                               *((t.file, t.header, t) for t in hub.traces)):
+        paths[file] = os.path.join(out_dir, file)
+        _write_csv(paths[file], header, rows)
+    paths["report.json"] = os.path.join(out_dir, "report.json")
+    with open(paths["report.json"], "w") as f:
+        json.dump(report, f, indent=2, sort_keys=True)
+        f.write("\n")
     return paths

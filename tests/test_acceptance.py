@@ -41,8 +41,7 @@ from qwinsim import (AGGRESSIVE, CONSERVATIVE, SLO_AWARE, Backend, Device,
                      make_np_stream, make_stream, select_policy)
 from qwinsim.config import parse_config, scenario
 from qwinsim.harness import build, run_experiment
-from qwinsim.metrics import (ALLOC_HEADER, EDGES, INTERVALS_HEADER, N_BUCKETS,
-                             TRANSFERS_HEADER, _write_csv)
+from qwinsim.metrics import EDGES, N_BUCKETS, _write_csv
 from qwinsim.sim_core import MS, SEC
 from qwinsim.workload import OPEN
 
@@ -67,9 +66,8 @@ def _matrix_run(d, seed, out_root, tag):
     rd = out_root / tag / res.run_id
     rd.mkdir(parents=True)
     hub = res.sim.hub
-    _write_csv(rd / "alloc_trace.csv", ALLOC_HEADER, hub.alloc_rows)
-    _write_csv(rd / "transfers.csv", TRANSFERS_HEADER, hub.transfer_rows)
-    _write_csv(rd / "intervals.csv", INTERVALS_HEADER, hub.interval_rows)
+    for trace in (hub.alloc_rows, hub.transfer_rows, hub.interval_rows):
+        _write_csv(rd / trace.file, trace.header, trace)
     report = res.report
     del res
     gc.collect()

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -110,7 +110,10 @@ _NINE_LC = [{"label": f"lc{i}", "class": "lc", "workload": "C", "slo": {"latency
     ({"duration_s": "abc", "warmup_s": 100.0}, "duration_s must be a number"),
     ({"pool": {"total": "x"}, "allocator": {"kind": "static", "static": {"counts": {"lc0": 9}}}},
      "pool: total must be a number"),
-], ids=["pool-total", "duration", "static-sum"])
+    # Judged at the default 1 s or 60 s, each would be more than 10**6 intervals.
+    ({"duration_s": 2e6, "interval_s": "x"}, "interval_s must be a number"),
+    ({"duration_s": "x", "interval_s": 1e-6}, "duration_s must be a number"),
+], ids=["pool-total", "duration", "static-sum", "intervals-interval", "intervals-duration"])
 def test_a_cross_section_rule_skips_a_key_already_reported(over, error):
     # Judged at its default, the rejected key would add a line naming a
     # value the config never set ("pool has 8", a 60 s duration).
@@ -380,7 +383,7 @@ def test_bad_value_gives_its_error(path, value, line):
 
 
 def test_a_value_at_an_upper_bound_parses():
-    d = {**scenario("duo"), "duration_s": 4.6e9, "pool": {"total": 4096},
+    d = {**scenario("duo"), "duration_s": 4.6e9, "interval_s": 4.6e3, "pool": {"total": 4096},
          "device": {"capacity": 4096}, "estimators": {"hist_window": 10**7}}
     cfg = parse_config(d)
     assert (cfg.pool_total, cfg.device.capacity, cfg.estimators.hist_window) == (4096, 4096, 10**7)
@@ -391,6 +394,30 @@ def test_a_value_at_an_upper_bound_parses():
     d["tenants"][1]["workload"] = {"mode": CLOSED, "iodepth": 1_000, "numjobs": 100}
     lc, be = (t.spec() for t in parse_config(d).tenants)
     assert (lc.rate_per_s, lc.burst.rate_per_s, be.in_flight_cap) == (1e9, 1e9, 10**5)
+
+
+def test_a_run_holds_at_most_a_million_metric_intervals():
+    # Each interval writes a row per tenant and an estimator row per LC
+    # tenant, whether or not anything happened in it.
+    cfg = parse_config(_minimal(duration_s=1.0, interval_s=1e-6))
+    assert (cfg.duration_ns, cfg.interval_ns) == (10**9, 10**3)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_minimal(duration_s=1.000001, interval_s=1e-6))
+    assert ei.value.errors == [
+        "duration_s / interval_s must be <= 10**6 metric intervals, got 1000001"]
+
+
+@pytest.mark.parametrize("text, key, line, column", [
+    ("seed: 1\nname: dup\nseed: 2\n", "seed", 3, 1),
+    ("device:\n  sigma: 0.3\n  capacity: 4\n  sigma: 0.5\n", "sigma", 4, 3),
+], ids=["top-level", "nested"])
+def test_read_yaml_rejects_a_repeated_key(text, key, line, column):
+    # The later value would silently win, as a mistyped key would silently default.
+    with pytest.raises(ConfigError) as ei:
+        read_yaml(text)
+    [error] = ei.value.errors
+    assert error.startswith(f"not valid YAML: duplicate key {key!r}\n")
+    assert f"line {line}, column {column}" in error
 
 
 def test_every_bound_in_the_schema_is_in_the_rejection_table():
@@ -569,6 +596,10 @@ def test_readme_config_block_parses():
     block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(read_yaml(block))
     assert parse_config(read_yaml(cfg.to_yaml())) == cfg
+    # Every value shown is the default, but the static counts and the tenants.
+    shown_defaults = replace(cfg, tenants=(), allocator=replace(
+        cfg.allocator, static=AllocatorConfig().static))
+    assert shown_defaults == ExperimentConfig()
     # The block lists every key the schema accepts.
     shown = {k for p in _paths(yaml.safe_load(block)) for k in p if isinstance(k, str)}
     assert USER_KEYS <= shown, sorted(USER_KEYS - shown)
@@ -669,9 +700,11 @@ def test_readme_registry_and_cli_name_the_same_allocator_kinds():
         text = f.read().split("\n## Allocators\n", 1)[1].split("\n## ", 1)[0]
     table = [line.split("|")[1].strip().strip("`") for line in text.splitlines()
              if line.startswith("| `")]
-    choices = next(a.choices for a in harness._build_arg_parser()._actions
-                   if a.dest == "allocator")
-    assert table == list(ALLOCATORS) == list(choices)
+    assert table == list(ALLOCATORS)
+    # The schema alone checks --allocator; its help names the same kinds.
+    help_text = next(a.help for a in harness._build_arg_parser()._actions
+                     if a.dest == "allocator")
+    assert help_text.endswith(": " + ", ".join(table))
     # one params section per kind that takes params, named after the kind
     sections = [f.name for f in fields(AllocatorConfig) if f.name != "kind"]
     assert sections == [k for k, cls in ALLOCATORS.items() if cls.Params]

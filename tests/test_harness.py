@@ -282,6 +282,27 @@ def test_cli_pin_and_allocator_flags(capsys):
     assert "duo-cake-s1" in capsys.readouterr().out
 
 
+def test_cli_lists_a_bad_flag_with_the_config_files_problems(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text("device: {sigma: -1}\n")
+    assert main(["--scenario", "duo", "--config", str(p), "--allocator", "bogus",
+                 "--pin", "never", "--validate-only"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid config:\n"
+        "  - device: sigma must be >= 0\n"
+        "  - allocator: unknown kind 'bogus' (known: qwin, static, priority, shenango, cake)\n"
+        "  - allocator.qwin: unknown pin 'never' (known: conservative, aggressive, slo_aware)\n")
+
+
+def test_validate_only_rejects_a_repeated_key(tmp_path, capsys):
+    p = tmp_path / "dup.yaml"
+    p.write_text("seed: 1\nseed: 2\n")
+    assert main(["--scenario", "duo", "--config", str(p), "--validate-only"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:\n  - not valid YAML: duplicate key 'seed'\n")
+    assert f'in "{p}", line 2, column 1' in err
+
+
 def test_cli_rejects_invalid_config(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("tenants: []\n")
@@ -473,8 +494,11 @@ def _burst_duo_workloads(lc=None, burst=None, be=None):
     # A closed loop would make 10**12 requests at t=0.
     ({"tenants": _burst_duo_workloads(be={"mode": CLOSED, "iodepth": 10**6, "numjobs": 10**6})},
      "tenants[1] (be0).workload: iodepth * numjobs must be <= 10**5"),
+    # One more interval than the bound; 10**6 at 1 s would parse.
+    ({"duration_s": 1.000001, "interval_s": 1e-6},
+     "duration_s / interval_s must be <= 10**6 metric intervals, got 1000001"),
 ], ids=["pool.total", "device.capacity", "estimators.hist_window", "duration_s",
-        "rate_per_s", "burst.rate_per_s", "iodepth*numjobs"])
+        "rate_per_s", "burst.rate_per_s", "iodepth*numjobs", "intervals"])
 def test_validate_only_rejects_a_value_past_its_upper_bound(tmp_path, capsys, over, line):
     cfg, out = tmp_path / "big.yaml", tmp_path / "out"
     cfg.write_text(json.dumps({**scenario("duo"), **over}))   # JSON text is YAML

@@ -4,8 +4,10 @@ import csv
 import gc
 import math
 import random
+import re
 import tracemalloc
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,8 @@ from hypothesis import strategies as st
 
 from qwinsim import MetricsHub, TenantMetrics, parse_config, quantile_from_counts, scenario
 from qwinsim.harness import _start_metric_ticks, build
-from qwinsim.metrics import (_FOLD_NS, ALLOC_HEADER, EDGES, ESTIMATORS_HEADER,
-                             INTERVALS_HEADER, LATENCY_HEADER, N_BUCKETS,
-                             POLICY_HEADER, TRANSFERS_HEADER, WINDOWS_HEADER,
-                             Trace, _write_csv, write_all)
+from qwinsim.metrics import (_FOLD_NS, EDGES, LATENCY_HEADER, N_BUCKETS, Trace,
+                             _write_csv, write_all)
 
 
 def _bucket(x):
@@ -199,7 +199,7 @@ def test_interval_rows_shape_and_be_pool_mean():
     assert lc_row[0] == "run-x" and lc_row[1] == 0
     assert lc_row[3] == EDGES[_bucket(40_000)]
     assert float(lc_row[4]) == pytest.approx(4096 / 1e-6)   # bytes over 1us-long... 1000ns
-    assert be_row[3] == ""                                   # BE has no tail column
+    assert be_row[3] is None                                 # BE has no tail column
     assert float(be_row[5]) == pytest.approx(7.0)            # pool-wide mean cores
     assert float(lc_row[5]) == pytest.approx(1.0)
 
@@ -224,7 +224,7 @@ _EDGE_INTS = [x for k in (7, 15, 31, 63) for x in (2**k - 1, 2**k, -2**k, -2**k 
 _INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_EDGE_INTS))
 _ROWS = st.lists(st.tuples(
     _INT64, st.text(max_size=3), st.floats(allow_nan=False),
-    st.one_of(st.just(""), st.integers()), _INT64))
+    st.one_of(st.none(), st.integers()), _INT64))
 
 
 def _narrowest(cells):
@@ -236,11 +236,11 @@ def _narrowest(cells):
 @settings(max_examples=200, deadline=None)
 # 300 distinct names, so the codes outgrow one byte, and every width boundary
 # in both int columns, folded at several points.
-@example(rows=[(x, f"n{i}", 0.5, "", -x - 1)
+@example(rows=[(x, f"n{i}", 0.5, None, -x - 1)
                for i, x in enumerate([0, *_EDGE_INTS] * 20)],
          folds={0, 3, 17, 29})
 def test_trace_gives_back_its_rows_across_folds(rows, folds):
-    trace = Trace("a,b,c,d,e", "a", "e", names=("b",))
+    trace = Trace("t.csv", "a,b,c,d,e", "a", "e", names=("b",))
     for i, row in enumerate(rows):
         trace.append(row)
         if i in folds:
@@ -264,7 +264,7 @@ def test_trace_gives_back_its_rows_across_folds(rows, folds):
     ((1, ["x"]), TypeError),
 ], ids=["float", "2**63", "-2**63-1", "str", "None", "short row", "long row", "unhashable name"])
 def test_trace_fold_fails_on_a_cell_it_cannot_hold_and_writes_nothing(bad, error):
-    trace = Trace("n,s", "n", names=("s",))
+    trace = Trace("t.csv", "n,s", "n", names=("s",))
     trace.append((1, "a"))
     trace.fold()
     trace.append((2, "b"))
@@ -281,7 +281,7 @@ def test_trace_fold_fails_on_a_cell_it_cannot_hold_and_writes_nothing(bad, error
 def test_a_widening_fold_that_fails_on_a_later_column_changes_nothing(bad, error):
     # The rows widen the first int column to 'h', the name table by 300
     # names (so its codes to 'h' too), then fail on the last column.
-    trace = Trace("n,s,m", "n", "m", names=("s",))
+    trace = Trace("t.csv", "n,s,m", "n", "m", names=("s",))
     trace.append((1, "a", 1))
     trace.fold()
     rows = [(300, f"s{i}", 2) for i in range(300)] + [(-300, "b", bad)]
@@ -344,30 +344,54 @@ def test_a_mid_interval_read_leaves_the_pending_rows_and_mean_cores(read):
 
 def test_headers_are_pinned():
     assert LATENCY_HEADER == "run_id,tenant,class,quantile,cumulative_tail_ns"
-    assert INTERVALS_HEADER == "run_id,interval,tenant,tail_ns,bandwidth_bytes_per_s,mean_cores"
-    assert ALLOC_HEADER == "time_ns,tenant,old_num,new_num,trigger"
-    assert WINDOWS_HEADER == "tenant,wid,ql,tw_ns,granted_cores,policy"
-    assert POLICY_HEADER == "time_ns,tenant,old_policy,new_policy,slack_ns"
-    assert TRANSFERS_HEADER == "core,from_owner,to_owner,marked_ns,effective_ns,initiator"
-    assert ESTIMATORS_HEADER == "time_ns,tenant,t_io_avg_ns,tail_io_ns"
+    assert [(t.file, t.header) for t in _mini_hub().traces] == [
+        ("intervals.csv", "run_id,interval,tenant,tail_ns,bandwidth_bytes_per_s,mean_cores"),
+        ("alloc_trace.csv", "time_ns,tenant,old_num,new_num,trigger"),
+        ("windows.csv", "tenant,wid,ql,tw_ns,granted_cores,policy"),
+        ("policy_trace.csv", "time_ns,tenant,old_policy,new_policy,slack_ns"),
+        ("transfers.csv", "core,from_owner,to_owner,marked_ns,effective_ns,initiator"),
+        ("estimators.csv", "time_ns,tenant,t_io_avg_ns,tail_io_ns")]
+
+
+def test_readme_artifact_table_lists_each_file_and_header():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("\n## Output artifacts\n", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `([^`]+)`\s*\| `([^`]+)`", text, re.M)
+    assert table == [("latency.csv", LATENCY_HEADER),
+                     *((t.file, t.header) for t in _mini_hub().traces)]
 
 
 def test_write_all_emits_seven_csvs_with_headers(tmp_path):
     hub = _mini_hub()
     hub.tenants["lc0"].record(40_000, 4096, 100)
     hub.flush_interval(1_000)
-    paths = write_all(hub, tmp_path)   # run_experiment makes the run directory
-    assert sorted(paths) == ["alloc_trace.csv", "estimators.csv", "intervals.csv",
-                             "latency.csv", "policy_trace.csv", "transfers.csv",
-                             "windows.csv"]
-    for name, p in paths.items():
-        first = open(p).readline().rstrip("\n")
-        assert "," in first and first[0].isalpha() or first.startswith("time_ns")
+    report = {"run_id": "run-x", "tail_ns": None}
+    paths = write_all(hub, tmp_path, report)   # run_experiment makes the run directory
+    assert list(paths) == ["latency.csv", *(t.file for t in hub.traces), "report.json"]
+    assert paths == {name: str(tmp_path / name) for name in paths}
+    for trace in hub.traces:
+        assert open(paths[trace.file]).readline() == trace.header + "\n"
+    assert open(paths["report.json"]).read() == '{\n  "run_id": "run-x",\n  "tail_ns": null\n}\n'
+    # Interval cells are numbers and None; the csv module writes a float as
+    # its repr and None as an empty cell.
+    lc, be = list(csv.reader(open(paths["intervals.csv"], newline="")))[1:]
+    assert lc[3] == str(EDGES[_bucket(40_000)]) and be[3] == ""
+    assert lc[4] == repr(4096 / 1e-6) and be[5] == "7.0"
     lat = open(paths["latency.csv"]).read().splitlines()
     assert lat[0] == LATENCY_HEADER
     # lc0 rows at the standard quantiles (slo_q 0.999 already included)
     lc_rows = [l for l in lat[1:] if l.split(",")[1] == "lc0"]
     assert [r.split(",")[3] for r in lc_rows] == ["0.5", "0.9", "0.99", "0.999"]
+
+
+def test_write_all_writes_report_json_last(tmp_path):
+    # So a run directory without report.json did not finish writing.
+    hub = _mini_hub()
+    hub.flush_interval(1_000)
+    (tmp_path / hub.traces[-1].file).mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_all(hub, tmp_path, {})
+    assert (tmp_path / "latency.csv").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_write_csv_quotes_a_cell_only_when_it_must(tmp_path):
@@ -728,8 +752,8 @@ def test_mean_cores_from_alloc_rows_matches_the_shadow_integral(script):
             hub.flush_interval(now)
             length = now - last_flush
             if length > 0:
-                want += [repr(oracle[label].take(now) / length) for label in labels]
-                want.append(repr(be.take(now) / length))
+                want += [oracle[label].take(now) / length for label in labels]
+                want.append(be.take(now) / length)
                 last_flush = now
             continue
         _, changes, reverse = op
