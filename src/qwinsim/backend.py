@@ -166,8 +166,8 @@ class Backend:
 
     def core_step(self, core, now):
         """Give an un-parked, not-busy core its next piece of work.  A step
-        can move only the core it runs on, and only by yielding it to the BE
-        pool (a release never picks a core that is neither busy nor parked)."""
+        can move its core only by yielding it to the BE pool: a release picks
+        parked or busy cores, and each other core of the tenant is one of those."""
         owner = core.owner
         if owner is BE:
             req = self._be_dequeue()
@@ -326,10 +326,14 @@ class Backend:
         self.be_count -= grant
         old = tenant.num
         tenant.num = old + grant
-        # Granted idle cores go to work for their new owner immediately; the
-        # row follows any rows their first steps write.
+        # Granted idle cores park, then each one still parked (a release in an
+        # earlier step may take it) steps; the row follows any rows steps write.
         for core in wake:
-            self.core_step(core, now)
+            insort(tenant.idle, core.cid)
+        for core in wake:
+            if core.cid in tenant.idle:
+                tenant.idle.remove(core.cid)
+                self.core_step(core, now)
         self.hub.alloc_rows.append((now, tenant.label, old, old + grant,
                                     trigger if grant == want else "shortfall"))
         return grant

@@ -444,6 +444,8 @@ def parse_config(d: dict) -> ExperimentConfig:
          f"duration_s / interval_s must be <= 10**6 metric intervals, got {intervals}"),
         (("tenants",), not (d or {}).get("tenants"), "tenants: at least one tenant is required"),
         (("tenants",), len(set(labels)) < len(labels), f"duplicate tenant label in {labels}"),
+        (("allocator",), cfg.allocator.kind != "qwin" and cfg.allocator.qwin.pin,
+         f"allocator.qwin.pin: only the qwin allocator pins a policy, not {cfg.allocator.kind!r}"),
         (("pool", *by_label), cfg.allocator.kind != "priority" and len(lc_labels) > pool,
          f"{len(lc_labels)} LC tenants need at least that many cores; pool has {pool}"),
         (by_label, unknown, f"allocator.static: static counts name unknown LC tenants: {unknown}"),

@@ -125,7 +125,7 @@ class WorkloadSource:
         self.in_flight = 0
         self._enqueue = None
         self._free = []              # completed open-loop requests, for reuse
-        self._engine = None
+        self._engine = self._arrive = None   # an open loop's, set at start()
         # The backend's completion handler draws a closed loop's replacement
         # from these tables.  The op is constant when the mix is pure.
         self.closed = spec.mode == CLOSED
@@ -164,32 +164,22 @@ class WorkloadSource:
             op = self.rng.random() < self.read_ratio
         cum = self.size_cum
         i = 0 if cum is None else bisect.bisect_left(cum, self.rng.random())
-        free = self._free
-        if free:
-            # A completed open-loop request, refreshed as the completion
-            # handler refreshes a closed loop's replacement.
-            req = free.pop()
-            req.size = self.size_vals[i]
-            req.mu = self.mu_table[op][i]
-            req.arrive_at = arrive_at
-            req.finish_at = NOT_SCHEDULED
-            return req
-        return Request(self.tenant, self.size_vals[i], arrive_at,
-                       self.mu_table[op][i])
+        return Request(self.tenant, self.size_vals[i], arrive_at, self.mu_table[op][i])
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, engine, enqueue):
         """Schedule the initial arrivals.  enqueue(request, now) admits one request."""
         self._enqueue = enqueue
-        self._engine = engine
         if self.spec.mode == CLOSED:
             # The whole iodepth*numjobs population arrives at t=0, one event
             # per request so arrival order is well defined.
             for _ in range(self.spec.in_flight_cap):
                 engine.schedule(0, REQUEST_ARRIVAL, enqueue, self.make_request(0))
         else:
-            self._schedule_next_arrival(0)
+            self._engine = engine
+            self._arrive = self._open_arrive   # bound once: every arrival event holds it
+            self._open_arrive(None, 0)
 
     # -- open loop ----------------------------------------------------------
 
@@ -210,12 +200,13 @@ class WorkloadSource:
         self._phase_end = end
         return end
 
-    def _schedule_next_arrival(self, now):
-        # Exponential gap at the current phase rate; if it crosses the phase
-        # end, restart the draw from there (memorylessness makes this an exact
-        # piecewise-Poisson process).  The gap is expovariate's own formula,
-        # drawn inline.  A phase holds [start, end), so a draw that lands on
-        # the end is the next phase's.
+    def _open_arrive(self, req, now):
+        # Admit req (None at the first draw), then draw the next arrival: the
+        # gap, the op, the size.  A gap that crosses the phase end is drawn
+        # again from the end at the next rate (memorylessness keeps this an
+        # exact piecewise-Poisson process); a phase holds [start, end).
+        if req is not None:
+            self._enqueue(req, now)
         t = now
         end = self._phase_end
         random = self.rng.random
@@ -227,12 +218,22 @@ class WorkloadSource:
                 t += round(gap)
                 break
             t = end
-        req = self.make_request(t)
-        self._engine.schedule(t, REQUEST_ARRIVAL, self._open_arrive, req)
-
-    def _open_arrive(self, req, now):
-        self._enqueue(req, now)
-        self._schedule_next_arrival(now)
+        self.in_flight += 1
+        op = self.op_const
+        if op is None:
+            op = random() < self.read_ratio
+        cum = self.size_cum
+        i = 0 if cum is None else bisect.bisect_left(cum, random())
+        if self._free:
+            # A completed request, refreshed as a closed loop's replacement is.
+            req = self._free.pop()
+            req.size = self.size_vals[i]
+            req.mu = self.mu_table[op][i]
+            req.arrive_at = t
+            req.finish_at = NOT_SCHEDULED
+        else:
+            req = Request(self.tenant, self.size_vals[i], t, self.mu_table[op][i])
+        self._engine.schedule(t, REQUEST_ARRIVAL, self._arrive, req)
 
     # -- completions ----------------------------------------------------------
 

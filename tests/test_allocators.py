@@ -208,6 +208,21 @@ def test_release_writes_old_and_new_count_with_the_callers_trigger():
     backend.check_invariants()
 
 
+def test_a_release_nested_in_a_grant_moves_every_core_it_books():
+    # lc0 has one request queued and no window, so the first core a grant
+    # wakes opens a window whose demand is one core and releases two: the
+    # parked core 0 and core 2, granted beside it and not yet stepped.
+    eng, backend, hub, alloc = _rig(pool=4)
+    lc = _by_label(backend)["lc0"]
+    _fill(lc, 1)
+    assert backend.grant_cores(lc, 2, 0, "probe") == 2
+    assert [r[2:] for r in hub.alloc_rows] == [(3, 1, "window_start"), (1, 3, "probe")]
+    assert lc.num == 1 and backend.be_count == 3 and lc.idle == []
+    assert backend.cores[1].owner is lc and backend.cores[1].busy is not None
+    assert backend.be_idle == [0, 2, 3]
+    backend.check_invariants()
+
+
 def test_core_step_serves_the_be_pool_on_a_core_its_own_step_yields():
     # lc0 holds two cores: core 0 parked, and BE core 1, granted while busy,
     # finishing its BE request.  Its queue is empty and it has no window, and

@@ -179,6 +179,18 @@ def test_invalid_pin_rejected():
                                          "qwin": {"pin": "yolo"}}))
 
 
+@pytest.mark.parametrize("kind", [k for k in ALLOCATORS if k != "qwin"])
+def test_a_pin_beside_another_allocator_is_rejected(kind):
+    # Only qwin reads the pin, so beside another kind it would be ignored.
+    alloc = {"kind": kind, "qwin": {"pin": "aggressive"}, "static": {"counts": {"lc0": 1}}}
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_minimal(allocator=alloc))
+    assert ei.value.errors == [
+        f"allocator.qwin.pin: only the qwin allocator pins a policy, not {kind!r}"]
+    del alloc["qwin"]
+    parse_config(_minimal(allocator=alloc))
+
+
 def test_static_counts_validated_against_pool():
     ok = parse_config(_minimal(allocator={"kind": "static",
                                           "static": {"counts": {"lc0": 3}}}))

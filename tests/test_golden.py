@@ -12,6 +12,9 @@ file catches a change that silently alters what the simulator outputs.  A
 change that means to alter outputs regenerates the file with
 `PYTHONPATH=src python tests/test_golden.py` (which first prints, for each
 artifact, how many cases' digests changed) and says why.
+A case whose digests match keeps its artifacts in pytest's cache
+(`.pytest_cache`), so a later mismatch names the first row that changed in
+each artifact, not only its SHA-256.
 """
 
 import csv
@@ -20,6 +23,7 @@ import json
 import os
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +208,38 @@ def run_digests(name, kind, out_dir, overrides=None) -> tuple[dict, dict]:
     return digests, res.paths
 
 
+def first_differing_rows(want: dict, got: dict) -> list[str]:
+    """One line for each artifact whose bytes differ between two runs (each
+    an artifact name -> bytes mapping): its first differing row, counting the
+    header as row 1, as each run wrote it."""
+    lines = []
+    for name in sorted(want.keys() | got.keys()):
+        if want.get(name) == got.get(name):
+            continue
+        a, b = (run[name].splitlines() if name in run else None for run in (want, got))
+        if a is None or b is None:
+            lines.append(f"{name}: only one run wrote it")
+            continue
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        was, now = (repr(rows[i].decode()) if i < len(rows) else "absent" for rows in (a, b))
+        lines.append(f"{name}: row {i + 1} was {was}, is {now}")
+    return lines
+
+
+def _golden_mismatch(want: dict, got: dict, files: dict, kept) -> str:
+    """Why a case's digests `got` (its artifacts' bytes in `files`) are not
+    the golden `want`: each changed artifact's digests and, when `kept` holds
+    the artifacts of a run that matched, its first differing row."""
+    lines = [f"{name}: golden {want.get(name)}, now {got.get(name)}"
+             for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
+    ref = {p.name: p.read_bytes() for p in kept.iterdir()} if kept else {}
+    if ref and {name: hashlib.sha256(b).hexdigest() for name, b in ref.items()} == want:
+        lines += first_differing_rows(ref, files)
+    else:
+        lines.append("(no artifacts of a run that matched are cached, so no rows are shown)")
+    return "\n".join(lines)
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(GOLDEN) as f:
@@ -211,13 +247,46 @@ def golden():
 
 
 @pytest.mark.parametrize("case", list(ALL_CASES))
-def test_artifacts_match_golden_digests(case, golden, tmp_path):
+def test_artifacts_match_golden_digests(case, golden, tmp_path, request):
     digests, paths = run_digests(*ALL_CASES[case][:2], str(tmp_path), ALL_CASES[case][2])
     assert len(digests) == 8
-    assert digests == golden[case]
+    files = {name: Path(path).read_bytes() for name, path in paths.items()}
+    cache = getattr(request.config, "cache", None)   # absent under -p no:cacheprovider
+    kept = cache.mkdir(f"golden-artifacts-{case}") if cache is not None else None
+    assert digests == golden[case], _golden_mismatch(golden[case], digests, files, kept)
+    if kept is not None:
+        for name, data in files.items():
+            (kept / name).write_bytes(data)
     assert _short_rows(paths) == []
     if case in REACHES:
         assert REACHES[case](paths), f"{case} no longer reaches its path"
+
+
+def test_a_mismatch_names_the_first_changed_row_of_each_artifact(tmp_path):
+    want = {"a.csv": b"h\n1\n2\n", "b.csv": b"h\n1\n", "report.json": b"{}\n"}
+    got = {"a.csv": b"h\n1\n3\n", "b.csv": b"h\n1\n9\n", "report.json": b"{}\n"}
+    rows = ["a.csv: row 3 was '2', is '3'", "b.csv: row 3 was absent, is '9'"]
+    assert first_differing_rows(want, got) == rows
+    assert first_differing_rows(want, {"a.csv": b""}) == [
+        "a.csv: row 1 was 'h', is absent", "b.csv: only one run wrote it",
+        "report.json: only one run wrote it"]
+
+    def sha(files):
+        return {name: hashlib.sha256(b).hexdigest() for name, b in files.items()}
+
+    digests = [f"{name}: golden {sha(want)[name]}, now {sha(got)[name]}"
+               for name in ("a.csv", "b.csv")]
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    no_rows = "(no artifacts of a run that matched are cached, so no rows are shown)"
+    assert _golden_mismatch(sha(want), sha(got), got, kept).splitlines() == [*digests, no_rows]
+    for name, data in want.items():
+        (kept / name).write_bytes(data)
+    assert _golden_mismatch(sha(want), sha(got), got, kept).splitlines() == [*digests, *rows]
+    # Artifacts cached from a run whose digests are not the golden ones show no rows.
+    (kept / "report.json").write_bytes(b"[]\n")
+    assert _golden_mismatch(sha(want), sha(got), got, kept).splitlines() == [*digests, no_rows]
+    assert _golden_mismatch(sha(want), sha(got), got, None).splitlines() == [*digests, no_rows]
 
 
 if __name__ == "__main__":

@@ -282,6 +282,19 @@ def test_cli_pin_and_allocator_flags(capsys):
     assert "duo-cake-s1" in capsys.readouterr().out
 
 
+def test_cli_rejects_a_pin_beside_another_allocator(tmp_path, capsys):
+    assert main(["--scenario", "duo", "--allocator", "cake", "--pin", "aggressive",
+                 "--validate-only"]) == 2
+    p = tmp_path / "pinned.yaml"
+    p.write_text("allocator: {kind: priority, qwin: {pin: slo_aware}}\n")
+    assert main(["--scenario", "duo", "--config", str(p), "--validate-only"]) == 2
+    assert capsys.readouterr() == ("", (
+        "invalid config:\n"
+        "  - allocator.qwin.pin: only the qwin allocator pins a policy, not 'cake'\n"
+        "invalid config:\n"
+        "  - allocator.qwin.pin: only the qwin allocator pins a policy, not 'priority'\n"))
+
+
 def test_cli_lists_a_bad_flag_with_the_config_files_problems(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("device: {sigma: -1}\n")

@@ -13,7 +13,7 @@ from qwinsim import (Backend, Burst, Device, DeviceParams, Engine, EventKind,
                      MetricsHub, PRESETS, PRESET_CLASS, Tenant, WorkloadSpec,
                      WorkloadSource, make_np_stream, make_stream)
 from qwinsim.config import ExperimentConfig, SloSpec, TenantConfig, parse_config, read_yaml
-from qwinsim.workload import CLOSED, NOT_SCHEDULED, OPEN
+from qwinsim.workload import CLOSED, NOT_SCHEDULED, OPEN, Request
 from qwinsim.sim_core import MS, SEC
 
 
@@ -139,6 +139,8 @@ def test_closed_loop_recycles_on_completion():
 
 
 def test_open_loop_never_recycles():
+    # A completed open-loop request is kept, not replaced; the next draw
+    # reuses it.
     spec = WorkloadSpec(mode=OPEN, rate_per_s=1000.0)
     eng, src, arrived = _drive(spec)
     eng.run_until(5_000_000)
@@ -146,7 +148,10 @@ def test_open_loop_never_recycles():
     in_flight = src.in_flight
     assert src.on_completion(req) is None
     assert src.in_flight == in_flight - 1
-    assert src.make_request(now + 200) is req
+    src._open_arrive(None, eng.now)
+    fire_at, _seq, _kind, drawn, _fn = max(eng._heap, key=lambda ev: ev[1])
+    assert drawn is req and req.arrive_at == fire_at > eng.now
+    assert src.in_flight == in_flight
 
 
 def test_closed_loop_read_fraction_within_one_percent():
@@ -181,11 +186,10 @@ def test_every_request_carries_the_log_median_of_its_op_and_size(spec):
     # _op checks that each mu is the log median of one op at its size.
     want = {(op, s) for s, _ in spec.sizes for op in (True, False)
             if (spec.read_ratio > 0 if op else spec.read_ratio < 1)}
-    # open loop: make_request
-    src = WorkloadSource(dataclasses.replace(spec, mode=OPEN, rate_per_s=1.0),
-                         make_stream(9, 1), _MU_DEVICE)
-    reqs = [src.make_request(0) for _ in range(3_000)]
-    assert {(_op(r), r.size) for r in reqs} == want
+    # open loop: the arrivals _open_arrive draws
+    arrivals = _source_arrivals(dataclasses.replace(spec, mode=OPEN, rate_per_s=1.0),
+                                9, 3_000, lag=0)
+    assert {(op, size) for _, op, size in arrivals} == want
     # closed loop: the t=0 population, then the completion handler's
     # replacements
     starts = _closed_loop_starts(spec, spec.in_flight_cap + 3_000, seed=9)
@@ -422,3 +426,98 @@ def test_open_loop_arrivals_match_the_reference_on_named_cases(name):
     if name == "size-and-op-mix":
         assert {(op, size) for _, op, size in want} == {
             (op, s) for op in (True, False) for s, _ in spec.sizes}
+
+
+# ---------------------------------------------------------------------------
+# _open_arrive against the split it replaced
+# ---------------------------------------------------------------------------
+
+
+def _split_gap(src, now):
+    """The next arrival time, drawn as the source's gap draw did before it
+    was folded into _open_arrive."""
+    t = now
+    end = src._phase_end
+    while True:
+        if t >= end:
+            end = src._next_phase(t)
+        gap = -math.log(1.0 - src.rng.random()) / src._rate
+        if t + gap <= end:
+            t += round(gap)
+            break
+        t = end
+    return t
+
+
+def _split_make_request(src, arrive_at):
+    """make_request as it was when open loops called it: the op, then the
+    size, on a completed request if one is kept."""
+    src.in_flight += 1
+    op = src.op_const
+    if op is None:
+        op = src.rng.random() < src.read_ratio
+    cum = src.size_cum
+    i = 0 if cum is None else bisect.bisect_left(cum, src.rng.random())
+    if src._free:
+        req = src._free.pop()
+        req.size = src.size_vals[i]
+        req.mu = src.mu_table[op][i]
+        req.arrive_at = arrive_at
+        req.finish_at = NOT_SCHEDULED
+        return req
+    return Request(src.tenant, src.size_vals[i], arrive_at, src.mu_table[op][i])
+
+
+def _draws(spec, seed, n, completes, split):
+    """The first n draws of an open-loop source, by _open_arrive or (split)
+    by the gap draw then make_request: each as (time, size, mu, the draw
+    whose request it reuses, the source's RNG, in-flight and phase state
+    after it).  The j-th arrival completes up to completes[j % len] of the
+    oldest requests in flight, each as if the device had served it."""
+    src = WorkloadSource(spec, make_stream(seed, 1), _MU_DEVICE)
+    src.tenant = "t0"
+    made, live, out = {}, [], []
+
+    def enqueue(req, now):
+        assert req.arrive_at == now
+        live.append(req)
+        for done in live[:completes[len(out) % len(completes)]]:
+            done.finish_at = now
+            src.on_completion(done)
+            live.remove(done)
+
+    def note(t, req):
+        assert req.arrive_at == t and req.finish_at == NOT_SCHEDULED
+        out.append((t, req.size, req.mu, made.get(id(req)), src.rng.getstate(),
+                    src.in_flight, src._on, src._rate, src._phase_end))
+        made.setdefault(id(req), len(out) - 1)
+
+    if split:
+        t = 0
+        for _ in range(n):
+            t = _split_gap(src, t)
+            req = _split_make_request(src, t)
+            note(t, req)
+            enqueue(req, t)
+    else:
+        eng = _OneShotEngine()
+        src.start(eng, enqueue)
+        for _ in range(n):
+            t, fn, req = eng.pending
+            assert fn == src._open_arrive
+            note(t, req)
+            eng.fire()
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_open_specs(), seed=st.integers(0, 2 ** 16),
+       completes=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+@example(spec=_NAMED["off-zero"], seed=3, completes=[0, 0, 3])
+@example(spec=_NAMED["size-and-op-mix"], seed=5, completes=[1])
+def test_open_arrive_draws_what_the_split_it_replaced_drew(spec, seed, completes):
+    n = 120
+    got = _draws(spec, seed, n, completes, split=False)
+    assert got == _draws(spec, seed, n, completes, split=True)
+    if completes == [1]:   # each arrival completes at once: one request serves every draw
+        assert [reused for _, _, _, reused, *_ in got] == [None] + [0] * (n - 1)
